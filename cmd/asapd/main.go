@@ -43,6 +43,7 @@ import (
 
 	"asap/internal/iocampaign"
 	"asap/internal/iofault"
+	"asap/internal/metrics"
 	"asap/internal/queue"
 	"asap/internal/report"
 	"asap/internal/resultcache"
@@ -106,6 +107,10 @@ func run() int {
 		return 1
 	}
 
+	reg := metrics.NewRegistry()
+	observeRuns := reg.CounterVec("asapd_observe_runs_total",
+		"Observe runs (profile/timeline/series artifacts) by source: read from the result cache or computed by simulation.",
+		"source")
 	cfg := queue.Config{
 		Dir:     *dir,
 		Workers: *workers,
@@ -115,10 +120,11 @@ func run() int {
 			BackoffBase:   *backoffBase,
 			BackoffCap:    *backoffCap,
 		},
-		Exec:              newSweepExec(cache, codeVersion),
+		Exec:              newSweepExec(cache, codeVersion, observeRuns),
 		Validate:          validateSpec,
 		Volatile:          *volatileFlag,
 		Logger:            logger,
+		Metrics:           reg,
 		ResultContentType: "text/plain; charset=utf-8",
 
 		JournalSegmentBytes: *journalSegment,
@@ -147,10 +153,10 @@ func run() int {
 			ioErrs.With("resultcache", iofault.Classify(err)).Inc()
 		})
 		d.Metrics.GaugeFunc("asapd_resultcache_hits",
-			"Result-cache hits (cells re-rendered without simulation) since start.",
+			"Result-cache entry hits since start: cells re-rendered without simulation, plus observe-artifact entries (three per observe lookup).",
 			func() float64 { h, _, _ := cache.Stats(); return float64(h) })
 		d.Metrics.GaugeFunc("asapd_resultcache_misses",
-			"Result-cache misses (cells simulated) since start.",
+			"Result-cache entry misses since start: cells simulated, plus observe-artifact entries (three per observe lookup).",
 			func() float64 { _, m, _ := cache.Stats(); return float64(m) })
 		logger.Info("result cache open", "dir", *cacheDir, "code_version", codeVersion)
 	}
@@ -234,16 +240,22 @@ func validateSpec(raw json.RawMessage) error {
 // completions — cached and computed counted separately — stream to the
 // daemon's per-job progress hub, and — when a manifest collector is
 // attached — an instrumented representative run contributes
-// profile/timeline/series artifacts. None of these channels touch the
-// result bytes: output neutrality is test-enforced against the direct
-// sweep.Execute path.
-func newSweepExec(cache *resultcache.Store, codeVersion string) queue.Executor {
+// profile/timeline/series artifacts, read from the result cache when
+// another job already rendered them and counted by source on
+// observeRuns. None of these channels touch the result bytes: output
+// neutrality is test-enforced against the direct sweep.Execute path.
+func newSweepExec(cache *resultcache.Store, codeVersion string, observeRuns *metrics.CounterVec) queue.Executor {
 	return func(ctx context.Context, raw json.RawMessage) ([]byte, error) {
-		return sweepExec(ctx, raw, cache, codeVersion)
+		return runSweepJob(ctx, raw, cache, codeVersion, observeRuns)
 	}
 }
 
+// sweepExec runs one job with no metrics attached.
 func sweepExec(ctx context.Context, raw json.RawMessage, cache *resultcache.Store, codeVersion string) ([]byte, error) {
+	return runSweepJob(ctx, raw, cache, codeVersion, nil)
+}
+
+func runSweepJob(ctx context.Context, raw json.RawMessage, cache *resultcache.Store, codeVersion string, observeRuns *metrics.CounterVec) ([]byte, error) {
 	var spec sweep.Spec
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return nil, err
@@ -272,11 +284,17 @@ func sweepExec(ctx context.Context, raw json.RawMessage, cache *resultcache.Stor
 		return nil, fmt.Errorf("%d experiments failed: %v", len(failed), failed)
 	}
 	if queue.WantsArtifacts(ctx) {
-		arts, oerr := sweep.ObserveArtifacts(spec)
+		arts, cached, oerr := sweep.ObserveArtifactsCached(spec, cache, codeVersion)
 		if oerr != nil {
 			// The result already rendered; a failed observer run costs the
 			// manifest extras, not the job.
 			slog.Warn("observe artifacts failed", "error", oerr)
+		} else if observeRuns != nil {
+			source := "computed"
+			if cached {
+				source = "cache"
+			}
+			observeRuns.With(source).Inc()
 		}
 		for _, a := range arts {
 			queue.AddArtifact(ctx, queue.RawArtifact{

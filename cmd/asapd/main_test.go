@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"asap/internal/metrics"
 	"asap/internal/queue"
 	"asap/internal/report"
 	"asap/internal/resultcache"
@@ -148,6 +149,7 @@ func TestValidateSpec(t *testing.T) {
 	for _, good := range []string{
 		`{"experiments":["fig7"]}`,
 		`{"experiments":["all"],"scale":"full","parallel":4}`,
+		`{"experiments":["profile"],"profile_bench":"BN"}`,
 	} {
 		if err := validateSpec(json.RawMessage(good)); err != nil {
 			t.Errorf("validateSpec(%s): %v", good, err)
@@ -158,6 +160,7 @@ func TestValidateSpec(t *testing.T) {
 		`{"experiments":["nope"]}`,
 		`{"experiments":["fig7"],"scale":"huge"}`,
 		`{"experiments":["fig7"],"parallel":-1}`,
+		`{"experiments":["fig1"],"profile_bench":"XX"}`,
 		`[1,2,3]`,
 	} {
 		if err := validateSpec(json.RawMessage(bad)); err == nil {
@@ -191,5 +194,60 @@ func TestSweepExecWarmCacheBytesIdentical(t *testing.T) {
 	hits, misses, _ := store.Stats()
 	if hits == 0 || hits != misses {
 		t.Fatalf("warm submission not fully served from cache: hits=%d misses=%d", hits, misses)
+	}
+}
+
+// TestSweepExecObserveCacheArtifactsIdentical: under an artifact sink the
+// executor's second run of a spec reads its observe artifacts from the
+// result cache, and lists exactly the artifacts — names, kinds, content
+// types, bytes — of the first, computed run and of an uncached run. The
+// source of each observe run is counted on asapd_observe_runs_total.
+func TestSweepExecObserveCacheArtifactsIdentical(t *testing.T) {
+	store, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	observeRuns := metrics.NewRegistry().CounterVec("asapd_observe_runs_total", "test", "source")
+	raw := json.RawMessage(`{"experiments":["config"],"scale":"quick"}`)
+	collect := func(exec queue.Executor) []queue.RawArtifact {
+		var mu sync.Mutex
+		var arts []queue.RawArtifact
+		ctx := queue.WithArtifactSink(context.Background(), func(a queue.RawArtifact) {
+			mu.Lock()
+			arts = append(arts, a)
+			mu.Unlock()
+		})
+		if _, err := exec(ctx, raw); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return arts
+	}
+
+	exec := newSweepExec(store, "asapd-test", observeRuns)
+	uncached := collect(newSweepExec(nil, "", nil))
+	cold := collect(exec)
+	warm := collect(exec)
+	if got := observeRuns.With("computed").Value(); got != 1 {
+		t.Errorf("computed observe runs = %v, want 1", got)
+	}
+	if got := observeRuns.With("cache").Value(); got != 1 {
+		t.Errorf("cached observe runs = %v, want 1", got)
+	}
+	if len(cold) != 3 {
+		t.Fatalf("cold run collected %d artifacts, want 3", len(cold))
+	}
+	for name, arts := range map[string][]queue.RawArtifact{"warm": warm, "uncached": uncached} {
+		if len(arts) != len(cold) {
+			t.Fatalf("%s run collected %d artifacts, cold %d", name, len(arts), len(cold))
+		}
+		for i, a := range arts {
+			c := cold[i]
+			if a.Name != c.Name || a.Kind != c.Kind || a.ContentType != c.ContentType || !bytes.Equal(a.Data, c.Data) {
+				t.Errorf("%s artifact %d (%s, %d bytes) differs from cold (%s, %d bytes)",
+					name, i, a.Name, len(a.Data), c.Name, len(c.Data))
+			}
+		}
 	}
 }

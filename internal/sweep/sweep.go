@@ -21,6 +21,7 @@ import (
 	"asap/internal/report"
 	"asap/internal/resultcache"
 	"asap/internal/runner"
+	"asap/internal/workload"
 )
 
 // Spec is one sweep request: which experiments, at which scale. It is
@@ -85,6 +86,11 @@ func (s *Spec) Validate() error {
 	if s.Parallel < 0 {
 		return fmt.Errorf("sweep: negative parallelism %d", s.Parallel)
 	}
+	// Every job runs its profile benchmark in the observe pass, so an
+	// unknown one is rejected here, not by a panic mid-job.
+	if s.ProfileBench != "" && workload.ByName(s.ProfileBench) == nil {
+		return fmt.Errorf("sweep: unknown profile benchmark %q", s.ProfileBench)
+	}
 	return nil
 }
 
@@ -94,6 +100,14 @@ func (s *Spec) scale() experiment.Scale {
 		return experiment.FullScale()
 	}
 	return experiment.QuickScale()
+}
+
+// profileBench resolves the ProfileBench field (default Q).
+func (s *Spec) profileBench() string {
+	if s.ProfileBench == "" {
+		return "Q"
+	}
+	return s.ProfileBench
 }
 
 // names expands "all" and reports whether banners are printed.
@@ -224,10 +238,7 @@ func Execute(ctx context.Context, spec Spec, w io.Writer, opt Options) ([]ExpRes
 		experiment.SetPool(nil)
 	}()
 
-	e := &env{w: w, scale: spec.scale(), chart: spec.Chart, profileBench: spec.ProfileBench}
-	if e.profileBench == "" {
-		e.profileBench = "Q"
-	}
+	e := &env{w: w, scale: spec.scale(), chart: spec.Chart, profileBench: spec.profileBench()}
 
 	var results []ExpResult
 	for _, name := range names {
