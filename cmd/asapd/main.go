@@ -9,7 +9,9 @@
 // Usage:
 //
 //	asapd -addr :8372 -dir /var/lib/asapd       # serve
-//	asapd -campaign 200 -seed 7                 # run the fault campaign
+//	asapd -campaign 200 -seed 7                 # run the kill campaign
+//	asapd -iocampaign 300 -seed 7               # run the hostile-I/O campaign
+//	asapd -campaign 20 -seed 3 -control         # a negative control (any campaign)
 //
 // Submit and fetch a sweep:
 //
@@ -41,7 +43,7 @@ import (
 	"syscall"
 	"time"
 
-	"asap/internal/iocampaign"
+	"asap/internal/campaign"
 	"asap/internal/iofault"
 	"asap/internal/metrics"
 	"asap/internal/queue"
@@ -62,12 +64,11 @@ func run() int {
 	backoffBase := flag.Duration("backoff-base", 250*time.Millisecond, "retry backoff after the first failure")
 	backoffCap := flag.Duration("backoff-cap", 30*time.Second, "retry backoff ceiling")
 	drainGrace := flag.Duration("drain-grace", time.Minute, "how long a drain waits for in-flight jobs before checkpointing them")
-	volatileFlag := flag.Bool("volatile", false, "disable the journal (no crash safety; for the fault campaign's negative control)")
 	cacheDir := flag.String("cache-dir", "", "result-cache directory (default: <dir>/resultcache)")
 	noCache := flag.Bool("no-cache", false, "run sweeps without the result cache")
-	campaign := flag.Int("campaign", 0, "run N seeded kill/restart fault-campaign cases instead of serving")
-	ioCampaign := flag.Int("iocampaign", 0, "run N seeded hostile-I/O fault-injection cases instead of serving")
-	ioUnsafe := flag.Bool("io-unsafe", false, "hostile-I/O negative control: disable append rollback (the campaign MUST then fail)")
+	killCases := flag.Int("campaign", 0, "run N seeded kill/restart fault-campaign cases instead of serving")
+	ioCases := flag.Int("iocampaign", 0, "run N seeded hostile-I/O fault-injection cases instead of serving")
+	control := flag.Bool("control", false, "run the campaign's negative control (no journal for -campaign, no append rollback for -iocampaign); its audit MUST then find damage")
 	seed := flag.Int64("seed", 1, "fault campaign seed")
 	journalSegment := flag.Int64("journal-segment", 0, "journal segment rotation threshold in bytes (0 = default, negative disables compaction)")
 	budgetJournalSoft := flag.Int64("budget-journal-soft", 0, "journal soft disk budget in bytes (0 disables)")
@@ -87,11 +88,11 @@ func run() int {
 	}
 	slog.SetDefault(logger)
 
-	if *campaign > 0 {
-		return runCampaign(*campaign, *seed, *volatileFlag)
+	if *killCases > 0 {
+		return runCampaign(campaign.Kill, campaign.Config{Cases: *killCases, Seed: *seed, Control: *control})
 	}
-	if *ioCampaign > 0 {
-		return runIOCampaign(*ioCampaign, *seed, *ioUnsafe)
+	if *ioCases > 0 {
+		return runCampaign(campaign.IO, campaign.Config{Cases: *ioCases, Seed: *seed, Control: *control})
 	}
 
 	// The result cache lives beside the artifact store by default: both
@@ -122,7 +123,6 @@ func run() int {
 		},
 		Exec:              newSweepExec(cache, codeVersion, observeRuns),
 		Validate:          validateSpec,
-		Volatile:          *volatileFlag,
 		Logger:            logger,
 		Metrics:           reg,
 		ResultContentType: "text/plain; charset=utf-8",
@@ -306,70 +306,22 @@ func runSweepJob(ctx context.Context, raw json.RawMessage, cache *resultcache.St
 	return out.Bytes(), nil
 }
 
-// runIOCampaign executes the hostile-I/O campaign (asapd -iocampaign N):
-// seeded fault injection against every durable writer, audited for
-// corruption, lost acked jobs, and poisoned cache hits. With -io-unsafe
-// the journal's rollback protection is off and the exit codes invert:
-// a run that finds NO corruption means the auditors are blind, and the
-// green safe run next to it proves nothing.
-func runIOCampaign(cases int, seed int64, unsafe bool) int {
-	sum, err := iocampaign.Run(iocampaign.Config{Cases: cases, Seed: seed, Unsafe: unsafe})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "asapd: iocampaign: %v\n", err)
-		return 1
-	}
-	buf, _ := json.MarshalIndent(sum, "", "  ")
-	fmt.Println(string(buf))
-	if unsafe {
-		if !sum.Bad() {
-			fmt.Fprintln(os.Stderr, "asapd: unsafe control detected no corruption; the auditors are blind")
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "asapd: negative control: %d audit failures without rollback protection (expected)\n",
-			len(sum.Failures))
-		return 0
-	}
-	if sum.Bad() {
-		fmt.Fprintf(os.Stderr, "asapd: iocampaign FAILED with %d audit failures\n", len(sum.Failures))
-		return 1
-	}
-	if sum.Injected == 0 {
-		fmt.Fprintln(os.Stderr, "asapd: iocampaign injected no faults; nothing was exercised")
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "asapd: iocampaign passed: %d cases, %d faults fired, %d clean refusals, 0 corruptions, 0 lost acked jobs, 0 poisoned hits\n",
-		sum.Cases, sum.Injected, sum.CleanRefusals)
-	return 0
-}
-
-// runCampaign executes the seeded fault campaign (asapd -campaign N) and
-// prints its summary as JSON.
-func runCampaign(cases int, seed int64, volatile bool) int {
-	sum, err := queue.RunCampaign(queue.CampaignConfig{
-		Cases:    cases,
-		Seed:     seed,
-		Volatile: volatile,
-	})
+// runCampaign runs one fault campaign (asapd -campaign N or
+// -iocampaign N), prints its summary as JSON and exits by its verdict.
+// Under -control the verdict inverts: the run passes only if the audit
+// detected the damage the control causes.
+func runCampaign(run func(campaign.Config) (*campaign.Summary, error), cfg campaign.Config) int {
+	sum, err := run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asapd: campaign: %v\n", err)
 		return 1
 	}
 	buf, _ := json.MarshalIndent(sum, "", "  ")
 	fmt.Println(string(buf))
-	if sum.Bad() {
-		fmt.Fprintf(os.Stderr, "asapd: campaign FAILED with %d audit failures\n", len(sum.Failures))
+	if err := sum.Verdict(); err != nil {
+		fmt.Fprintf(os.Stderr, "asapd: %s campaign FAILED: %v\n", sum.Campaign, err)
 		return 1
 	}
-	if volatile && sum.LossDetectedCases == 0 {
-		fmt.Fprintln(os.Stderr, "asapd: volatile control detected no loss; the checker is blind")
-		return 1
-	}
-	if volatile {
-		fmt.Fprintf(os.Stderr, "asapd: negative control: %d/%d cases lost jobs without the journal (expected)\n",
-			sum.LossDetectedCases, sum.Cases)
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "asapd: campaign passed: %d cases, %d daemon kills, %d worker panics, 0 lost, 0 doubled\n",
-		sum.Cases, sum.DaemonKills, sum.WorkerPanics)
+	fmt.Fprintf(os.Stderr, "asapd: %s campaign passed: %s\n", sum.Campaign, sum)
 	return 0
 }

@@ -48,14 +48,17 @@ func (e *InjectedError) Unwrap() error {
 	case ClassShortWrite:
 		return io.ErrShortWrite
 	default:
-		// EIO stands in for torn syncs and failed renames too: that is
-		// what the kernel reports when a sync or metadata update dies.
+		// EIO stands in for torn syncs, kills and failed renames too:
+		// that is what the kernel reports when a sync or metadata
+		// update dies.
 		return syscall.EIO
 	}
 }
 
 // Trip is a one-shot trigger: fire Class at the Nth matching operation
-// from arming (N >= 1), optionally only on paths containing Substr.
+// from arming (N >= 1), optionally only on paths containing Substr. A
+// ClassKill trip is meant for OpSync: it tears the syncing file like
+// ClassTornSync and then kills the whole FaultFS.
 type Trip struct {
 	Op     Op
 	Class  string
@@ -78,15 +81,20 @@ type Injected struct {
 // the campaign's precision tool) and per-op probabilities (background
 // hostility). All decisions come from one seeded RNG under one mutex,
 // so a given (seed, operation sequence) always fails identically.
+//
+// Once a ClassKill trip fires the FaultFS is killed: every later
+// mutating operation on every path fails with EIO, including on files
+// opened before the kill, which is what a kill -9ed process would see
+// if it could still run. Reads still pass; they change nothing durable.
 type FaultFS struct {
 	inner FS
 
 	mu      sync.Mutex
+	killed  bool
 	rng     *rand.Rand
 	prob    map[Op]float64
 	classes []string
 	trips   []*Trip
-	counts  map[Op]int
 	seq     int
 	log     []Injected
 }
@@ -95,10 +103,9 @@ type FaultFS struct {
 // and no probabilities set it is a passthrough.
 func NewFaultFS(inner FS, seed int64) *FaultFS {
 	return &FaultFS{
-		inner:  inner,
-		rng:    rand.New(rand.NewSource(seed)),
-		prob:   make(map[Op]float64),
-		counts: make(map[Op]int),
+		inner: inner,
+		rng:   rand.New(rand.NewSource(seed)),
+		prob:  make(map[Op]float64),
 	}
 }
 
@@ -141,16 +148,11 @@ func (f *FaultFS) Log() []Injected {
 	return append([]Injected(nil), f.log...)
 }
 
-// Ops returns the per-op operation counts (fired or not), for campaign
-// coverage reporting.
-func (f *FaultFS) Ops() map[Op]int {
+// Killed reports whether a ClassKill trip has fired.
+func (f *FaultFS) Killed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[Op]int, len(f.counts))
-	for k, v := range f.counts {
-		out[k] = v
-	}
-	return out
+	return f.killed
 }
 
 // decide consults trips then probabilities for one operation. The
@@ -160,7 +162,10 @@ func (f *FaultFS) Ops() map[Op]int {
 func (f *FaultFS) decide(op Op, path string) (*InjectedError, float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.counts[op]++
+	if f.killed && op != OpRead {
+		// frac 0: a write from a dead process leaves no prefix behind.
+		return &InjectedError{Op: op, Path: path, Class: ClassEIO}, 0
+	}
 	f.seq++
 	frac := f.rng.Float64()
 	for _, t := range f.trips {
@@ -175,6 +180,9 @@ func (f *FaultFS) decide(op Op, path string) (*InjectedError, float64) {
 			continue
 		}
 		t.fired = true
+		if t.Class == ClassKill {
+			f.killed = true
+		}
 		err := &InjectedError{Op: op, Path: path, Class: t.Class}
 		f.log = append(f.log, Injected{Op: op, Path: path, Class: t.Class, Seq: f.seq})
 		return err, frac
@@ -246,7 +254,7 @@ func (ff *faultFile) Sync() error {
 		ff.synced = ff.size
 		return nil
 	}
-	if inj.Class == ClassTornSync {
+	if inj.Class == ClassTornSync || inj.Class == ClassKill {
 		// Only a seeded fraction of the unsynced suffix survives; the
 		// rest is physically removed, as if the power died mid-flush.
 		keep := ff.synced + int64(frac*float64(ff.size-ff.synced))
@@ -259,7 +267,9 @@ func (ff *faultFile) Sync() error {
 }
 
 func (ff *faultFile) Close() error {
-	if ff.dead {
+	if ff.dead || ff.fs.Killed() {
+		// The descriptor is released either way, as the kernel releases
+		// a dead process's files; nothing more reaches the medium.
 		ff.f.Close()
 		return &InjectedError{Op: OpClose, Path: ff.path, Class: ClassEIO}
 	}

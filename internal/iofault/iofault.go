@@ -5,18 +5,22 @@
 // is to run it against the failures it claims to survive. FS is a small
 // interface covering exactly the operations the durable writers use; OS
 // is the passthrough; FaultFS (faultfs.go) is a seeded, deterministic
-// adversary injecting ENOSPC, EIO, short writes, torn-at-byte-N syncs
-// and failed renames at chosen operations.
+// adversary injecting ENOSPC, EIO, short writes, torn-at-byte-N syncs,
+// failed renames and kill -9 at chosen operations.
 //
 // The package also owns the POSIX durability idioms the writers share:
 // SyncDir (temp+fsync+rename is not durable until the parent directory
-// is fsynced — the rename itself lives in directory metadata) and
+// is fsynced — the rename itself lives in directory metadata),
+// WriteDurable, the CRC frame of whole-file records (EncodeFrame) and
 // Classify (mapping I/O errors onto the stable fault-class taxonomy the
-// asapd_io_errors_total metric and the hostile-I/O campaign report on).
+// asapd_io_errors_total metric and the fault campaigns report on).
 package iofault
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -107,8 +111,12 @@ const (
 	ClassShortWrite = "short_write"
 	ClassTornSync   = "torn_sync"
 	ClassRenameFail = "rename_fail"
-	ClassNotExist   = "not_exist"
-	ClassOther      = "other"
+	// ClassKill is a kill -9 at a sync: the syncing file keeps a seeded
+	// torn prefix of its unsynced bytes and the whole FaultFS dies. Its
+	// errors classify as ClassEIO, the errno a dead medium reports.
+	ClassKill     = "kill"
+	ClassNotExist = "not_exist"
+	ClassOther    = "other"
 )
 
 // Classify maps an I/O error onto the fault-class taxonomy. Injected
@@ -119,6 +127,9 @@ func Classify(err error) string {
 	}
 	var inj *InjectedError
 	if errors.As(err, &inj) {
+		if inj.Class == ClassKill {
+			return ClassEIO
+		}
 		return inj.Class
 	}
 	switch {
@@ -233,4 +244,53 @@ func WriteDurable(fsys FS, dir, path string, data []byte) error {
 		return err
 	}
 	return fsys.SyncDir(dir)
+}
+
+// FrameHeaderLen is the size of the header EncodeFrame puts in front of
+// a payload. The frame, shared by result-cache entries and snapshot
+// files, is written whole and read whole:
+//
+//	[0:4]   magic
+//	[4:8]   format version (LE)
+//	[8:12]  CRC-32 (IEEE) of the payload (LE)
+//	[12:16] payload length (LE)
+//	[16:]   payload
+//
+// The queue journal keeps its own record frame: it is a stream that
+// replay must resynchronise on after a torn append.
+const FrameHeaderLen = 16
+
+// ErrBadFrame marks a frame that failed its magic, version, length or
+// CRC check.
+var ErrBadFrame = errors.New("bad frame")
+
+// EncodeFrame prefixes payload with the frame header.
+func EncodeFrame(magic string, version uint32, payload []byte) []byte {
+	buf := make([]byte, FrameHeaderLen+len(payload))
+	copy(buf[0:4], magic)
+	binary.LittleEndian.PutUint32(buf[4:8], version)
+	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(payload)))
+	copy(buf[FrameHeaderLen:], payload)
+	return buf
+}
+
+// DecodeFrame validates raw as a frame with the given magic and version
+// and returns its payload. Validation is fail-closed: any damage is an
+// error wrapping ErrBadFrame, never a partial payload.
+func DecodeFrame(magic string, version uint32, raw []byte) ([]byte, error) {
+	if len(raw) < FrameHeaderLen || string(raw[0:4]) != magic {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
+	}
+	if v := binary.LittleEndian.Uint32(raw[4:8]); v != version {
+		return nil, fmt.Errorf("%w: format version %d (want %d)", ErrBadFrame, v, version)
+	}
+	payload := raw[FrameHeaderLen:]
+	if n := binary.LittleEndian.Uint32(raw[12:16]); uint32(len(payload)) != n {
+		return nil, fmt.Errorf("%w: truncated (%d of %d payload bytes)", ErrBadFrame, len(payload), n)
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(raw[8:12]) {
+		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
+	}
+	return payload, nil
 }

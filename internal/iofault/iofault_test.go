@@ -197,3 +197,100 @@ func TestDeterministicSequence(t *testing.T) {
 		}
 	}
 }
+
+// killAfterSync opens two files, writes 100 synced and 100 unsynced
+// bytes to the first, and fires a kill trip at its second sync. It
+// returns the FaultFS, both still-open files, the size the first file
+// has on disk and the error of the firing sync.
+func killAfterSync(t *testing.T, dir string, seed int64) (*FaultFS, File, File, int64, error) {
+	t.Helper()
+	path := filepath.Join(dir, "f")
+	ffs := NewFaultFS(OS{}, seed)
+	ffs.Arm(Trip{Op: OpSync, Class: ClassKill, N: 2})
+	f, err := ffs.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ffs.OpenFile(filepath.Join(dir, "g"), os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := f.Write(make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err = f.Sync(); i == 0 && err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, serr := os.Stat(path)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	return ffs, f, g, st.Size(), err
+}
+
+func TestKillTearsFileAndKillsFS(t *testing.T) {
+	dir := t.TempDir()
+	ffs, f, g, size, err := killAfterSync(t, dir, 42)
+	if err == nil || !ffs.Killed() {
+		t.Fatalf("kill trip did not fire: err %v, killed %v", err, ffs.Killed())
+	}
+	if !errors.Is(err, syscall.EIO) || Classify(err) != ClassEIO {
+		t.Fatalf("kill error %v classifies as %q, want eio", err, Classify(err))
+	}
+	if size < 100 || size >= 200 {
+		t.Fatalf("killed file is %d bytes; want [100,200): synced prefix plus a torn prefix", size)
+	}
+	// The torn length is a function of the seed alone.
+	_, f2, g2, size2, _ := killAfterSync(t, t.TempDir(), 42)
+	f2.Close()
+	g2.Close()
+	if size2 != size {
+		t.Fatalf("same seed tore %d then %d bytes", size, size2)
+	}
+	if log := ffs.Log(); len(log) != 1 || log[0].Class != ClassKill {
+		t.Fatalf("fault log %+v, want one kill", log)
+	}
+
+	// Every mutating operation now fails on every path, including on a
+	// file opened before the kill, and classifies as eio.
+	victim := filepath.Join(dir, "victim")
+	os.WriteFile(victim, []byte("x"), 0o644)
+	fail := map[string]error{}
+	_, fail["write"] = f.Write([]byte("x"))
+	fail["sync"] = f.Sync()
+	_, fail["write-other"] = g.Write([]byte("x"))
+	fail["sync-other"] = g.Sync()
+	_, fail["create"] = ffs.OpenFile(filepath.Join(dir, "new"), os.O_CREATE|os.O_WRONLY, 0o644)
+	_, fail["createtemp"] = ffs.CreateTemp(dir, ".tmp-*")
+	fail["rename"] = ffs.Rename(victim, filepath.Join(dir, "moved"))
+	fail["remove"] = ffs.Remove(victim)
+	fail["truncate"] = ffs.Truncate(filepath.Join(dir, "f"), 0)
+	fail["syncdir"] = ffs.SyncDir(dir)
+	fail["close"] = f.Close()
+	fail["close-other"] = g.Close()
+	for op, err := range fail {
+		if err == nil {
+			t.Errorf("%s succeeded after the kill", op)
+		} else if Classify(err) != ClassEIO {
+			t.Errorf("%s after the kill classifies as %q, want eio", op, Classify(err))
+		}
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("victim file touched after the kill: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "new")); err == nil {
+		t.Fatal("create succeeded on disk after the kill")
+	}
+	if st, _ := os.Stat(filepath.Join(dir, "f")); st.Size() != size {
+		t.Fatalf("killed file changed size after the kill: %d -> %d", size, st.Size())
+	}
+	if st, _ := os.Stat(filepath.Join(dir, "g")); st.Size() != 0 {
+		t.Fatalf("file opened before the kill grew to %d bytes", st.Size())
+	}
+	// Reads still pass: they change nothing durable.
+	if _, err := ffs.ReadFile(victim); err != nil {
+		t.Fatalf("read after the kill: %v", err)
+	}
+}

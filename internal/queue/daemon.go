@@ -84,12 +84,10 @@ func DiscardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// discardLogger is the package-internal alias campaign code uses.
-func discardLogger() *slog.Logger { return DiscardLogger() }
-
 // Config assembles a daemon.
 type Config struct {
-	// Dir is the data directory: journal.asapq plus objects/.
+	// Dir is the data directory: journal segments journal-%08d.asapq
+	// plus the artifact store under objects/.
 	Dir string
 	// Workers sizes the execution pool (default 2).
 	Workers int
@@ -124,7 +122,7 @@ type Config struct {
 	// control. A volatile daemon that dies loses its queue.
 	Volatile bool
 	// FS is the filesystem seam under the journal and artifact store
-	// (default iofault.OS{}); the hostile-I/O campaign passes a FaultFS.
+	// (default iofault.OS{}); the kill campaign passes a FaultFS.
 	FS iofault.FS
 	// JournalSegmentBytes is the journal rotation threshold (default
 	// DefaultSegmentBytes; negative disables compaction).
@@ -137,11 +135,6 @@ type Config struct {
 	// every upward degraded transition.
 	CacheUsage func() int64
 	CacheShed  func() (int64, error)
-
-	// medium/mediumData, when set, back the journal with a caller-owned
-	// medium instead of a file — the campaign's kill-injection hook.
-	medium     Medium
-	mediumData []byte
 }
 
 func (c Config) withDefaults() Config {
@@ -184,8 +177,10 @@ type Daemon struct {
 	Q   *Queue
 	St  *Store
 	// Rec samples queue-depth gauges on wall time (milliseconds since
-	// Start), reusing the observability layer's bounded recorder.
-	Rec *obs.Recorder
+	// Start), reusing the observability layer's bounded recorder. The
+	// ticker writes it while /api/v1/series reads it, so both hold recMu.
+	Rec   *obs.Recorder
+	recMu sync.Mutex
 	// Recovered and Journal report what Open replayed.
 	Recovered  RecoverResult
 	JournalRep ReplayReport
@@ -240,12 +235,8 @@ func Open(cfg Config) (*Daemon, error) {
 		err  error
 	)
 	if !cfg.Volatile {
-		if cfg.medium != nil {
-			j, recs, rep, err = OpenMediumJournal(cfg.medium, cfg.mediumData)
-		} else {
-			j, recs, rep, err = OpenDirJournal(cfg.FS, cfg.Dir,
-				JournalOptions{SegmentBytes: cfg.JournalSegmentBytes})
-		}
+		j, recs, rep, err = OpenDirJournal(cfg.FS, cfg.Dir,
+			JournalOptions{SegmentBytes: cfg.JournalSegmentBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +337,9 @@ func (d *Daemon) runTickers() {
 				d.cancelJob(ex.ID)
 			}
 		case <-series:
+			d.recMu.Lock()
 			d.Rec.Tick(uint64(d.cfg.Clock().Sub(d.start).Milliseconds()))
+			d.recMu.Unlock()
 		}
 	}
 }
@@ -728,9 +721,11 @@ func (d *Daemon) Drain(ctx context.Context) error {
 }
 
 // Kill emulates an abrupt death for tests and the fault campaign: no
-// checkpointing, no journal close — everything simply stops. Combined
-// with a killed journal medium, the daemon can no longer persist
-// anything, which is exactly a kill -9's view of the world.
+// checkpointing, no release of leased jobs — everything simply stops,
+// and the journal file is closed the way the kernel closes a dead
+// process's files. Under a killed iofault.FaultFS that close flushes
+// nothing, so the daemon can no longer change durable state, which is
+// exactly a kill -9's view of the world.
 func (d *Daemon) Kill() {
 	d.mu.Lock()
 	already := d.draining
@@ -742,6 +737,7 @@ func (d *Daemon) Kill() {
 		close(d.tickStop)
 	}
 	d.wg.Wait()
+	d.Q.Close()
 }
 
 // Stats is the API-facing daemon status snapshot.

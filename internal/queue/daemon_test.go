@@ -3,6 +3,8 @@ package queue
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +12,31 @@ import (
 	"testing"
 	"time"
 )
+
+// testSpec is testExec's job payload.
+type testSpec struct {
+	Work int64 `json:"work"`
+	Spin int   `json:"spin"`
+}
+
+// testExec is a deterministic executor: it returns a digest of a short
+// hash chain seeded by the spec's Work, so redelivered work reproduces
+// the same artifact.
+func testExec(ctx context.Context, raw json.RawMessage) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var spec testSpec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("asapd-campaign:%d", spec.Work)))
+	for i := 0; i < spec.Spin; i++ {
+		sum = sha256.Sum256(sum[:])
+	}
+	return []byte(fmt.Sprintf("campaign artifact work=%d spin=%d\ndigest %s\n",
+		spec.Work, spec.Spin, hex.EncodeToString(sum[:]))), nil
+}
 
 // testDaemonConfig is a fast-converging daemon config for unit tests.
 func testDaemonConfig(dir string, exec Executor) Config {
@@ -42,14 +69,14 @@ func waitIdle(t *testing.T, d *Daemon) {
 }
 
 func TestDaemonRunsJobsToCompletion(t *testing.T) {
-	d, err := Open(testDaemonConfig(t.TempDir(), CampaignExec))
+	d, err := Open(testDaemonConfig(t.TempDir(), testExec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Start()
 	var ids []uint64
 	for i := 0; i < 5; i++ {
-		spec, _ := json.Marshal(campaignSpec{Work: int64(i), Spin: 4})
+		spec, _ := json.Marshal(testSpec{Work: int64(i), Spin: 4})
 		id, err := d.Submit(spec)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -62,8 +89,8 @@ func TestDaemonRunsJobsToCompletion(t *testing.T) {
 		if !ok || info.State != StateDone {
 			t.Fatalf("job %d: %+v", id, info)
 		}
-		spec, _ := json.Marshal(campaignSpec{Work: int64(i), Spin: 4})
-		want, _ := CampaignExec(context.Background(), spec)
+		spec, _ := json.Marshal(testSpec{Work: int64(i), Spin: 4})
+		want, _ := testExec(context.Background(), spec)
 		got, err := d.St.Get(info.Hash)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("job %d artifact mismatch: %v", id, err)
@@ -102,7 +129,7 @@ func TestDaemonDeadLettersPoisonJob(t *testing.T) {
 }
 
 func TestDaemonValidateGatesSubmit(t *testing.T) {
-	cfg := testDaemonConfig(t.TempDir(), CampaignExec)
+	cfg := testDaemonConfig(t.TempDir(), testExec)
 	wantErr := errors.New("spec rejected")
 	cfg.Validate = func(spec json.RawMessage) error { return wantErr }
 	d, err := Open(cfg)
@@ -197,7 +224,7 @@ func TestDaemonDrainDeadlineCheckpointsInFlight(t *testing.T) {
 
 	// The checkpoint (Release, uncharged) is durable: a restarted daemon
 	// sees the job pending with zero charged deliveries and finishes it.
-	d2, err := Open(testDaemonConfig(dir, CampaignExec))
+	d2, err := Open(testDaemonConfig(dir, testExec))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -247,7 +274,7 @@ func TestDaemonRestartRecoversOrphanedLease(t *testing.T) {
 	d.Q.j.Close()
 	d.Kill()
 
-	d2, err := Open(testDaemonConfig(dir, CampaignExec))
+	d2, err := Open(testDaemonConfig(dir, testExec))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -264,7 +291,7 @@ func TestDaemonRestartRecoversOrphanedLease(t *testing.T) {
 	if info.State != StateDone {
 		t.Fatalf("orphaned job not completed after restart: %+v", info)
 	}
-	want, _ := CampaignExec(context.Background(), json.RawMessage(`{"work":7,"spin":3}`))
+	want, _ := testExec(context.Background(), json.RawMessage(`{"work":7,"spin":3}`))
 	got, err := d2.St.Get(info.Hash)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("artifact after recovery: %v", err)
@@ -340,7 +367,7 @@ func TestDaemonExpiresStalledLease(t *testing.T) {
 }
 
 func TestDaemonStats(t *testing.T) {
-	d, err := Open(testDaemonConfig(t.TempDir(), CampaignExec))
+	d, err := Open(testDaemonConfig(t.TempDir(), testExec))
 	if err != nil {
 		t.Fatal(err)
 	}

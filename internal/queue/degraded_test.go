@@ -19,7 +19,7 @@ import (
 func TestDegradedModeLifecycle(t *testing.T) {
 	var cacheBytes atomic.Int64
 	var shedCalls atomic.Int64
-	cfg := testDaemonConfig(t.TempDir(), CampaignExec)
+	cfg := testDaemonConfig(t.TempDir(), testExec)
 	cfg.Budget = BudgetConfig{Cache: StoreBudget{Soft: 1000, Hard: 2000}}
 	cfg.CacheUsage = func() int64 { return cacheBytes.Load() }
 	cfg.CacheShed = func() (int64, error) {
@@ -36,7 +36,7 @@ func TestDegradedModeLifecycle(t *testing.T) {
 	defer srv.Close()
 
 	submit := func() (int, error) {
-		spec, _ := json.Marshal(campaignSpec{Work: 1, Spin: 2})
+		spec, _ := json.Marshal(testSpec{Work: 1, Spin: 2})
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", bytes.NewReader(spec))
 		if err != nil {
 			return 0, err
@@ -145,7 +145,7 @@ func TestDegradedModeLifecycle(t *testing.T) {
 // (seeded by walking at open, advanced by Put) drives the same
 // machinery — no hooks involved.
 func TestDegradedModeStoreBudget(t *testing.T) {
-	cfg := testDaemonConfig(t.TempDir(), CampaignExec)
+	cfg := testDaemonConfig(t.TempDir(), testExec)
 	cfg.Budget = BudgetConfig{Store: StoreBudget{Hard: 1 << 10}}
 	d, err := Open(cfg)
 	if err != nil {
@@ -173,7 +173,7 @@ func TestDegradedModeStoreBudget(t *testing.T) {
 // artifact store surface as asapd_io_errors_total{path,class} samples.
 func TestIOErrorCounterPopulates(t *testing.T) {
 	ffs := iofault.NewFaultFS(iofault.OS{}, 3)
-	cfg := testDaemonConfig(t.TempDir(), CampaignExec)
+	cfg := testDaemonConfig(t.TempDir(), testExec)
 	cfg.FS = ffs
 	d, err := Open(cfg)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestIOErrorCounterPopulates(t *testing.T) {
 	// the store's temp file never renamed into place. A clean reopen
 	// proves it.
 	d.Kill()
-	d2, err := Open(testDaemonConfig(cfg.Dir, CampaignExec))
+	d2, err := Open(testDaemonConfig(cfg.Dir, testExec))
 	if err != nil {
 		t.Fatalf("reopen after injected faults: %v", err)
 	}

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -195,14 +194,6 @@ type CheckpointJob struct {
 	LastError  string          `json:"last_error,omitempty"`
 }
 
-// Medium is the byte sink a journal appends to. *os.File satisfies it;
-// the fault campaign substitutes a medium that dies at a seeded byte
-// offset to emulate kill -9 at the storage layer.
-type Medium interface {
-	io.Writer
-	Sync() error
-}
-
 // Journal errors.
 var (
 	ErrJournalClosed = errors.New("queue: journal closed")
@@ -254,9 +245,8 @@ type JournalOptions struct {
 // guarantee every queue transition relies on.
 type Journal struct {
 	mu     sync.Mutex
-	m      Medium     // raw-medium mode (campaign); nil when file-backed
-	fs     iofault.FS // file mode; nil in raw-medium mode
-	dir    string     // segment directory ("" for single-file journals)
+	fs     iofault.FS
+	dir    string // segment directory ("" for single-file journals)
 	active iofault.File
 	path   string // active segment path
 	seq    uint64 // active segment sequence number
@@ -690,30 +680,6 @@ func (j *Journal) createActive(initial []byte) error {
 	return nil
 }
 
-// OpenMediumJournal replays existing bytes (which may be empty) and
-// returns a journal appending to m. The campaign uses it with an
-// in-memory medium whose durable prefix survives simulated kills; m
-// receives a fresh file header when existing is empty, and nothing
-// otherwise (the caller's medium already holds the replayed bytes).
-// Raw-medium journals never rotate.
-func OpenMediumJournal(m Medium, existing []byte) (*Journal, []Record, ReplayReport, error) {
-	if len(existing) == 0 {
-		hdr := encodeFileHeader()
-		if _, err := m.Write(hdr); err != nil {
-			return nil, nil, ReplayReport{}, err
-		}
-		if err := m.Sync(); err != nil {
-			return nil, nil, ReplayReport{}, err
-		}
-		return &Journal{m: m, off: fileHdrSize}, nil, ReplayReport{GoodBytes: fileHdrSize}, nil
-	}
-	recs, rep, err := Replay(existing)
-	if err != nil {
-		return nil, nil, rep, err
-	}
-	return &Journal{m: m, off: rep.GoodBytes}, recs, rep, nil
-}
-
 // Append journals one record: frame, write, sync. It returns only after
 // the record is durable on the medium, or an error, in which case the
 // caller must not apply the transition (write-ahead discipline). On a
@@ -736,26 +702,15 @@ func (j *Journal) Append(rec Record) error {
 	if j.failed {
 		return ErrJournalFailed
 	}
-	if j.m != nil {
-		// Raw-medium mode: no rollback possible (the campaign medium
-		// models its own durability), mirror the original semantics.
-		if _, err := j.m.Write(buf); err != nil {
-			return fmt.Errorf("queue: journal append: %w", err)
-		}
-		if err := j.m.Sync(); err != nil {
-			return fmt.Errorf("queue: journal sync: %w", err)
-		}
-	} else {
-		if _, werr := j.active.Write(buf); werr != nil {
-			j.countIOErr(werr)
-			j.rollback()
-			return fmt.Errorf("queue: journal append: %w", werr)
-		}
-		if serr := j.active.Sync(); serr != nil {
-			j.countIOErr(serr)
-			j.rollback()
-			return fmt.Errorf("queue: journal sync: %w", serr)
-		}
+	if _, werr := j.active.Write(buf); werr != nil {
+		j.countIOErr(werr)
+		j.rollback()
+		return fmt.Errorf("queue: journal append: %w", werr)
+	}
+	if serr := j.active.Sync(); serr != nil {
+		j.countIOErr(serr)
+		j.rollback()
+		return fmt.Errorf("queue: journal sync: %w", serr)
 	}
 	j.off += int64(len(buf))
 	j.metAppends.Inc()
@@ -791,7 +746,7 @@ func (j *Journal) rollback() {
 func (j *Journal) ShouldRotate() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.fs != nil && j.dir != "" && !j.closed && !j.failed &&
+	return j.dir != "" && !j.closed && !j.failed &&
 		j.opts.SegmentBytes > 0 && j.off >= j.opts.SegmentBytes
 }
 
@@ -815,7 +770,7 @@ func (j *Journal) Rotate(checkpoint Record) error {
 	if j.failed {
 		return ErrJournalFailed
 	}
-	if j.fs == nil || j.dir == "" {
+	if j.dir == "" {
 		return errors.New("queue: journal does not support rotation")
 	}
 
@@ -887,9 +842,6 @@ func (j *Journal) Size() int64 {
 func (j *Journal) Segments() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.m != nil {
-		return 0
-	}
 	return j.segments
 }
 
@@ -916,9 +868,6 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.m != nil {
-		return j.m.Sync()
-	}
 	if j.active == nil {
 		return nil
 	}

@@ -2,11 +2,14 @@ package queue
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"asap/internal/iofault"
 )
 
 func testRecords() []Record {
@@ -135,12 +138,59 @@ func TestJournalBadHeaderFatal(t *testing.T) {
 }
 
 func TestJournalAppendAfterCloseFails(t *testing.T) {
-	j, _, _, err := OpenMediumJournal(newMemMedium(nil), nil)
+	j, _, _, err := OpenFileJournal(filepath.Join(t.TempDir(), "journal.asapq"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 	if err := j.Append(Record{Type: RecEnqueue, ID: 1}); !errors.Is(err, ErrJournalClosed) {
 		t.Fatalf("append after close: %v", err)
+	}
+}
+
+// TestOnDiskGolden pins the bytes a journal segment and a store object
+// hold for fixed input, captured before the campaign's raw-medium
+// journal path was removed. Data directories written by older builds
+// must keep opening.
+func TestOnDiskGolden(t *testing.T) {
+	const (
+		segmentHex = "41534150514a310a010000009ed9b876a7011e0000007b226964223a312c2273706563223a7b2278223a317d2c226174223a377d4a6ea012a703280000007b226964223a312c2264656c6976657279223a312c2268617368223a227368613235362d6162227d3a06d439"
+		objectHash = "sha256-51bc0fc1f19104fa6e89ce50be9aa1f57c3346c1ca51ab49f5f00e14ce8f8076"
+	)
+	dir := t.TempDir()
+	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Type: RecEnqueue, ID: 1, Spec: json.RawMessage(`{"x":1}`), At: 7},
+		{Type: RecAck, ID: 1, Delivery: 1, Hash: "sha256-ab"},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, "journal-00000001.asapq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := hex.EncodeToString(seg); h != segmentHex {
+		t.Fatalf("journal segment bytes moved:\n got %s\nwant %s", h, segmentHex)
+	}
+
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("hello artifact\n")
+	if hash, err := st.Put(body); err != nil || hash != objectHash {
+		t.Fatalf("Put = %s, %v; want %s", hash, err, objectHash)
+	}
+	obj, err := os.ReadFile(filepath.Join(dir, "objects", objectHash[7:9], objectHash[9:]))
+	if err != nil || !bytes.Equal(obj, body) {
+		t.Fatalf("store object = %q, %v; want the artifact bytes verbatim", obj, err)
 	}
 }

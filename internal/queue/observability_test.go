@@ -516,7 +516,7 @@ func TestManifestRoundTripAndRedeliveryIdempotence(t *testing.T) {
 // 200 while the process serves, /readyz is 503 before Start and again
 // once a drain begins.
 func TestReadyzLifecycle(t *testing.T) {
-	d, err := Open(testDaemonConfig(t.TempDir(), CampaignExec))
+	d, err := Open(testDaemonConfig(t.TempDir(), testExec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // TestSeriesFormatNegotiation pins /api/v1/series content negotiation:
 // CSV by default, JSON on ?format=json or an Accept header.
 func TestSeriesFormatNegotiation(t *testing.T) {
-	cfg := testDaemonConfig(t.TempDir(), CampaignExec)
+	cfg := testDaemonConfig(t.TempDir(), testExec)
 	cfg.SeriesEvery = 5 * time.Millisecond
 	d, err := Open(cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package queue
 import (
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -243,8 +244,8 @@ func TestQueueTryLeaseOldestFirst(t *testing.T) {
 
 func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	clk := newFakeClock()
-	m := newMemMedium(nil)
-	j, _, _, err := OpenMediumJournal(m, nil)
+	path := filepath.Join(t.TempDir(), "journal.asapq")
+	j, _, _, err := OpenFileJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +256,10 @@ func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	l := mustLease(t, q, "w0") // idDone
 	q.Ack(l, "sha256-done", "")
 	mustLease(t, q, "w1") // idOrphan — never acked: the "daemon dies here" point
+	q.Close()
 
 	// Restart: replay the journal into a fresh queue.
-	recs, _, err := Replay(m.Durable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := newMemMedium(m.Durable())
-	j2, _, _, err := OpenMediumJournal(m2, m2.Durable())
+	j2, recs, _, err := OpenFileJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +281,13 @@ func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	if info, _ := q2.Get(idPending); info.State != StatePending || info.Deliveries != 0 {
 		t.Fatalf("pending job after restore: %+v", info)
 	}
+	q2.Close()
 	// The orphan expiry was itself journaled: a second restore agrees.
-	recs2, _, err := Replay(m2.Durable())
+	j3, recs2, _, err := OpenFileJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j3.Close()
 	q3, recov3, err := Restore(testPolicy(), Options{Clock: clk.Now}, recs2)
 	if err != nil {
 		t.Fatalf("second restore: %v", err)

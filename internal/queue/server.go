@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -319,13 +320,20 @@ func (d *Daemon) handleSeries(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("series recording disabled"))
 		return
 	}
+	// Render under the lock, write after it: a slow client must not
+	// stall the sampling ticker.
+	var buf bytes.Buffer
+	ctype := "text/csv; charset=utf-8"
+	d.recMu.Lock()
 	if wantsJSON(r) {
-		w.Header().Set("Content-Type", "application/json")
-		d.Rec.WriteJSON(w)
-		return
+		ctype = "application/json"
+		d.Rec.WriteJSON(&buf)
+	} else {
+		d.Rec.WriteCSV(&buf)
 	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	d.Rec.WriteCSV(w)
+	d.recMu.Unlock()
+	w.Header().Set("Content-Type", ctype)
+	w.Write(buf.Bytes())
 }
 
 func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {

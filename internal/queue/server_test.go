@@ -15,7 +15,7 @@ import (
 
 func startTestServer(t *testing.T) (*Daemon, *httptest.Server) {
 	t.Helper()
-	d, err := Open(testDaemonConfig(t.TempDir(), CampaignExec))
+	d, err := Open(testDaemonConfig(t.TempDir(), testExec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestServerSubmitPollFetch(t *testing.T) {
 
 	// The result endpoint serves the artifact bytes; so does the
 	// content-addressed artifacts endpoint.
-	want, _ := CampaignExec(context.Background(), json.RawMessage(spec))
+	want, _ := testExec(context.Background(), json.RawMessage(spec))
 	for _, path := range []string{
 		fmt.Sprintf("/api/v1/jobs/%d/result", sub.ID),
 		"/api/v1/artifacts/" + info.Hash,

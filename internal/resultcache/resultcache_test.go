@@ -2,9 +2,13 @@ package resultcache
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"asap/internal/iofault"
 )
 
 // TestKeyOrderInsensitive: two keys with the same fields added in
@@ -229,7 +233,7 @@ func TestStoreBytesAndShed(t *testing.T) {
 		if err := s.Put(k, payload); err != nil {
 			t.Fatal(err)
 		}
-		want += int64(headerLen + len(payload))
+		want += int64(iofault.FrameHeaderLen + len(payload))
 	}
 	if s.Bytes() != want {
 		t.Fatalf("after 3 puts: %d bytes, want %d", s.Bytes(), want)
@@ -238,7 +242,7 @@ func TestStoreBytesAndShed(t *testing.T) {
 	if err := s.Put(keys[0], []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
-	want += int64(headerLen+4) - int64(headerLen+100)
+	want += int64(iofault.FrameHeaderLen+4) - int64(iofault.FrameHeaderLen+100)
 	if s.Bytes() != want {
 		t.Fatalf("after overwrite: %d bytes, want %d", s.Bytes(), want)
 	}
@@ -301,5 +305,63 @@ func TestCorruptEntryRemovalAdjustsBytes(t *testing.T) {
 	}
 	if s.Bytes() != 0 {
 		t.Fatalf("footprint %d after corrupt-entry removal, want 0", s.Bytes())
+	}
+}
+
+// goldenEntryHex is the entry for payload {"cycles":12345}, captured
+// from the encoder that predates the shared iofault frame. Cached cells
+// written by older builds must keep reading back.
+const goldenEntryHex = "4153524301000000ae7f8491100000007b226379636c6573223a31323334357d"
+
+func TestEntryGolden(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := NewKey().Field("k", "golden").Sum()
+	if err := s.Put(key, []byte(`{"cycles":12345}`)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(s.Dir(), "cells", key[:2], key[2:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := hex.EncodeToString(raw); h != goldenEntryHex {
+		t.Fatalf("entry bytes moved:\n got %s\nwant %s", h, goldenEntryHex)
+	}
+}
+
+// TestEntryRejectsDamage runs the snapshot file's damage table against
+// the entry format: every strict prefix, and a one-bit flip in each
+// header field and in the payload, is a miss.
+func TestEntryRejectsDamage(t *testing.T) {
+	raw, _ := hex.DecodeString(goldenEntryHex)
+	damage := make(map[string][]byte)
+	for n := 0; n < len(raw); n++ {
+		damage[fmt.Sprintf("prefix-%d", n)] = append([]byte(nil), raw[:n]...)
+	}
+	for name, off := range map[string]int{
+		"magic": 0, "version": 4, "crc": 8, "length": 12, "payload": len(raw) - 1,
+	} {
+		b := append([]byte(nil), raw...)
+		b[off] ^= 0x01
+		damage["flip-"+name] = b
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range damage {
+		key := NewKey().Field("damage", name).Sum()
+		path := filepath.Join(s.Dir(), "cells", key[:2], key[2:])
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(key); ok {
+			t.Errorf("%s: damaged entry served as a hit: %q", name, got)
+		}
 	}
 }

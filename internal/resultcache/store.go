@@ -1,10 +1,8 @@
 package resultcache
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"io/fs"
 	"path/filepath"
 	"sync/atomic"
@@ -12,22 +10,13 @@ import (
 	"asap/internal/iofault"
 )
 
-// Entry format: a fixed header in front of the payload so a truncated or
-// bit-flipped entry is detected and recomputed, never trusted.
-//
-//	[0:4]   magic "ASRC"
-//	[4:8]   format version (LE)
-//	[8:12]  crc32 (IEEE) of the payload (LE)
-//	[12:16] payload length (LE)
-//	[16:]   payload
+// Entry format: the payload in an iofault frame (magic "ASRC", version,
+// CRC-32, length), so a truncated or bit-flipped entry is detected and
+// recomputed, never trusted.
 const (
 	entryMagic   = "ASRC"
 	entryVersion = 1
-	headerLen    = 16
 )
-
-// ErrCorrupt marks an entry that failed magic/version/length/CRC checks.
-var ErrCorrupt = errors.New("resultcache: corrupt entry")
 
 // Store is the on-disk cell cache: entries live at cells/<aa>/<rest of
 // key digest>, written via temp file + fsync + rename + directory fsync
@@ -93,15 +82,6 @@ func (s *Store) ioErr(err error) {
 	}
 }
 
-// SweepOrphans removes .tmp-* files under root: the half-written temp
-// files a kill -9 mid-Put strands, which would otherwise accumulate
-// forever. Shared historically with the queue's artifact store; both now
-// delegate to iofault.SweepTmp.
-func SweepOrphans(root string) error {
-	_, err := iofault.SweepTmp(iofault.OS{}, root)
-	return err
-}
-
 // Dir returns the cache root.
 func (s *Store) Dir() string { return s.dir }
 
@@ -137,7 +117,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	payload, err := decodeEntry(raw)
+	payload, err := iofault.DecodeFrame(entryMagic, entryVersion, raw)
 	if err != nil {
 		if rerr := s.fsys.Remove(path); rerr == nil {
 			s.bytes.Add(-int64(len(raw)))
@@ -164,7 +144,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.ioErr(err)
 		return err
 	}
-	entry := encodeEntry(payload)
+	entry := iofault.EncodeFrame(entryMagic, entryVersion, payload)
 	var prev int64
 	if st, err := s.fsys.Stat(path); err == nil {
 		prev = st.Size()
@@ -236,34 +216,4 @@ func (s *Store) Shed() (int64, error) {
 // Stats returns the lifetime hit/miss/put counts.
 func (s *Store) Stats() (hits, misses, puts int64) {
 	return s.hits.Load(), s.misses.Load(), s.puts.Load()
-}
-
-// encodeEntry frames payload with the magic/version/CRC/length header.
-func encodeEntry(payload []byte) []byte {
-	buf := make([]byte, headerLen+len(payload))
-	copy(buf[0:4], entryMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], entryVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(payload)))
-	copy(buf[headerLen:], payload)
-	return buf
-}
-
-// decodeEntry validates the frame and returns the payload.
-func decodeEntry(raw []byte) ([]byte, error) {
-	if len(raw) < headerLen || string(raw[0:4]) != entryMagic {
-		return nil, ErrCorrupt
-	}
-	if binary.LittleEndian.Uint32(raw[4:8]) != entryVersion {
-		return nil, ErrCorrupt
-	}
-	n := binary.LittleEndian.Uint32(raw[12:16])
-	payload := raw[headerLen:]
-	if uint32(len(payload)) != n {
-		return nil, ErrCorrupt
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(raw[8:12]) {
-		return nil, ErrCorrupt
-	}
-	return payload, nil
 }

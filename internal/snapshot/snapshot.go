@@ -14,15 +14,15 @@
 package snapshot
 
 import (
-	"asap/internal/iofault"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash"
-	"hash/crc32"
 	"path/filepath"
+
+	"asap/internal/iofault"
 )
 
 // FormatVersion identifies the snapshot encoding. Bump it whenever a
@@ -172,9 +172,9 @@ func (s Snap) Diff(o Snap) []string {
 	return out
 }
 
-// File format: magic + version + CRC32 of the JSON payload + length +
-// payload, written via temp + fsync + rename + parent-directory fsync —
-// the same corruption and crash discipline as the result cache.
+// File format: the JSON payload in an iofault frame (magic, version,
+// CRC-32, length), written via temp + fsync + rename + parent-directory
+// fsync — the same frame and crash discipline as the result cache.
 const fileMagic = "ASSN"
 
 // WriteFile durably writes snap to path on the real filesystem.
@@ -191,12 +191,7 @@ func WriteFileFS(fsys iofault.FS, path string, snap Snap) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 16+len(payload))
-	copy(buf[0:4], fileMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], FormatVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(payload)))
-	copy(buf[16:], payload)
+	buf := iofault.EncodeFrame(fileMagic, FormatVersion, payload)
 	return iofault.WriteDurable(fsys, filepath.Dir(path), path, buf)
 }
 
@@ -213,18 +208,9 @@ func ReadFileFS(fsys iofault.FS, path string) (Snap, error) {
 	if err != nil {
 		return Snap{}, err
 	}
-	if len(raw) < 16 || string(raw[0:4]) != fileMagic {
-		return Snap{}, fmt.Errorf("snapshot: %s: bad magic", path)
-	}
-	if v := binary.LittleEndian.Uint32(raw[4:8]); v != FormatVersion {
-		return Snap{}, fmt.Errorf("snapshot: %s: format version %d (want %d)", path, v, FormatVersion)
-	}
-	payload := raw[16:]
-	if n := binary.LittleEndian.Uint32(raw[12:16]); uint32(len(payload)) != n {
-		return Snap{}, fmt.Errorf("snapshot: %s: truncated (%d of %d payload bytes)", path, len(payload), n)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(raw[8:12]) {
-		return Snap{}, fmt.Errorf("snapshot: %s: CRC mismatch", path)
+	payload, err := iofault.DecodeFrame(fileMagic, FormatVersion, raw)
+	if err != nil {
+		return Snap{}, fmt.Errorf("snapshot: %s: %w", path, err)
 	}
 	var snap Snap
 	if err := json.Unmarshal(payload, &snap); err != nil {
