@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"asap"
 	"asap/internal/faults"
 )
 
@@ -284,5 +285,19 @@ func TestSnapshotBoundaryKillsAreConsistent(t *testing.T) {
 		if o.Verdict == VerdictViolation || o.Verdict == VerdictError {
 			t.Errorf("%s: %s: %s (faults: %v)", c, o.Verdict, o.Detail, o.Faults)
 		}
+	}
+}
+
+// TestPostRunPanicIsAFinding: a panic in the rebooted machine's thread
+// reaches runPost through the kernel's Run and comes back as a finding,
+// not a crash of the checker.
+func TestPostRunPanicIsAFinding(t *testing.T) {
+	sys, err := asap.NewSystem(asap.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	problem := runPost(sys, 1, func(c *Ctx) string { panic("boom") })
+	if want := "post-recovery run panicked: boom"; problem != want {
+		t.Fatalf("problem = %q, want %q", problem, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"asap/internal/sim"
 	"asap/internal/stats"
 )
 
@@ -262,5 +263,31 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 	if w := New(7).Workers(); w != 7 {
 		t.Fatalf("explicit width not kept: %d", w)
+	}
+}
+
+// TestCollectCatchesSimulatedThreadPanic: a panic in a simulated thread
+// reaches the job's goroutine through sim.Kernel.Run, so the pool reports
+// it as that job's *PanicError instead of the process crashing.
+func TestCollectCatchesSimulatedThreadPanic(t *testing.T) {
+	jobs := []Job[int]{
+		{Label: "ok", Run: func() int { return 1 }},
+		{Label: "sim", Run: func() int {
+			k := sim.NewKernel()
+			k.Spawn("bad", func(th *sim.Thread) {
+				th.Advance(3)
+				panic("boom")
+			})
+			k.Run()
+			return 2
+		}},
+	}
+	out, err := Collect(New(2), jobs)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Label != "sim" || pe.Value != "boom" {
+		t.Fatalf("want PanicError{sim, boom}, got %v", err)
+	}
+	if out[0] != 1 || out[1] != 0 {
+		t.Fatalf("results %v, want [1 0]", out)
 	}
 }

@@ -1,8 +1,9 @@
 // Kernel micro-benchmarks covering the scheduler's hot paths: the
 // Advance/yield cycle (direct-dispatch fast path), cross-thread
-// WaitUntil handoffs (slow path through the kernel loop), event
-// scheduling and firing (event pool + queue), and one full quick-scale
-// benchmark run as the end-to-end number. Run with
+// WaitUntil handoffs (slow path, one goroutine switch each), the slow
+// path that re-picks the yielding thread (no switch), event scheduling
+// and firing (event pool + queue), and one full quick-scale benchmark
+// run as the end-to-end number. Run with
 //
 //	go test -bench=. -benchmem -run='^$' ./internal/sim
 //
@@ -33,8 +34,8 @@ func BenchmarkAdvanceYield(b *testing.B) {
 }
 
 // BenchmarkAdvanceYieldContended measures the two-runnable-thread step:
-// the threads alternate in simulated time, so every yield must hand off
-// through the kernel loop. This bounds what the slow path costs.
+// the threads alternate in simulated time, so every yield takes the slow
+// path and switches goroutines. This bounds what the slow path costs.
 func BenchmarkAdvanceYieldContended(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
@@ -51,7 +52,7 @@ func BenchmarkAdvanceYieldContended(b *testing.B) {
 
 // BenchmarkWaitUntilHandoff measures a producer/consumer ping-pong
 // through WaitUntil predicates: every iteration blocks each side once,
-// so this is all kernel-loop dispatch and predicate polling.
+// so this is all slow-path dispatch and predicate polling.
 func BenchmarkWaitUntilHandoff(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
@@ -86,6 +87,28 @@ func BenchmarkScheduleFire(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t.Kernel().ScheduleAfter(1, fire)
 			t.Advance(2)
+		}
+	})
+	b.ResetTimer()
+	k.Run()
+	if fired != b.N {
+		b.Fatalf("fired %d events, want %d", fired, b.N)
+	}
+}
+
+// BenchmarkEventRepick measures the slow path that picks the yielding
+// thread again: every Advance lands on a pending event at the thread's
+// new clock (events win ties), so the fast path declines, the thread
+// fires the event itself and is the next choice. No goroutine switches.
+func BenchmarkEventRepick(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel()
+	fired := 0
+	fire := func() { fired++ }
+	k.Spawn("w", func(t *sim.Thread) {
+		for i := 0; i < b.N; i++ {
+			t.Kernel().ScheduleAfter(1, fire)
+			t.Advance(1)
 		}
 	})
 	b.ResetTimer()

@@ -9,20 +9,30 @@
 // The inner loop is built for wall-clock speed without changing a single
 // scheduling decision (DESIGN.md §10): threads that remain the unique
 // earliest entity resume directly from their own yield (no goroutine
-// handoff), runnable threads wait in an indexed run queue instead of being
-// rescanned, blocked threads live in a separate waiter set so predicates
-// are polled only over the blocked subset, and fired events are pooled so
-// Schedule allocates nothing steady-state.
+// switch); otherwise the yielding thread runs the scheduling loop itself
+// and hands control straight to the next thread (one switch, none if it
+// is picked again). Runnable threads wait in an indexed run queue instead
+// of being rescanned, blocked threads live in a separate waiter set so
+// predicates are polled only over the blocked subset, and fired events are
+// pooled so Schedule allocates nothing steady-state.
 package sim
+
+import (
+	"runtime"
+	"sync"
+)
 
 // Kernel is the simulation scheduler. The zero value is not usable; create
 // one with NewKernel.
 //
 // Scheduling state invariant: between steps, every live thread is in
 // exactly one place — the run queue (runnable, waiting for dispatch), the
-// waiter set (blocked on a predicate), or running (at most one, currently
-// executing between the kernel's resume and the thread's next park).
-// Finished threads are dropped at park time.
+// waiter set (blocked on a predicate), or running (at most one: the thread
+// whose goroutine holds control, from being picked until its next park).
+// Finished threads are dropped at park time. The scheduling loop, events,
+// predicates and observer callbacks run on whichever goroutine holds
+// control: Run's caller until the first thread starts, then the goroutine
+// of the thread that last yielded.
 type Kernel struct {
 	threads []*Thread
 	runq    runQueue
@@ -30,7 +40,6 @@ type Kernel struct {
 	events  eventQueue
 	now     uint64
 	seq     uint64
-	parked  chan *Thread
 	running bool
 	halted  bool
 	obs     Observer
@@ -41,6 +50,14 @@ type Kernel struct {
 	wd         *Watchdog
 	wdAt       uint64
 	wdProgress uint64
+
+	// Run's outcome. A thread goroutine that ends the run records it here
+	// and signals end; Run waits on end while threads hold control, and
+	// on live for every thread goroutine to exit before it returns.
+	end      chan struct{}
+	err      error
+	panicVal any // non-nil: a recovered panic, re-raised by Run
+	live     sync.WaitGroup
 }
 
 // Halt makes Run return at the next scheduling decision without running
@@ -54,7 +71,7 @@ func (k *Kernel) Halted() bool { return k.halted }
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{parked: make(chan *Thread)}
+	return &Kernel{end: make(chan struct{})}
 }
 
 // Now returns the kernel's current virtual time in cycles: the time of the
@@ -64,6 +81,9 @@ func (k *Kernel) Now() uint64 { return k.now }
 // Spawn registers a simulated thread that will execute fn when Run is
 // called. The thread's virtual clock starts at the kernel's current time.
 // Spawn may also be called from inside a running thread to fork workers.
+// A panic in fn ends the run and is re-raised by Run on its caller's
+// goroutine. A thread still unfinished when Run returns is ended with
+// runtime.Goexit: its deferred calls run and must not use the Thread.
 func (k *Kernel) Spawn(name string, fn func(t *Thread)) *Thread {
 	t := &Thread{
 		k:      k,
@@ -78,11 +98,23 @@ func (k *Kernel) Spawn(name string, fn func(t *Thread)) *Thread {
 	if k.obs != nil {
 		k.obs.ThreadStart(t)
 	}
+	k.live.Add(1)
 	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.state = stateDone // release must not resume this goroutine
+				k.panicVal = p
+				k.end <- struct{}{}
+			}
+			k.live.Done()
+		}()
 		<-t.resume
+		if t.state == stateDone {
+			return // released by Run before it ever started
+		}
 		fn(t)
 		t.state = stateDone
-		k.parked <- t
+		k.handoff(t)
 	}()
 	return t
 }
@@ -106,20 +138,41 @@ func (k *Kernel) ScheduleAfter(delay uint64, fn func()) {
 // blocked and no event can unblock them (simulated deadlock), or an
 // attached Watchdog diagnoses a livelock, Run returns a *StallError
 // carrying the blocked report, structure gauges, and protocol snapshot.
-// Callers that treat any stall as fatal can use MustRun.
+// Callers that treat any stall as fatal can use MustRun. A panic in a
+// thread, event, predicate or observer ends the run and is re-raised here.
+// However the run ends, no goroutine of this kernel outlives Run.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Run called re-entrantly")
 	}
 	k.running = true
-	defer func() { k.running = false }()
+	k.err, k.panicVal = nil, nil
+	defer k.release()
 
+	if t := k.dispatch(); t != nil {
+		t.resume <- struct{}{}
+		<-k.end
+	}
+	if k.panicVal != nil {
+		panic(k.panicVal)
+	}
+	return k.err
+}
+
+// dispatch is the scheduling loop. It runs on whichever goroutine holds
+// control: Run's until the first thread starts, afterwards the goroutine
+// of the thread that just yielded or finished. It fires every event due
+// before the next thread step and returns the thread to run next, claimed
+// and with its clock brought up to date. It returns nil when the run is
+// over, with the outcome in k.err.
+func (k *Kernel) dispatch() *Thread {
 	for {
 		if k.halted {
 			return nil
 		}
 		if err := k.checkWatchdog(); err != nil {
-			return err
+			k.err = err
+			return nil
 		}
 		t, tEff := k.pickThread()
 		ev := k.events.peek()
@@ -159,15 +212,57 @@ func (k *Kernel) Run() error {
 					k.obs.Tick(k.now)
 				}
 			}
-			t.resume <- struct{}{}
-			k.park(<-k.parked)
+			return t
 		default:
-			if len(k.waiters) == 0 {
-				return nil // run queue empty, no waiters: every thread is done
+			if len(k.waiters) > 0 {
+				k.err = k.stallError(StallDeadlock)
 			}
-			return k.stallError(StallDeadlock)
+			return nil // run queue empty, no waiters: every thread is done
 		}
 	}
+}
+
+// handoff gives up control on t's goroutine after t yielded or finished:
+// it files t, runs dispatch, and passes control on. It returns at once if
+// dispatch picked t again; otherwise it resumes the chosen thread (or
+// signals Run that the run is over) and, unless t has finished, waits
+// until t is resumed in turn. A thread resumed by release exits here.
+func (k *Kernel) handoff(t *Thread) {
+	k.park(t)
+	next := k.dispatch()
+	if next == t {
+		return
+	}
+	done := t.state == stateDone // read before another goroutine holds control
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		k.end <- struct{}{}
+	}
+	if done {
+		return
+	}
+	<-t.resume
+	if t.state == stateDone {
+		runtime.Goexit()
+	}
+}
+
+// release ends every thread goroutine still waiting for control, whether
+// queued, blocked or never started, and waits for all of the kernel's
+// thread goroutines to exit. A released thread runs no more simulated
+// code: it sees stateDone on waking and exits.
+func (k *Kernel) release() {
+	for _, t := range k.threads {
+		if t.state != stateDone {
+			t.state = stateDone
+			t.resume <- struct{}{}
+		}
+	}
+	k.runq = runQueue{}
+	k.waiters = nil
+	k.live.Wait()
+	k.running = false
 }
 
 // park files a thread that just yielded into the structure matching its

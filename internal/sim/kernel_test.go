@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSingleThreadAdvances(t *testing.T) {
@@ -467,5 +470,130 @@ func TestHaltFromThread(t *testing.T) {
 	k.Run()
 	if after {
 		t.Fatal("another thread ran after Halt")
+	}
+}
+
+// settleGoroutines waits briefly for exited goroutines to leave the
+// runtime's count, then fails if more than want are still alive.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive after Run returned, want %d", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// runRecover runs k and returns the value Run panicked with, if any.
+func runRecover(k *Kernel) (v any) {
+	defer func() { v = recover() }()
+	k.Run()
+	return nil
+}
+
+func TestThreadPanicReachesRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cases := map[string]func(k *Kernel){
+		"thread body": func(k *Kernel) {
+			k.Spawn("bad", func(th *Thread) {
+				th.Advance(10)
+				panic("boom")
+			})
+		},
+		// The event fires inside the thread's own yield, on its goroutine.
+		"event": func(k *Kernel) {
+			k.Schedule(5, func() { panic("boom") })
+			k.Spawn("w", func(th *Thread) { th.Advance(10) })
+		},
+		"predicate": func(k *Kernel) {
+			k.Spawn("w", func(th *Thread) {
+				th.WaitUntil(func() bool { return k.Now() >= 200 && panicNow() })
+			})
+		},
+		"first dispatch": func(k *Kernel) {
+			k.Schedule(0, func() { panic("boom") })
+			k.Spawn("never-started", func(th *Thread) { t.Error("thread ran") })
+		},
+	}
+	for name, build := range cases {
+		k := NewKernel()
+		build(k)
+		// Bystanders in every scheduling structure must be released.
+		k.Spawn("queued", func(th *Thread) {
+			for {
+				th.Advance(100)
+			}
+		})
+		k.Spawn("blocked", func(th *Thread) { th.WaitUntil(func() bool { return false }) })
+		if v := runRecover(k); v != "boom" {
+			t.Errorf("%s: Run panicked with %v, want boom", name, v)
+		}
+	}
+	settleGoroutines(t, base)
+}
+
+func panicNow() bool { panic("boom") }
+
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		k := NewKernel()
+		k.Schedule(50, func() { k.Halt() })
+		for w := 0; w < 4; w++ {
+			k.Spawn("w", func(th *Thread) {
+				for {
+					th.Advance(10)
+				}
+			})
+		}
+		if err := k.Run(); err != nil || !k.Halted() {
+			t.Fatalf("halted run: err %v, halted %v", err, k.Halted())
+		}
+	}
+	for i := 0; i < 100; i++ {
+		k := NewKernel()
+		for w := 0; w < 4; w++ {
+			k.Spawn("stuck", func(th *Thread) {
+				th.Advance(uint64(w))
+				th.WaitUntil(func() bool { return false })
+			})
+		}
+		var se *StallError
+		if err := k.Run(); !errors.As(err, &se) || se.Kind != StallDeadlock {
+			t.Fatalf("deadlocked run: err %v", err)
+		}
+	}
+	settleGoroutines(t, base)
+}
+
+// A released thread exits through runtime.Goexit, which a recover in the
+// thread body cannot stop: no simulated code runs after Run returns.
+func TestReleaseIgnoresRecoverInThread(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	resumed := false
+	k.Spawn("stuck", func(th *Thread) {
+		defer func() { _ = recover() }()
+		th.WaitUntil(func() bool { return false })
+		resumed = true
+	})
+	k.Spawn("halter", func(th *Thread) {
+		th.Advance(5)
+		k.Halt()
+		th.Advance(5)
+		resumed = true
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, base)
+	if resumed {
+		t.Fatal("a thread ran simulated code after the run ended")
 	}
 }

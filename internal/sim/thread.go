@@ -47,7 +47,11 @@ func (t *Thread) Advance(cycles uint64) {
 	if t.k.obs != nil && cycles > 0 {
 		t.k.obs.ClockAdvance(t, cycles)
 	}
-	t.yield()
+	// yield, spelled out: a running thread is always runnable, and one
+	// call level fewer keeps the fast path as cheap as a single call.
+	if !t.k.fastResume(t) {
+		t.k.handoff(t)
+	}
 }
 
 // Yield hands control to the kernel without advancing the clock. It gives
@@ -96,11 +100,10 @@ func noopEvent() {}
 // still the unique earliest runnable entity, the kernel's dispatch
 // decision is computed inline and control returns immediately — same
 // scheduling outcome, no goroutine handoff. Otherwise the thread parks
-// and the kernel loop takes over.
+// and runs the scheduling loop itself (Kernel.handoff).
 func (t *Thread) yield() {
 	if t.state == stateRunnable && t.k.fastResume(t) {
 		return
 	}
-	t.k.parked <- t
-	<-t.resume
+	t.k.handoff(t)
 }
