@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	incs := fs.Int("incs", 10, "increments per thread")
 	save := fs.String("save", "", "write the crash state to this file instead of recovering")
 	load := fs.String("load", "", "recover a crash state previously written with -save")
-	mixStr := fs.String("mix", "", "crash-time fault mixture, e.g. drop=0.5,lhdrop=1 (asaptorture syntax)")
+	mixStr := fs.String("mix", "", "crash-time fault mixture, e.g. drop=0.5,lhdrop=1 (asapcrash torture syntax)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the -mix fault decisions")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -32,7 +32,7 @@ type Options struct {
 	OverflowPenalty uint64
 	// UnsafeEarlyLogFree deliberately breaks the §4.7 commit rule by
 	// freeing a region's undo log at asap_end instead of at commit. It
-	// exists solely as the torture harness's seeded negative control: the
+	// exists solely as the crash harness's torture negative control: the
 	// invariant engine must catch the violation (DESIGN.md §11). Never
 	// enable it in a real configuration.
 	UnsafeEarlyLogFree bool

@@ -149,58 +149,146 @@ func TestShrinkFindsMinimalFaultSet(t *testing.T) {
 	if o.Verdict != VerdictViolation {
 		t.Skipf("case no longer violates (verdict %s); pick another seed", o.Verdict)
 	}
-	shrunk := Shrink(c, o.Faults, 64)
-	if len(shrunk) == 0 || len(shrunk) > len(o.Faults) {
-		t.Fatalf("shrink returned %d events from %d", len(shrunk), len(o.Faults))
+	shrunk := Shrink(o, 64)
+	if shrunk == nil || len(shrunk.Replay) == 0 || len(shrunk.Replay) > len(o.Faults) {
+		t.Fatalf("shrink returned %v from %d events", shrunk, len(o.Faults))
 	}
-	c.Replay = shrunk
-	if v := RunCase(c).Verdict; v != VerdictViolation {
+	if v := RunCase(*shrunk).Verdict; v != VerdictViolation {
 		t.Fatalf("shrunk fault set does not reproduce the violation: %s", v)
 	}
-	t.Logf("shrunk %d faults to %d: %v", len(o.Faults), len(shrunk), shrunk)
+	t.Logf("shrunk %d faults to %d: %v", len(o.Faults), len(shrunk.Replay), shrunk.Replay)
 }
 
-// TestSweepDeterministicCases: the case list is a pure function of the
-// config, so CI reruns sweep identical cases.
+// TestSweepDeterministicCases: each generator's case list is a pure
+// function of its config, so CI reruns sweep identical cases, and it
+// rejects names it does not know.
 func TestSweepDeterministicCases(t *testing.T) {
-	cfg := SweepConfig{Seed: 9, Points: 3}
-	a, err := cfg.Cases()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := cfg.Cases()
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Fatal("case list not deterministic")
-	}
-	want := len(Workloads()) * len(DefaultMixes()) * 3
-	if len(a) != want {
-		t.Fatalf("got %d cases, want %d", len(a), want)
+	for _, tc := range []struct {
+		name    string
+		cases   func() ([]Case, error)
+		want    int
+		unknown func() ([]Case, error)
+	}{
+		{
+			name:    "crash",
+			cases:   func() ([]Case, error) { return CrashCases(CrashConfig{Seed: 9, Points: 3}) },
+			want:    len(Workloads()) * len(DefaultMixes()) * 3,
+			unknown: func() ([]Case, error) { return CrashCases(CrashConfig{Workloads: []string{"nope"}}) },
+		},
+		{
+			name:  "torture",
+			cases: func() ([]Case, error) { return TortureCases(TortureConfig{Seed: 3, SeedsPerPreset: 2, CrashPoints: 1}) },
+			// (clean + crash) per seed + controls
+			want:    len(PresetNames())*2*(1+1) + 2,
+			unknown: func() ([]Case, error) { return TortureCases(TortureConfig{Presets: []string{"nope"}}) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := tc.cases()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := tc.cases()
+			aj, _ := json.Marshal(a)
+			bj, _ := json.Marshal(b)
+			if string(aj) != string(bj) {
+				t.Fatal("case list not deterministic")
+			}
+			if len(a) != tc.want {
+				t.Fatalf("got %d cases, want %d", len(a), tc.want)
+			}
+			if _, err := tc.unknown(); err == nil {
+				t.Fatal("generator accepted an unknown name")
+			}
+		})
 	}
 }
 
-// TestSweepSmall runs a bounded sweep in-process and requires zero bad
-// outcomes, exercising the runner fan-out path end to end.
+// TestEmptyCrashWindowRejected: a crash window that is empty once the
+// defaults are applied is an error, not a silent fall back to the
+// default upper bound below the requested lower one.
+func TestEmptyCrashWindowRejected(t *testing.T) {
+	if _, err := CrashCases(CrashConfig{CrashLo: 200_000}); err == nil {
+		t.Error("CrashCases accepted crash-lo 200000 above the default crash-hi")
+	}
+	if _, err := CrashCases(CrashConfig{CrashLo: 5_000, CrashHi: 5_000}); err == nil {
+		t.Error("CrashCases accepted crash-hi == crash-lo")
+	}
+	if _, err := TortureCases(TortureConfig{CrashLo: 200_000}); err == nil {
+		t.Error("TortureCases accepted crash-lo 200000 above the default crash-hi")
+	}
+	if _, err := TortureCases(TortureConfig{CrashLo: 900, CrashHi: 800}); err == nil {
+		t.Error("TortureCases accepted crash-hi below crash-lo")
+	}
+}
+
+// TestSweepSmall runs a bounded sweep of each kind in-process and
+// requires zero bad outcomes, exercising the runner fan-out path end to
+// end; the torture sweep's negative controls must be caught and shrunk,
+// proving the ddmin path.
 func TestSweepSmall(t *testing.T) {
-	sum, err := Sweep(SweepConfig{
-		Workloads: []string{"counter", "queue"},
-		Mixes:     []faults.Mix{{}, {TornPct: 0.3, DropPct: 0.2}},
-		Seed:      3, Points: 3, CrashLo: 1_500, CrashHi: 40_000,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		cases func() ([]Case, error)
+		check func(t *testing.T, sum *Summary)
+	}{
+		{
+			name: "crash",
+			cases: func() ([]Case, error) {
+				return CrashCases(CrashConfig{
+					Workloads: []string{"counter", "queue"},
+					Mixes:     []faults.Mix{{}, {TornPct: 0.3, DropPct: 0.2}},
+					Seed:      3, Points: 3, CrashLo: 1_500, CrashHi: 40_000,
+				})
+			},
+			check: func(t *testing.T, sum *Summary) {
+				if sum.Total != 12 {
+					t.Fatalf("total %d, want 12", sum.Total)
+				}
+			},
+		},
+		{
+			name: "torture",
+			cases: func() ([]Case, error) {
+				return TortureCases(TortureConfig{
+					Presets: []string{"baseline", "dep2", "squeeze"}, SeedsPerPreset: 1,
+					Seed: 9, Threads: 3, Ops: 25, CrashPoints: 1,
+					Mix:              faults.Mix{DropPct: 0.3, LHDropPct: 0.3},
+					NegativeControls: 1,
+				})
+			},
+			check: func(t *testing.T, sum *Summary) {
+				if sum.ControlsCaught != 1 || sum.ControlsMissed != 0 {
+					t.Fatalf("controls: caught %d missed %d, want 1/0", sum.ControlsCaught, sum.ControlsMissed)
+				}
+				for _, o := range sum.Outcomes {
+					if o.Case.NegativeControl && (o.Shrunk == nil || len(o.Shrunk.Schedule) == 0) {
+						t.Error("caught control was not shrunk")
+					}
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cases, err := tc.cases()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := Sweep(cases, SweepOptions{ShrinkBudget: 120})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Bad() != 0 {
+				for _, v := range sum.Violations() {
+					t.Errorf("violation: %s: %s", v.Case, v.Detail)
+				}
+				t.Fatalf("%d bad outcomes (counts %v, controls missed %d)",
+					sum.Bad(), sum.Counts, sum.ControlsMissed)
+			}
+			tc.check(t, sum)
+			t.Logf("verdicts: %v", sum.Counts)
+		})
 	}
-	if sum.Total != 12 {
-		t.Fatalf("total %d, want 12", sum.Total)
-	}
-	if sum.Bad() != 0 {
-		for _, v := range sum.Violations() {
-			t.Errorf("violation: %s: %s", v.Case, v.Detail)
-		}
-		t.Fatalf("%d bad outcomes", sum.Bad())
-	}
-	t.Logf("verdicts: %v", sum.Counts)
 }
 
 // TestUnknownWorkloadErrors keeps the CLI's error path honest.
@@ -209,61 +297,103 @@ func TestUnknownWorkloadErrors(t *testing.T) {
 	if o.Verdict != VerdictError {
 		t.Fatalf("want error verdict, got %s", o.Verdict)
 	}
-	if _, err := (SweepConfig{Workloads: []string{"nope"}}).Cases(); err == nil {
-		t.Fatal("Cases accepted an unknown workload")
+	if _, err := CrashCases(CrashConfig{Workloads: []string{"nope"}}); err == nil {
+		t.Fatal("CrashCases accepted an unknown workload")
 	}
 }
 
-// TestOutcomeJSONRoundTrips: the CLI report is JSON; outcomes must encode
-// and decode without loss of the verdict and fault events.
+// TestOutcomeJSONRoundTrips: the CLI report is JSON; outcomes of either
+// kind must encode and decode without loss of the verdict and fault
+// events.
 func TestOutcomeJSONRoundTrips(t *testing.T) {
-	o := RunCase(Case{
-		Workload: "queue", CrashAt: 4_000, Seed: 7,
-		Mix: faults.Mix{TornPct: 0.3, DropPct: 0.3},
-	})
-	blob, err := json.Marshal(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Outcome
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Verdict != o.Verdict || len(back.Faults) != len(o.Faults) {
-		t.Fatalf("round trip lost data: %+v vs %+v", back, o)
+	for _, tc := range []struct {
+		name string
+		c    Case
+	}{
+		{"crash", Case{
+			Workload: "queue", CrashAt: 4_000, Seed: 7,
+			Mix: faults.Mix{TornPct: 0.3, DropPct: 0.3},
+		}},
+		{"torture", Case{
+			Preset: "lhwpq1", Seed: 3, Threads: 2, Ops: 10,
+			CrashAt: 4_000, Mix: faults.Mix{LHDropPct: 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := RunCase(tc.c)
+			blob, err := json.Marshal(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Outcome
+			if err := json.Unmarshal(blob, &back); err != nil {
+				t.Fatal(err)
+			}
+			if back.Verdict != o.Verdict || len(back.Faults) != len(o.Faults) {
+				t.Fatalf("round trip lost data: %+v vs %+v", back, o)
+			}
+			if back.Case.String() != o.Case.String() {
+				t.Fatalf("round trip changed the case: %s vs %s", back.Case, o.Case)
+			}
+		})
 	}
 }
 
 // TestSweepCancelledReturnsPartialSummary exercises the SIGINT path:
 // a pre-cancelled context must yield a (possibly empty) partial summary
-// plus the context's error, never a nil summary.
+// plus the context's error, never a nil summary — the CLI relies on this
+// to flush its report before exiting 130.
 func TestSweepCancelledReturnsPartialSummary(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sum, err := Sweep(SweepConfig{
-		Workloads: []string{"counter"},
-		Mixes:     []faults.Mix{{}},
-		Seed:      3, Points: 4,
-		Workers: 1,
-		Context: ctx,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if sum == nil {
-		t.Fatal("cancelled sweep returned nil summary")
-	}
-	if sum.Total != len(sum.Outcomes) {
-		t.Fatalf("Total %d != %d outcomes", sum.Total, len(sum.Outcomes))
-	}
-	// Only ran cases appear; skipped zero-value outcomes are filtered.
-	for _, o := range sum.Outcomes {
-		if o.Verdict == "" {
-			t.Fatal("zero-value outcome leaked into partial summary")
-		}
-	}
-	if sum.Total >= 4 {
-		t.Fatalf("cancelled sweep still ran all %d cases", sum.Total)
+	for _, tc := range []struct {
+		name  string
+		cases func() ([]Case, error)
+		all   int
+	}{
+		{
+			name: "crash",
+			cases: func() ([]Case, error) {
+				return CrashCases(CrashConfig{Workloads: []string{"counter"}, Mixes: []faults.Mix{{}}, Seed: 3, Points: 4})
+			},
+			all: 4,
+		},
+		{
+			name: "torture",
+			cases: func() ([]Case, error) {
+				return TortureCases(TortureConfig{Presets: []string{"dep2"}, SeedsPerPreset: 4, Seed: 5, Ops: 10})
+			},
+			all: 4*3 + 2, // (clean + 2 crash points) per seed, plus 2 controls
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cases, err := tc.cases()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cases) != tc.all {
+				t.Fatalf("%d cases, want %d", len(cases), tc.all)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			sum, err := Sweep(cases, SweepOptions{Workers: 1, Context: ctx})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if sum == nil {
+				t.Fatal("cancelled sweep returned nil summary")
+			}
+			if sum.Total != len(sum.Outcomes) {
+				t.Fatalf("Total %d != %d outcomes", sum.Total, len(sum.Outcomes))
+			}
+			// Only ran cases appear; skipped zero-value outcomes are filtered.
+			for _, o := range sum.Outcomes {
+				if o.Verdict == "" {
+					t.Fatal("zero-value outcome leaked into partial summary")
+				}
+			}
+			if sum.Total >= tc.all {
+				t.Fatalf("cancelled sweep still ran all %d cases", sum.Total)
+			}
+		})
 	}
 }
 

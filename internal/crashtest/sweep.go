@@ -11,9 +11,9 @@ import (
 	"asap/internal/runner"
 )
 
-// SweepConfig shapes a systematic sweep: the cross product of workloads,
+// CrashConfig shapes a workload sweep: the cross product of workloads,
 // fault mixes and derived crash points.
-type SweepConfig struct {
+type CrashConfig struct {
 	// Workloads to sweep; empty means all of Workloads().
 	Workloads []string
 	// Mixes to sweep; empty means DefaultMixes().
@@ -25,31 +25,12 @@ type SweepConfig struct {
 	// CrashLo/CrashHi bound the crash cycle, measured from the start of
 	// the measured phase; points spread log-uniformly between them.
 	CrashLo, CrashHi uint64
-	// Workers sizes the runner pool (0 = GOMAXPROCS).
-	Workers int
-	// Reporter, when non-nil, receives per-case progress callbacks from
-	// the pool (the CLIs wire a live progress line through this).
-	Reporter runner.Reporter
 	// SkipValidation runs every case without recovery's integrity pass.
 	SkipValidation bool
 	// SnapshotEvery, when non-zero, makes every case a boundary-kill: the
 	// crash lands on the first checkpoint boundary at or after the drawn
 	// crash point (see Case.SnapshotEvery).
 	SnapshotEvery uint64
-	// ShrinkBudget, when > 0, bounds the replays spent minimizing each
-	// violation's fault set.
-	ShrinkBudget int
-	// Cache, when non-nil (and CodeVersion non-empty), memoizes case
-	// outcomes across sweeps keyed by the case's canonical encoding and
-	// the code version. Shrunk fault sets are never cached — shrinking
-	// reruns post-cache so the budget always applies to this sweep.
-	Cache       *resultcache.Store
-	CodeVersion string
-	// Context, when non-nil, lets the caller cancel the sweep: cases
-	// already dispatched finish, nothing further starts, and Sweep
-	// returns the partial summary alongside the context's error. Signal
-	// handlers use this to flush partial reports on SIGINT/SIGTERM.
-	Context context.Context
 }
 
 // DefaultMixes is the standard sweep mixture set: the no-fault control,
@@ -66,33 +47,9 @@ func DefaultMixes() []faults.Mix {
 	}
 }
 
-// Summary aggregates a sweep.
-type Summary struct {
-	Total    int             `json:"total"`
-	Counts   map[Verdict]int `json:"counts"`
-	Outcomes []Outcome       `json:"outcomes"`
-}
-
-// Bad counts the outcomes that must fail a CI gate: invariant violations
-// and harness errors.
-func (s *Summary) Bad() int {
-	return s.Counts[VerdictViolation] + s.Counts[VerdictError]
-}
-
-// Violations returns the violation outcomes.
-func (s *Summary) Violations() []Outcome {
-	var out []Outcome
-	for _, o := range s.Outcomes {
-		if o.Verdict == VerdictViolation {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// Cases materializes the sweep's case list deterministically from the
-// configuration: same config, same cases, regardless of worker count.
-func (cfg SweepConfig) Cases() ([]Case, error) {
+// CrashCases materializes the workload sweep's case list
+// deterministically from the configuration: same config, same cases.
+func CrashCases(cfg CrashConfig) ([]Case, error) {
 	workloads := cfg.Workloads
 	if len(workloads) == 0 {
 		workloads = Workloads()
@@ -110,24 +67,17 @@ func (cfg SweepConfig) Cases() ([]Case, error) {
 	if points <= 0 {
 		points = 8
 	}
-	lo, hi := cfg.CrashLo, cfg.CrashHi
-	if lo == 0 {
-		lo = 900
+	draw, err := crashPoints(cfg.Seed, cfg.CrashLo, cfg.CrashHi, 900, 91_000)
+	if err != nil {
+		return nil, err
 	}
-	if hi <= lo {
-		hi = 91_000
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	span := float64(hi) / float64(lo)
 	var cases []Case
 	for _, w := range workloads {
 		for _, mix := range mixes {
 			for p := 0; p < points; p++ {
-				at := uint64(float64(lo) * math.Pow(span, rng.Float64()))
 				cases = append(cases, Case{
 					Workload:       w,
-					CrashAt:        at,
+					CrashAt:        draw(),
 					Seed:           cfg.Seed + int64(len(cases))*7919,
 					Mix:            mix,
 					SkipValidation: cfg.SkipValidation,
@@ -139,18 +89,168 @@ func (cfg SweepConfig) Cases() ([]Case, error) {
 	return cases, nil
 }
 
-// Sweep runs the whole case matrix on a worker pool and aggregates the
-// outcomes, shrinking each violation's fault set when a budget is given.
-// Outcomes keep the submission order of Cases. A cancelled cfg.Context
-// stops dispatching: the summary covers only the cases that actually
-// ran, and the context's error is returned alongside it so callers can
-// flush the partial result and still report the interruption.
-func Sweep(cfg SweepConfig) (*Summary, error) {
-	cases, err := cfg.Cases()
+// TortureConfig shapes a torture sweep: for every (preset, seed) pair one
+// drain-to-completion case plus CrashPoints crash cases, and a block of
+// seeded negative controls that the invariant engine is required to catch.
+type TortureConfig struct {
+	// Presets to sweep; empty means all of Presets().
+	Presets []string
+	// SeedsPerPreset is the number of schedule seeds per preset (0 = 4).
+	SeedsPerPreset int
+	// Seed is the base seed; every case seed derives from it.
+	Seed int64
+	// Threads/Ops shape each generated schedule (0 = 3 threads, 0 = 40 ops).
+	Threads, Ops int
+	// CrashPoints is the number of crash cases per (preset, seed) pair
+	// (0 = 2); crash cycles spread log-uniformly in [CrashLo, CrashHi].
+	CrashPoints      int
+	CrashLo, CrashHi uint64
+	// Mix is the crash-time fault mixture.
+	Mix faults.Mix
+	// Stride overrides the invariant-check stride (0 = per-case default).
+	Stride uint64
+	// NegativeControls is the number of seeded commit-rule-breaking cases
+	// (0 = 2; negative to disable). Each must come back as a violation.
+	NegativeControls int
+}
+
+// TortureCases materializes the torture sweep's case list
+// deterministically from the configuration: same config, same cases.
+func TortureCases(cfg TortureConfig) ([]Case, error) {
+	if len(cfg.Presets) == 0 {
+		cfg.Presets = PresetNames()
+	}
+	for _, p := range cfg.Presets {
+		if _, err := presetByName(p); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.SeedsPerPreset <= 0 {
+		cfg.SeedsPerPreset = 4
+	}
+	if cfg.Threads <= 0 {
+		cfg.Threads = 3
+	}
+	if cfg.Ops <= 0 {
+		cfg.Ops = 40
+	}
+	if cfg.CrashPoints == 0 {
+		cfg.CrashPoints = 2
+	}
+	if cfg.NegativeControls == 0 {
+		cfg.NegativeControls = 2
+	}
+	draw, err := crashPoints(cfg.Seed, cfg.CrashLo, cfg.CrashHi, 800, 120_000)
 	if err != nil {
 		return nil, err
 	}
-	ctx := cfg.Context
+	var cases []Case
+	for _, p := range cfg.Presets {
+		for s := 0; s < cfg.SeedsPerPreset; s++ {
+			// The drain-to-completion case, then the crash cases.
+			for cp := 0; cp <= max(cfg.CrashPoints, 0); cp++ {
+				c := Case{Preset: p, Seed: cfg.Seed + int64(len(cases))*7919, Threads: cfg.Threads, Ops: cfg.Ops, Stride: cfg.Stride}
+				if cp > 0 {
+					c.CrashAt, c.Mix = draw(), cfg.Mix
+				}
+				cases = append(cases, c)
+			}
+		}
+	}
+	// The negative controls run under a 2-entry Dependence List with the
+	// commit rule deliberately weakened.
+	for n := 0; n < cfg.NegativeControls; n++ {
+		cases = append(cases, Case{
+			Preset: "dep2", Seed: cfg.Seed + int64(len(cases))*7919,
+			Threads: cfg.Threads, Ops: min(cfg.Ops, 12),
+			NegativeControl: true,
+		})
+	}
+	return cases, nil
+}
+
+// crashPoints returns a seeded draw of crash cycles spread log-uniformly
+// over [lo, hi), after zero bounds take the given defaults. An empty
+// window is an error rather than a silent fallback.
+func crashPoints(seed int64, lo, hi, defLo, defHi uint64) (func() uint64, error) {
+	if lo == 0 {
+		lo = defLo
+	}
+	if hi == 0 {
+		hi = defHi
+	}
+	if hi <= lo {
+		return nil, fmt.Errorf("crashtest: empty crash window: crash-hi %d <= crash-lo %d", hi, lo)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	span := float64(hi) / float64(lo)
+	return func() uint64 { return uint64(float64(lo) * math.Pow(span, rng.Float64())) }, nil
+}
+
+// SweepOptions shapes how a case list runs.
+type SweepOptions struct {
+	// Workers sizes the runner pool (0 = GOMAXPROCS).
+	Workers int
+	// Reporter, when non-nil, receives per-case progress callbacks from
+	// the pool (the CLI wires a live progress line through this).
+	Reporter runner.Reporter
+	// ShrinkBudget, when > 0, bounds the replays spent minimizing each
+	// violation (see Shrink).
+	ShrinkBudget int
+	// Cache, when non-nil (and CodeVersion non-empty), memoizes case
+	// outcomes across sweeps keyed by the case's canonical encoding and
+	// the code version. Shrunk reproducers are never cached — shrinking
+	// reruns post-cache so the budget always applies to this sweep.
+	Cache       *resultcache.Store
+	CodeVersion string
+	// Context, when non-nil, lets the caller cancel the sweep: cases
+	// already dispatched finish, nothing further starts, and Sweep
+	// returns the partial summary alongside the context's error. Signal
+	// handlers use this to flush partial reports on SIGINT/SIGTERM.
+	Context context.Context
+}
+
+// Summary aggregates a sweep.
+type Summary struct {
+	Total    int             `json:"total"`
+	Counts   map[Verdict]int `json:"counts"`
+	Outcomes []Outcome       `json:"outcomes"`
+	// ControlsCaught/ControlsMissed track the seeded negative controls:
+	// caught means the invariant engine returned a violation verdict.
+	ControlsCaught int `json:"controls_caught"`
+	ControlsMissed int `json:"controls_missed"`
+}
+
+// Bad counts the outcomes that must fail a CI gate (see Outcome.Bad).
+func (s *Summary) Bad() int {
+	bad := 0
+	for _, o := range s.Outcomes {
+		if o.Bad() {
+			bad++
+		}
+	}
+	return bad
+}
+
+// Violations returns the non-control violation outcomes.
+func (s *Summary) Violations() []Outcome {
+	var out []Outcome
+	for _, o := range s.Outcomes {
+		if !o.Case.NegativeControl && o.Verdict == VerdictViolation {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// Sweep runs a case list on a worker pool and aggregates the outcomes,
+// shrinking each violation when a budget is given. Outcomes keep the
+// order of cases. A cancelled opt.Context stops dispatching: the summary
+// covers only the cases that actually ran, and the context's error is
+// returned alongside it so callers can flush the partial result and still
+// report the interruption.
+func Sweep(cases []Case, opt SweepOptions) (*Summary, error) {
+	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -158,15 +258,15 @@ func Sweep(cfg SweepConfig) (*Summary, error) {
 	for i, c := range cases {
 		c := c
 		jobs[i] = runner.Job[Outcome]{Label: c.String(), Run: func() Outcome { return RunCase(c) }}
-		if cfg.Cache != nil && cfg.CodeVersion != "" {
-			if key, err := resultcache.CaseKey("crashcase.v1", c, cfg.CodeVersion); err == nil {
-				jobs[i].Cached, jobs[i].Store = resultcache.MemoJSON[Outcome](cfg.Cache, key)
+		if opt.Cache != nil && opt.CodeVersion != "" {
+			if key, err := resultcache.CaseKey("crashcase.v2", c, opt.CodeVersion); err == nil {
+				jobs[i].Cached, jobs[i].Store = resultcache.MemoJSON[Outcome](opt.Cache, key)
 			}
 		}
 	}
-	pool := runner.New(cfg.Workers)
-	if cfg.Reporter != nil {
-		pool.SetReporter(cfg.Reporter)
+	pool := runner.New(opt.Workers)
+	if opt.Reporter != nil {
+		pool.SetReporter(opt.Reporter)
 	}
 	outcomes, err := runner.CollectCtx(ctx, pool, jobs)
 	if err != nil && ctx.Err() == nil {
@@ -181,10 +281,17 @@ func Sweep(cfg SweepConfig) (*Summary, error) {
 		}
 		sum.Outcomes = append(sum.Outcomes, outcomes[i])
 		o := &sum.Outcomes[len(sum.Outcomes)-1]
-		if o.Verdict == VerdictViolation && cfg.ShrinkBudget > 0 && len(o.Faults) > 1 {
-			o.Shrunk = Shrink(o.Case, o.Faults, cfg.ShrinkBudget)
-		}
 		sum.Counts[o.Verdict]++
+		if o.Case.NegativeControl {
+			if o.Verdict == VerdictViolation {
+				sum.ControlsCaught++
+			} else {
+				sum.ControlsMissed++
+			}
+		}
+		if o.Verdict == VerdictViolation && opt.ShrinkBudget > 0 {
+			o.Shrunk = Shrink(*o, opt.ShrinkBudget)
+		}
 	}
 	sum.Total = len(sum.Outcomes)
 	return sum, ctx.Err()

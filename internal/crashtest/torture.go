@@ -1,12 +1,12 @@
-// Package torture is the adversarial robustness harness: it drives
-// randomized, seeded schedules of atomic-region operations on machines
-// whose ASAP structures are squeezed to their minimum sizes (Dependence
-// List of 2, CL List of 1, LH-WPQ depth 1, a saturating Bloom filter, a
-// two-record log buffer), with the invariant engine attached at step
-// granularity, the forward-progress watchdog armed, and — for crash cases
-// — the fault injector installed and a power failure scheduled at an
-// arbitrary cycle. Every case ends in an explicit verdict; a violation
-// shrinks to a minimal schedule by ddmin replay.
+package crashtest
+
+// Torture cases drive randomized, seeded schedules of atomic-region
+// operations on machines whose ASAP structures are squeezed to their
+// minimum sizes (Dependence List of 2, CL List of 1, LH-WPQ depth 1, a
+// saturating Bloom filter, a two-record log buffer), with the invariant
+// engine attached at step granularity, the forward-progress watchdog
+// armed, and — for crash cases — the fault injector installed and a power
+// failure scheduled at an arbitrary cycle.
 //
 // The schedules are data-race-free by construction (slots are guarded by
 // striped mutexes, always acquired in stripe order), so a dependence cycle
@@ -14,22 +14,17 @@
 // artifact. Transfers move value between slots inside one region, making
 // "the slot values sum to the initial total" a crash-recoverable invariant
 // any consistent state must satisfy.
-package torture
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 
-	"asap"
 	"asap/internal/cache"
 	"asap/internal/core"
-	"asap/internal/faults"
 	"asap/internal/invariant"
 	"asap/internal/machine"
-	"asap/internal/recovery"
 	"asap/internal/sim"
 	"asap/internal/stats"
 )
@@ -177,46 +172,7 @@ func presetByName(name string) (Preset, error) {
 			return p, nil
 		}
 	}
-	return Preset{}, fmt.Errorf("torture: unknown preset %q (have %v)", name, PresetNames())
-}
-
-// Case is one torture experiment.
-type Case struct {
-	// Preset names the exhaustion configuration (see Presets).
-	Preset string `json:"preset"`
-	// Seed derives the schedule and the fault decisions.
-	Seed int64 `json:"seed"`
-	// Threads and Ops shape the generated schedule (Ops per thread).
-	Threads int `json:"threads"`
-	Ops     int `json:"ops"`
-	// CrashAt, when nonzero, schedules a power failure that many cycles
-	// after setup drains; the case then goes through the public recovery
-	// path and verifies the sum invariant on the recovered image.
-	CrashAt uint64 `json:"crash_at,omitempty"`
-	// Mix is the crash-time fault mixture (crash cases only).
-	Mix faults.Mix `json:"mix,omitempty"`
-	// NegativeControl enables core.Options.UnsafeEarlyLogFree: the seeded
-	// protocol bug the invariant engine must catch (expected verdict:
-	// violation, CheckCommitRule).
-	NegativeControl bool `json:"negative_control,omitempty"`
-	// Stride is the invariant-check stride in kernel steps (0 = 16).
-	Stride uint64 `json:"stride,omitempty"`
-	// Schedule, when non-nil, replaces the generated schedule: the replay
-	// and shrinking mode.
-	Schedule []Op `json:"schedule,omitempty"`
-	// Replay, when non-nil, inflicts exactly these fault events.
-	Replay []faults.Event `json:"replay,omitempty"`
-}
-
-func (c Case) String() string {
-	s := fmt.Sprintf("%s seed %d %dx%d", c.Preset, c.Seed, c.Threads, c.Ops)
-	if c.CrashAt > 0 {
-		s += fmt.Sprintf(" crash@%d mix %s", c.CrashAt, c.Mix)
-	}
-	if c.NegativeControl {
-		s += " [negative-control]"
-	}
-	return s
+	return Preset{}, fmt.Errorf("crashtest: unknown preset %q (have %v)", name, PresetNames())
 }
 
 // schedule returns the case's effective op list.
@@ -227,69 +183,18 @@ func (c Case) schedule() []Op {
 	return Generate(c.Seed, c.Threads, c.Ops)
 }
 
-// Verdict classifies a torture outcome.
-type Verdict string
-
-// The verdicts.
-const (
-	// VerdictPass: the run drained (or recovered cleanly), every invariant
-	// held at every checked step, and the sum invariant holds.
-	VerdictPass Verdict = "pass"
-	// VerdictRecovered: crash-time faults fired, recovery repaired them,
-	// invariants hold.
-	VerdictRecovered Verdict = "recovered"
-	// VerdictDetected: crash-time faults fired and recovery refused with a
-	// corruption error — the correct fail-stop outcome.
-	VerdictDetected Verdict = "detected"
-	// VerdictViolation: the invariant engine flagged a protocol violation,
-	// or a recovered image failed the sum invariant.
-	VerdictViolation Verdict = "violation"
-	// VerdictStall: the kernel stopped without draining — deadlock or
-	// watchdog-diagnosed livelock — with the structured diagnosis attached.
-	VerdictStall Verdict = "stall"
-	// VerdictError: the harness itself failed (a panic, unloadable state):
-	// an undiagnosed failure, always a bug.
-	VerdictError Verdict = "error"
-)
-
-// Outcome is the result of one torture case.
-type Outcome struct {
-	Case    Case    `json:"case"`
-	Verdict Verdict `json:"verdict"`
-	Detail  string  `json:"detail,omitempty"`
-	// Violations holds the invariant engine's findings (bounded).
-	Violations []string `json:"violations,omitempty"`
-	// Stall carries the forward-progress diagnosis for stall verdicts.
-	Stall string `json:"stall,omitempty"`
-	// Faults is every injected crash-time event, in decision order.
-	Faults []faults.Event `json:"faults,omitempty"`
-	// Shrunk is the minimal schedule still reproducing a violation,
-	// filled by Shrink.
-	Shrunk []Op `json:"shrunk,omitempty"`
-	// Cycles and Regions summarize how much work the case did.
-	Cycles  uint64 `json:"cycles"`
-	Regions int64  `json:"regions"`
-	// Checks is the number of full invariant passes that ran.
-	Checks uint64 `json:"checks"`
-}
-
 // WatchdogWindow is the no-progress budget for torture runs, sized far
 // above any legitimate quiet period of the squeezed configurations.
 const WatchdogWindow = 500_000
 
-// RunCase executes one torture case end to end.
-func RunCase(c Case) (out Outcome) {
-	out = Outcome{Case: c}
-	defer func() {
-		if p := recover(); p != nil {
-			out.Verdict, out.Detail = VerdictError, fmt.Sprintf("harness panic: %v", p)
-		}
-	}()
-
+// runTorture runs a torture case: the schedule on the preset's machine
+// under the invariant engine and watchdog, then, for a crash case, the
+// shared post-crash step with the slot-sum check.
+func runTorture(c Case, out *Outcome) {
 	preset, err := presetByName(c.Preset)
 	if err != nil {
 		out.Verdict, out.Detail = VerdictError, err.Error()
-		return out
+		return
 	}
 
 	mc := machine.DefaultConfig()
@@ -337,14 +242,9 @@ func RunCase(c Case) (out Outcome) {
 		Snapshot: eng.DepGraphString,
 	})
 
-	var inj *faults.Injector
+	var pf *powerFailure
 	if c.CrashAt > 0 {
-		if c.Replay != nil {
-			inj = faults.Replay(c.Replay)
-		} else {
-			inj = faults.New(c.Seed, c.Mix)
-		}
-		m.Fabric.SetFaultInjector(inj)
+		pf = armPowerFailure(c, m, eng)
 	}
 
 	// Shared state: slot counters, striped locks, per-thread scratch.
@@ -366,14 +266,6 @@ func RunCase(c Case) (out Outcome) {
 		}
 	}
 
-	var cs *core.CrashState
-	crash := func() {
-		if inj != nil {
-			inj.SetScope(eng.UncommittedRIDs())
-		}
-		cs = eng.Crash()
-	}
-
 	m.K.Spawn("driver", func(t *sim.Thread) {
 		eng.InitThread(t)
 		for _, addr := range slots {
@@ -384,8 +276,8 @@ func RunCase(c Case) (out Outcome) {
 		eng.DrainBarrier(t)
 
 		start := t.Kernel().Now()
-		if c.CrashAt > 0 {
-			m.K.Schedule(start+c.CrashAt, crash)
+		if pf != nil {
+			m.K.Schedule(start+c.CrashAt, pf.crash)
 		}
 		done := 0
 		for th := range perThread {
@@ -417,89 +309,44 @@ func RunCase(c Case) (out Outcome) {
 		if runErr != nil {
 			out.Detail += "; run also stalled: " + runErr.Error()
 		}
-		return out
+		return
 	}
 	if runErr != nil {
 		var se *sim.StallError
 		if errors.As(runErr, &se) {
 			out.Verdict, out.Stall = VerdictStall, se.Error()
 			out.Detail = fmt.Sprintf("%s at cycle %d: %d threads blocked", se.Kind, se.At, len(se.Blocked))
-			return out
+			return
 		}
 		out.Verdict, out.Detail = VerdictError, runErr.Error()
-		return out
+		return
 	}
 
-	wantSum := uint64(Slots) * InitialSlotValue
-	if cs == nil && c.CrashAt > 0 {
-		// The run drained before the crash point: crash the idle machine.
-		crash()
-	}
-	if cs == nil {
-		// Clean run: the functional heap must satisfy the sum invariant.
-		var sum uint64
+	const wantSum = uint64(Slots) * InitialSlotValue
+	slotSum := func(read func(uint64) uint64) (sum uint64) {
 		for _, addr := range slots {
-			sum += m.Heap.ReadU64(addr)
+			sum += read(addr)
 		}
-		if sum != wantSum {
+		return sum
+	}
+	if pf == nil {
+		// Clean run: the functional heap must satisfy the sum invariant.
+		if sum := slotSum(m.Heap.ReadU64); sum != wantSum {
 			out.Verdict = VerdictViolation
 			out.Detail = fmt.Sprintf("slot sum %d != initial %d after clean run", sum, wantSum)
-			return out
+			return
 		}
-		out.Verdict = VerdictPass
-		return out
+		out.Verdict = VerdictClean
+		return
 	}
-	return recoverAndVerify(&out, cs, inj, slots, wantSum)
-}
-
-// recoverAndVerify pushes a crash state through the public recovery path
-// and checks the sum invariant on the recovered image.
-func recoverAndVerify(out *Outcome, cs *core.CrashState, inj *faults.Injector, slots []uint64, wantSum uint64) Outcome {
-	var ranges []faults.Range
-	for _, ext := range cs.Logs {
-		ranges = append(ranges, faults.Range{Base: ext.Base, Size: ext.Size})
-	}
-	inj.FlipBits(cs.Image, ranges)
-	out.Faults = inj.Events()
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cs); err != nil {
-		out.Verdict, out.Detail = VerdictError, "encoding crash state: "+err.Error()
-		return *out
-	}
-	pub, err := asap.LoadCrashState(&buf)
-	if err != nil {
-		out.Verdict, out.Detail = VerdictError, err.Error()
-		return *out
-	}
-	if _, err := pub.Recover(); err != nil {
-		var ce *recovery.CorruptionError
-		if errors.As(err, &ce) {
-			if len(out.Faults) > 0 {
-				out.Verdict, out.Detail = VerdictDetected, err.Error()
-			} else {
-				out.Verdict, out.Detail = VerdictViolation, "corruption reported without any injected fault: "+err.Error()
-			}
-			return *out
+	if pf.recoverAndCheck(out, func(read func(uint64) uint64) string {
+		if sum := slotSum(read); sum != wantSum {
+			return fmt.Sprintf("recovered slot sum %d != initial %d (non-atomic state)", sum, wantSum)
 		}
-		out.Verdict, out.Detail = VerdictError, err.Error()
-		return *out
+		return ""
+	}) != nil {
+		out.passed()
 	}
-	var sum uint64
-	for _, addr := range slots {
-		sum += pub.ReadUint64(addr)
-	}
-	if sum != wantSum {
-		out.Verdict = VerdictViolation
-		out.Detail = fmt.Sprintf("recovered slot sum %d != initial %d (non-atomic state)", sum, wantSum)
-		return *out
-	}
-	if len(out.Faults) > 0 {
-		out.Verdict = VerdictRecovered
-	} else {
-		out.Verdict = VerdictPass
-	}
-	return *out
 }
 
 func strideOf(c Case) uint64 {
@@ -583,18 +430,12 @@ func unlockSlots(t *sim.Thread, stripes []sim.Mutex, a, b int) {
 
 func storeU64(e *core.Engine, t *sim.Thread, addr, v uint64) {
 	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	e.Store(t, addr, b[:])
 }
 
 func loadU64(e *core.Engine, t *sim.Thread, addr uint64) uint64 {
 	var b [8]byte
 	e.Load(t, addr, b[:])
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+	return binary.LittleEndian.Uint64(b[:])
 }

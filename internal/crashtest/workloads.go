@@ -4,9 +4,107 @@ import (
 	"fmt"
 
 	"asap"
+	"asap/internal/core"
+	"asap/internal/machine"
 	"asap/internal/sim"
+	"asap/internal/snapshot"
 	"asap/internal/workload"
 )
+
+// machineConfig is the fixed machine for every workload case: small
+// enough to run hundreds of cases quickly, slow enough PM that crash
+// points land inside long uncommitted windows.
+func machineConfig() machine.Config {
+	cfg := machine.DefaultConfig()
+	cfg.Cores = 4
+	cfg.Mem.Controllers, cfg.Mem.ChannelsPerMC = 1, 2
+	cfg.Mem.WPQEntries = 8
+	cfg.Mem.PMWriteCycles = 900
+	return cfg
+}
+
+// workloadConfig is the fixed pre-crash workload shape.
+func workloadConfig(seed int64, crashed func(start uint64)) workload.Config {
+	return workload.Config{
+		ValueBytes:     64,
+		InitialItems:   16,
+		Threads:        3,
+		OpsPerThread:   40,
+		Seed:           seed,
+		SetupInRegions: true,
+		MeasureStarted: crashed,
+	}
+}
+
+// runWorkload runs a workload case: the named structure through the
+// public workload path up to the crash, then the shared post-crash step
+// with the structure's verify check, then a reboot on the recovered image
+// that must let the workload continue.
+func runWorkload(c Case, out *Outcome) {
+	run, err := newWorkloadRun(c.Workload)
+	if err != nil {
+		out.Verdict, out.Detail = VerdictError, err.Error()
+		return
+	}
+
+	m := machine.New(machineConfig())
+	e := core.NewEngine(m, core.DefaultOptions())
+	pf := armPowerFailure(c, m, e)
+
+	env := &workload.Env{M: m, S: e}
+	var wcfg workload.Config
+	if c.SnapshotEvery > 0 {
+		// Boundary-kill family: the crash fires from the checkpointer's
+		// own boundary callback, after the state digest is taken — the
+		// worst-case instant for a checkpoint publisher.
+		var measuredStart uint64
+		started := false
+		ck := &machine.Checkpointer{
+			M: m, Scheme: e,
+			Identity: c.String(), Seed: c.Seed,
+			Every: c.SnapshotEvery,
+			OnBoundary: func(s snapshot.Snap) bool {
+				if !started || s.Cycle < measuredStart+c.CrashAt {
+					return true
+				}
+				pf.crash()
+				return false
+			},
+		}
+		ck.Arm()
+		wcfg = workloadConfig(c.Seed, func(start uint64) {
+			measuredStart, started = start, true
+		})
+	} else {
+		wcfg = workloadConfig(c.Seed, func(start uint64) {
+			m.K.Schedule(start+c.CrashAt, pf.crash)
+		})
+	}
+	func() {
+		defer func() { _ = recover() }() // a halt mid-run may strand the driver
+		workload.Run(env, run.bench(), wcfg)
+	}()
+
+	pub := pf.recoverAndCheck(out, run.verify)
+	if pub == nil {
+		return
+	}
+	// Reboot on the recovered image and keep going: recovery must leave a
+	// machine the workload can actually continue on.
+	sysCfg := asap.DefaultConfig()
+	sysCfg.Cores = 2
+	sysCfg.MemoryControllers, sysCfg.ChannelsPerMC = 1, 1
+	sys2, err := asap.NewSystemFromCrash(sysCfg, pub)
+	if err != nil {
+		out.Verdict, out.Detail = VerdictError, "reboot: "+err.Error()
+		return
+	}
+	if problem := run.post(sys2, c.Seed+1); problem != "" {
+		out.Verdict, out.Detail = VerdictViolation, "after reboot: "+problem
+		return
+	}
+	out.passed()
+}
 
 // workloadRun binds one case's benchmark instance to the invariant checks
 // that run against its recovered state. The same instance must serve all
@@ -95,14 +193,10 @@ func (sc *stripeCounter) Op(c *Ctx, i int) {
 
 // Check implements workload.Benchmark.
 func (sc *stripeCounter) Check(c *Ctx) string {
-	return sc.check(c.LoadU64)
+	return sc.verify(c.LoadU64)
 }
 
 func (sc *stripeCounter) verify(read func(uint64) uint64) string {
-	return sc.check(read)
-}
-
-func (sc *stripeCounter) check(read func(uint64) uint64) string {
 	sum := uint64(0)
 	for i, slot := range sc.slots {
 		v := read(slot)

@@ -19,8 +19,8 @@ const rateWindow = 5 * time.Second
 const maxWindowSamples = 512
 
 // Snapshot is a point-in-time view of a Progress. It is the shared
-// currency between the interactive -progress lines (asapbench,
-// asapcrash, asaptorture) and the daemon's per-job progress streaming:
+// currency between the interactive -progress lines (asapbench and both
+// asapcrash sweeps) and the daemon's per-job progress streaming:
 // both sides read the same counters, rate, and ETA from the same
 // sliding-window implementation.
 type Snapshot struct {
