@@ -33,12 +33,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
 
 	"asap/internal/experiment"
+	"asap/internal/obs"
 	"asap/internal/report"
 	"asap/internal/resultcache"
 	"asap/internal/runner"
@@ -78,7 +78,7 @@ func run() int {
 	chart := flag.Bool("chart", false, "render tables as ASCII bar charts")
 	parallel := flag.Int("parallel", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	jsonPath := flag.String("json", "", "write per-experiment and per-job timings as JSON to this path")
-	progress := flag.Bool("progress", isTerminal(os.Stderr), "print a live progress line to stderr")
+	progress := flag.Bool("progress", report.IsTerminal(os.Stderr), "print a live progress line to stderr")
 	cacheDir := flag.String("cache-dir", "", "result-cache directory: cells keyed by (config, seed, code version) are reused across runs")
 	noCache := flag.Bool("no-cache", false, "bypass the result cache even when -cache-dir is set")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "audit mode: capture machine-state digests every N cycles in every run (output-neutral)")
@@ -92,7 +92,7 @@ func run() int {
 	}
 
 	if *cpuProfile != "" {
-		stop, err := startCPUProfile(*cpuProfile)
+		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "asapbench: %v\n", err)
 			return 1
@@ -101,7 +101,7 @@ func run() int {
 	}
 	if *memProfile != "" {
 		defer func() {
-			if err := writeHeapProfile(*memProfile); err != nil {
+			if err := obs.WriteHeapProfile(*memProfile); err != nil {
 				fmt.Fprintf(os.Stderr, "asapbench: %v\n", err)
 			}
 		}()
@@ -214,43 +214,4 @@ func writeJSON(path string, rep timingReport) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// startCPUProfile begins CPU profiling into path and returns the stop
-// function that also closes the file.
-func startCPUProfile(path string) (func(), error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
-}
-
-// writeHeapProfile snapshots the heap (after a GC, so the profile shows
-// live objects plus accurate allocation totals) into path.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// isTerminal reports whether f is a character device, gating the default
-// progress line so piped/CI output stays clean.
-func isTerminal(f *os.File) bool {
-	fi, err := f.Stat()
-	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }

@@ -7,14 +7,23 @@
 // engine and watchdog, with crash cases mixed in and seeded negative
 // controls that must be caught and are shrunk to a minimal schedule.
 //
-// Exit codes: 0 no bad case, 1 a violation, undiagnosed stall, harness
-// error or missed control, 2 usage, 130 interrupted (the partial report
-// is still written).
+// When the crash sweep's flags select exactly one case, -save FILE writes
+// that case's crash state instead of sweeping it, and "asapcrash recover
+// FILE" recovers the state in a separate process, as a machine powered
+// back on would, printing the recovery summary or the classified
+// findings that made recovery refuse.
+//
+// Exit codes: 0 no bad case (recover: recovered), 1 a violation,
+// undiagnosed stall, harness error, missed control or unreadable crash
+// state, 2 usage, 3 recovery refused on a corrupt image (recover only),
+// 130 interrupted (the partial report is still written).
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,8 +34,10 @@ import (
 	"strings"
 	"syscall"
 
+	"asap"
 	"asap/internal/crashtest"
 	"asap/internal/faults"
+	"asap/internal/recovery"
 	"asap/internal/report"
 	"asap/internal/resultcache"
 )
@@ -41,17 +52,22 @@ type plan struct {
 	shrink   int
 	seedNote string // appended to the case-count line
 	controls bool   // print the negative-control tally
+	save     string // crash mode: write the one case's crash state here
 	ok, fail string
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	p, mode := &plan{name: "asapcrash"}, crashMode
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		if args[0] != "torture" {
-			fmt.Fprintf(stderr, "asapcrash: unknown subcommand %q (have: torture)\n", args[0])
+		switch args[0] {
+		case "torture":
+			p.name, mode, args = "asapcrash torture", tortureMode, args[1:]
+		case "recover":
+			return recoverFile(args[1:], stdout, stderr)
+		default:
+			fmt.Fprintf(stderr, "asapcrash: unknown subcommand %q (have: torture, recover)\n", args[0])
 			return 2
 		}
-		p.name, mode, args = "asapcrash torture", tortureMode, args[1:]
 	}
 	fs := flag.NewFlagSet(p.name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -59,14 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write the full JSON report to this file")
 	verbose := fs.Bool("v", false, "print every non-clean outcome")
-	// The progress line defaults on only at a terminal, so piped/CI
-	// output stays clean.
-	tty := false
-	if f, ok := stderr.(*os.File); ok {
-		fi, err := f.Stat()
-		tty = err == nil && fi.Mode()&os.ModeCharDevice != 0
-	}
-	progress := fs.Bool("progress", tty, "print a live progress line to stderr")
+	progress := fs.Bool("progress", report.IsTerminal(stderr), "print a live progress line to stderr")
 	cacheDir := fs.String("cache-dir", "", "result-cache directory: case outcomes keyed by (case, code version) are reused across sweeps")
 	noCache := fs.Bool("no-cache", false, "bypass the result cache even when -cache-dir is set")
 	if err := fs.Parse(args); err != nil {
@@ -75,6 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := resolve(stdout); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
+	}
+	if p.save != "" {
+		return saveCrash(p.save, p.cases, stdout, stderr)
 	}
 
 	opt := crashtest.SweepOptions{Workers: *workers, ShrinkBudget: p.shrink}
@@ -187,6 +199,62 @@ func printOutcome(w io.Writer, o crashtest.Outcome, verbose bool) {
 	}
 }
 
+// saveCrash writes the crash state of the one selected case to path and
+// prints its fault events.
+func saveCrash(path string, cases []crashtest.Case, stdout, stderr io.Writer) int {
+	if len(cases) != 1 {
+		fmt.Fprintf(stderr, "asapcrash: -save needs flags that select exactly one case; these select %d\n", len(cases))
+		return 2
+	}
+	var buf bytes.Buffer
+	events, err := crashtest.SaveCrash(cases[0], &buf)
+	if err == nil {
+		err = os.WriteFile(path, buf.Bytes(), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "asapcrash:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "asapcrash: saved %s to %s (%d fault events)\n", cases[0], path, len(events))
+	for _, ev := range events {
+		fmt.Fprintf(stdout, "    %s\n", ev)
+	}
+	return 0
+}
+
+// recoverFile is "asapcrash recover FILE": it loads a crash state written
+// by -save and recovers it through the public crash path.
+func recoverFile(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 1 || strings.HasPrefix(args[0], "-") {
+		fmt.Fprintln(stderr, "usage: asapcrash recover FILE")
+		return 2
+	}
+	var rep *asap.RecoveryReport
+	f, err := os.Open(args[0])
+	if err == nil {
+		defer f.Close()
+		var cs *asap.CrashState
+		if cs, err = asap.LoadCrashState(f); err == nil {
+			rep, err = cs.Recover()
+		}
+	}
+	var ce *recovery.CorruptionError
+	switch {
+	case errors.As(err, &ce):
+		fmt.Fprintf(stdout, "recovery refused: %d unrecoverable finding(s); the image was left untouched\n", len(ce.Fatal))
+		for _, c := range ce.Fatal {
+			fmt.Fprintf(stdout, "    %s\n", c)
+		}
+		return 3
+	case err != nil:
+		fmt.Fprintln(stderr, "asapcrash recover:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "recovered: %d uncommitted regions rolled back, %d undo entries applied\n",
+		rep.Uncommitted, rep.EntriesRestored)
+	return 0
+}
+
 // crashMode registers the crash-consistency sweep's flags.
 func crashMode(fs *flag.FlagSet, p *plan) func(io.Writer) error {
 	var cfg crashtest.CrashConfig
@@ -199,6 +267,7 @@ func crashMode(fs *flag.FlagSet, p *plan) func(io.Writer) error {
 	fs.BoolVar(&cfg.SkipValidation, "skip-validation", false, "recover without the integrity pass (negative control: expect failures)")
 	fs.Uint64Var(&cfg.SnapshotEvery, "snapshot-every", 0, "boundary-kill family: land every crash on the first checkpoint boundary at or after its crash point (0 = off)")
 	fs.IntVar(&p.shrink, "shrink", 32, "replay budget for minimizing each violation's fault set (0 = off)")
+	fs.StringVar(&p.save, "save", "", "write the crash state of the one case the flags select to this file instead of sweeping (recover it with: asapcrash recover FILE)")
 	p.ok, p.fail = "OK: zero invariant violations", "FAIL: %d violation/error case(s)"
 	return func(io.Writer) (err error) {
 		if *workloads != "" {

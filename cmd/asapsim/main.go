@@ -22,8 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
@@ -34,63 +33,72 @@ import (
 	"asap/internal/workload"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	bench := flag.String("bench", "Q", "benchmark: BN BT CT EO HM Q RB SS TPCC")
-	scheme := flag.String("scheme", "ASAP", "scheme: NP SW SW-DPOOnly HWUndo HWRedo ASAP ASAP-Redo")
-	threads := flag.Int("threads", 4, "worker threads")
-	ops := flag.Int("ops", 500, "operations per thread")
-	items := flag.Int("items", 512, "initial items")
-	value := flag.Int("value", 64, "value bytes per operation (paper: 64 or 2048)")
-	pmmult := flag.Int("pmmult", 1, "PM latency multiplier (1, 2, 4, 16)")
-	lhwpq := flag.Int("lhwpq", 0, "LH-WPQ entries per channel (0 = default 128)")
-	verbose := flag.Bool("v", false, "dump all hardware counters")
-	traceN := flag.Int("trace", 0, "print the last N protocol events (ASAP only)")
-	profile := flag.Bool("profile", false, "print the per-thread cycle-accounting table")
-	profileJSON := flag.String("profile-json", "", "write the cycle accounting as JSON to this path")
-	timeline := flag.String("timeline", "", "write a Perfetto/Chrome trace.json timeline to this path")
-	series := flag.String("series", "", "write the occupancy time series to this path (.json for JSON, else CSV)")
-	seriesInterval := flag.Uint64("series-interval", 1000, "time-series sampling interval in cycles")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this path")
-	seed := flag.Int64("seed", 0, "workload RNG seed (0 = default 42)")
-	checkpointEvery := flag.Uint64("checkpoint-every", 0, "take a state snapshot every N cycles (0 = off)")
-	checkpointFile := flag.String("checkpoint-file", "", "write the last snapshot to this path (requires -checkpoint-every)")
-	resumeFrom := flag.String("resume-from", "", "resume: replay to the snapshot at this path, verify digests, continue (requires -checkpoint-every matching the original run)")
-	flag.Parse()
+// schemeNames are the schemes experiment.Run builds.
+var schemeNames = []string{"NP", "SW", "SW-DPOOnly", "HWUndo", "HWRedo", "ASAP", "ASAP-Redo"}
 
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("asapsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "Q", "benchmark: BN BT CT EO HM Q RB SS TPCC")
+	scheme := fs.String("scheme", "ASAP", "scheme: "+strings.Join(schemeNames, " "))
+	threads := fs.Int("threads", 4, "worker threads")
+	ops := fs.Int("ops", 500, "operations per thread")
+	items := fs.Int("items", 512, "initial items")
+	value := fs.Int("value", 64, "value bytes per operation (paper: 64 or 2048)")
+	pmmult := fs.Int("pmmult", 1, "PM latency multiplier (1, 2, 4, 16)")
+	lhwpq := fs.Int("lhwpq", 0, "LH-WPQ entries per channel (0 = default 128)")
+	verbose := fs.Bool("v", false, "dump all hardware counters")
+	traceN := fs.Int("trace", 0, "print the last N protocol events (ASAP only)")
+	profile := fs.Bool("profile", false, "print the per-thread cycle-accounting table")
+	profileJSON := fs.String("profile-json", "", "write the cycle accounting as JSON to this path")
+	timeline := fs.String("timeline", "", "write a Perfetto/Chrome trace.json timeline to this path")
+	series := fs.String("series", "", "write the occupancy time series to this path (.json for JSON, else CSV)")
+	seriesInterval := fs.Uint64("series-interval", 1000, "time-series sampling interval in cycles")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken at exit to this path")
+	seed := fs.Int64("seed", 0, "workload RNG seed (0 = default 42)")
+	checkpointEvery := fs.Uint64("checkpoint-every", 0, "take a state snapshot every N cycles (0 = off)")
+	checkpointFile := fs.String("checkpoint-file", "", "write the last snapshot to this path (requires -checkpoint-every)")
+	resumeFrom := fs.String("resume-from", "", "resume: replay to the snapshot at this path, verify digests, continue (requires -checkpoint-every matching the original run)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch {
+	case workload.ByName(*bench) == nil:
+		fmt.Fprintf(stderr, "asapsim: unknown benchmark %q\n", *bench)
+		return 2
+	case !slices.Contains(schemeNames, *scheme):
+		fmt.Fprintf(stderr, "asapsim: unknown scheme %q (have %s)\n", *scheme, strings.Join(schemeNames, " "))
+		return 2
+	case *threads < 1 || *ops < 1:
+		fmt.Fprintf(stderr, "asapsim: -threads and -ops must be at least 1 (got %d, %d)\n", *threads, *ops)
+		return 2
+	case *checkpointFile != "" && *checkpointEvery == 0:
+		fmt.Fprintln(stderr, "asapsim: -checkpoint-file requires -checkpoint-every")
+		return 2
+	}
+
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "asapsim: %v\n", err)
+		return 1
+	}
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
-			return 1
+			return fail(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer stop()
 	}
 	if *memProfile != "" {
 		defer func() {
-			if err := writeTo(*memProfile, func(w io.Writer) error {
-				runtime.GC()
-				return pprof.WriteHeapProfile(w)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
+			if err := obs.WriteHeapProfile(*memProfile); err != nil {
+				fmt.Fprintf(stderr, "asapsim: %v\n", err)
 			}
 		}()
 	}
 
-	if workload.ByName(*bench) == nil {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *bench)
-		return 2
-	}
 	scale := experiment.Scale{
 		Threads:      *threads,
 		OpsPerThread: *ops,
@@ -138,50 +146,42 @@ func run() int {
 	case *resumeFrom != "":
 		from, err := snapshot.ReadFile(*resumeFrom)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		res, err = experiment.RunResumed(v, *bench, scale, *value, *checkpointEvery, from)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
-			return 1
+			return fail(err)
 		}
-		fmt.Printf("resumed     from cycle %d (digests verified)\n", from.Cycle)
+		fmt.Fprintf(stdout, "resumed     from cycle %d (digests verified)\n", from.Cycle)
 	case *checkpointEvery > 0:
 		var snaps []snapshot.Snap
 		res, snaps = experiment.RunCheckpointed(v, *bench, scale, *value, *checkpointEvery)
-		fmt.Printf("checkpoints %d (every %d cycles)\n", len(snaps), *checkpointEvery)
+		fmt.Fprintf(stdout, "checkpoints %d (every %d cycles)\n", len(snaps), *checkpointEvery)
 		if *checkpointFile != "" {
 			if len(snaps) == 0 {
-				fmt.Fprintf(os.Stderr, "asapsim: run too short for a checkpoint every %d cycles\n", *checkpointEvery)
-				return 1
+				return fail(fmt.Errorf("run too short for a checkpoint every %d cycles", *checkpointEvery))
 			}
 			last := snaps[len(snaps)-1]
 			if err := snapshot.WriteFile(*checkpointFile, last); err != nil {
-				fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
-				return 1
+				return fail(err)
 			}
-			fmt.Printf("snapshot    cycle %d -> %s\n", last.Cycle, *checkpointFile)
+			fmt.Fprintf(stdout, "snapshot    cycle %d -> %s\n", last.Cycle, *checkpointFile)
 		}
 	default:
-		if *checkpointFile != "" {
-			fmt.Fprintln(os.Stderr, "asapsim: -checkpoint-file requires -checkpoint-every")
-			return 2
-		}
 		res = experiment.Run(v, *bench, scale, *value)
 	}
 
-	fmt.Printf("benchmark   %s\n", res.Benchmark)
-	fmt.Printf("scheme      %s\n", res.Scheme)
-	fmt.Printf("ops         %d\n", res.Ops)
-	fmt.Printf("cycles      %d\n", res.Cycles)
-	fmt.Printf("throughput  %.4f ops/kcycle\n", res.Throughput())
-	fmt.Printf("cyc/region  %.1f\n", res.CyclesPerRegion())
-	fmt.Printf("consistency %s\n", orOK(res.CheckErr))
-	fmt.Printf("region lat  p50=%d p95=%d p99=%d cycles\n", res.RegionP50, res.RegionP95, res.RegionP99)
+	fmt.Fprintf(stdout, "benchmark   %s\n", res.Benchmark)
+	fmt.Fprintf(stdout, "scheme      %s\n", res.Scheme)
+	fmt.Fprintf(stdout, "ops         %d\n", res.Ops)
+	fmt.Fprintf(stdout, "cycles      %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "throughput  %.4f ops/kcycle\n", res.Throughput())
+	fmt.Fprintf(stdout, "cyc/region  %.1f\n", res.CyclesPerRegion())
+	fmt.Fprintf(stdout, "consistency %s\n", orOK(res.CheckErr))
+	fmt.Fprintf(stdout, "region lat  p50=%d p95=%d p99=%d cycles\n", res.RegionP50, res.RegionP95, res.RegionP99)
 	if printTrace {
-		fmt.Println(strings.Repeat("-", 40))
-		fmt.Print(buf.String())
+		fmt.Fprintln(stdout, strings.Repeat("-", 40))
+		fmt.Fprint(stdout, buf.String())
 	}
 	if *verbose {
 		names := make([]string, 0, len(res.Stats))
@@ -189,9 +189,9 @@ func run() int {
 			names = append(names, k)
 		}
 		sort.Strings(names)
-		fmt.Println(strings.Repeat("-", 40))
+		fmt.Fprintln(stdout, strings.Repeat("-", 40))
 		for _, k := range names {
-			fmt.Printf("%-24s %12d\n", k, res.Stats[k])
+			fmt.Fprintf(stdout, "%-24s %12d\n", k, res.Stats[k])
 		}
 	}
 
@@ -199,18 +199,16 @@ func run() int {
 		// The exactness invariant is part of the tool's contract: every
 		// thread's buckets must sum to its lifetime.
 		if err := prof.Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "asapsim: profile self-check failed: %v\n", err)
-			return 1
+			return fail(fmt.Errorf("profile self-check failed: %w", err))
 		}
 	}
 	if *profile {
-		fmt.Println(strings.Repeat("-", 40))
-		fmt.Print(prof.String())
+		fmt.Fprintln(stdout, strings.Repeat("-", 40))
+		fmt.Fprint(stdout, prof.String())
 	}
 	if *profileJSON != "" {
 		if err := writeTo(*profileJSON, prof.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
-			return 1
+			return fail(err)
 		}
 	}
 	if *series != "" {
@@ -219,8 +217,7 @@ func run() int {
 			write = rec.WriteJSON
 		}
 		if err := writeTo(*series, write); err != nil {
-			fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
-			return 1
+			return fail(err)
 		}
 	}
 	if *timeline != "" {
@@ -232,8 +229,7 @@ func run() int {
 			return obs.WriteTimeline(w, events, prof, rec)
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "asapsim: %v\n", err)
-			return 1
+			return fail(err)
 		}
 	}
 	return 0

@@ -30,6 +30,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 
 	"asap"
 	"asap/internal/core"
@@ -205,13 +206,11 @@ func (pf *powerFailure) crash() {
 	pf.cs = pf.eng.Crash()
 }
 
-// recoverAndCheck is the post-crash step every case shares. It crashes
-// the idle machine if the run drained before the crash point, flips log
-// bits, then hands the state to the public API only — exactly what a real
-// post-crash process gets — recovers it and runs check on the recovered
-// image. It returns the recovered state, or nil once out holds a
-// detected, violation or error verdict.
-func (pf *powerFailure) recoverAndCheck(out *Outcome, check func(read func(uint64) uint64) string) *asap.CrashState {
+// save completes the power failure — it crashes the idle machine if the
+// run drained before the crash point, then flips log bits — and writes
+// the crash state to w in the format asap.LoadCrashState reads. It
+// returns every injected event.
+func (pf *powerFailure) save(w io.Writer) ([]faults.Event, error) {
 	if pf.cs == nil {
 		pf.crash()
 	}
@@ -222,11 +221,22 @@ func (pf *powerFailure) recoverAndCheck(out *Outcome, check func(read func(uint6
 		ranges = append(ranges, faults.Range{Base: ext.Base, Size: ext.Size})
 	}
 	pf.inj.FlipBits(pf.cs.Image, ranges)
-	out.Faults = pf.inj.Events()
+	if err := gob.NewEncoder(w).Encode(pf.cs); err != nil {
+		return pf.inj.Events(), fmt.Errorf("encoding crash state: %w", err)
+	}
+	return pf.inj.Events(), nil
+}
 
+// recoverAndCheck is the post-crash step every case shares. It saves the
+// crash state, then hands it to the public API only — exactly what a real
+// post-crash process gets — recovers it and runs check on the recovered
+// image. It returns the recovered state, or nil once out holds a
+// detected, violation or error verdict.
+func (pf *powerFailure) recoverAndCheck(out *Outcome, check func(read func(uint64) uint64) string) *asap.CrashState {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pf.cs); err != nil {
-		out.Verdict, out.Detail = VerdictError, "encoding crash state: "+err.Error()
+	var err error
+	if out.Faults, err = pf.save(&buf); err != nil {
+		out.Verdict, out.Detail = VerdictError, err.Error()
 		return nil
 	}
 	pub, err := asap.LoadCrashState(&buf)

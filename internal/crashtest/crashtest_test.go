@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -222,6 +223,35 @@ func TestEmptyCrashWindowRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsRejected: a negative count is an error, not a quiet
+// fall back to the default; zero still means the default, and a negative
+// crash-point or control count still means none.
+func TestNegativeCountsRejected(t *testing.T) {
+	if _, err := CrashCases(CrashConfig{Points: -3}); err == nil {
+		t.Error("CrashCases accepted -3 points")
+	}
+	for _, cfg := range []TortureConfig{{SeedsPerPreset: -1}, {Threads: -1}, {Ops: -1}} {
+		if _, err := TortureCases(cfg); err == nil {
+			t.Errorf("TortureCases accepted %+v", cfg)
+		}
+	}
+	if cases, err := CrashCases(CrashConfig{Workloads: []string{"counter"}, Mixes: []faults.Mix{{}}}); err != nil || len(cases) != 8 {
+		t.Errorf("zero points: %d cases, %v; want the default 8", len(cases), err)
+	}
+	cases, err := TortureCases(TortureConfig{Presets: []string{"dep2"}, SeedsPerPreset: 1, CrashPoints: -1, NegativeControls: -1})
+	if err != nil || len(cases) != 1 {
+		t.Errorf("no crash points, no controls: %d cases, %v; want 1", len(cases), err)
+	}
+}
+
+// TestSaveCrashRejectsTortureCases: only workload cases have a saveable
+// crash state.
+func TestSaveCrashRejectsTortureCases(t *testing.T) {
+	if _, err := SaveCrash(Case{Preset: "dep2", CrashAt: 5000}, io.Discard); err == nil {
+		t.Fatal("SaveCrash accepted a torture case")
+	}
+}
+
 // TestSweepSmall runs a bounded sweep of each kind in-process and
 // requires zero bad outcomes, exercising the runner fan-out path end to
 // end; the torture sweep's negative controls must be caught and shrunk,
@@ -279,8 +309,10 @@ func TestSweepSmall(t *testing.T) {
 				t.Fatal(err)
 			}
 			if sum.Bad() != 0 {
-				for _, v := range sum.Violations() {
-					t.Errorf("violation: %s: %s", v.Case, v.Detail)
+				for _, o := range sum.Outcomes {
+					if o.Bad() {
+						t.Errorf("%s: %s: %s", o.Verdict, o.Case, o.Detail)
+					}
 				}
 				t.Fatalf("%d bad outcomes (counts %v, controls missed %d)",
 					sum.Bad(), sum.Counts, sum.ControlsMissed)

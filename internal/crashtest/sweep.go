@@ -20,7 +20,8 @@ type CrashConfig struct {
 	Mixes []faults.Mix
 	// Seed derives every crash point and per-case fault seed.
 	Seed int64
-	// Points is the number of crash points per (workload, mix) pair.
+	// Points is the number of crash points per (workload, mix) pair
+	// (0 = 8; negative is an error).
 	Points int
 	// CrashLo/CrashHi bound the crash cycle, measured from the start of
 	// the measured phase; points spread log-uniformly between them.
@@ -64,7 +65,10 @@ func CrashCases(cfg CrashConfig) ([]Case, error) {
 		mixes = DefaultMixes()
 	}
 	points := cfg.Points
-	if points <= 0 {
+	if points < 0 {
+		return nil, fmt.Errorf("crashtest: negative crash point count %d", points)
+	}
+	if points == 0 {
 		points = 8
 	}
 	draw, err := crashPoints(cfg.Seed, cfg.CrashLo, cfg.CrashHi, 900, 91_000)
@@ -96,6 +100,7 @@ type TortureConfig struct {
 	// Presets to sweep; empty means all of Presets().
 	Presets []string
 	// SeedsPerPreset is the number of schedule seeds per preset (0 = 4).
+	// A negative SeedsPerPreset, Threads or Ops is an error.
 	SeedsPerPreset int
 	// Seed is the base seed; every case seed derives from it.
 	Seed int64
@@ -125,13 +130,17 @@ func TortureCases(cfg TortureConfig) ([]Case, error) {
 			return nil, err
 		}
 	}
-	if cfg.SeedsPerPreset <= 0 {
+	if cfg.SeedsPerPreset < 0 || cfg.Threads < 0 || cfg.Ops < 0 {
+		return nil, fmt.Errorf("crashtest: negative torture count (seeds %d, threads %d, ops %d)",
+			cfg.SeedsPerPreset, cfg.Threads, cfg.Ops)
+	}
+	if cfg.SeedsPerPreset == 0 {
 		cfg.SeedsPerPreset = 4
 	}
-	if cfg.Threads <= 0 {
+	if cfg.Threads == 0 {
 		cfg.Threads = 3
 	}
-	if cfg.Ops <= 0 {
+	if cfg.Ops == 0 {
 		cfg.Ops = 40
 	}
 	if cfg.CrashPoints == 0 {
@@ -230,17 +239,6 @@ func (s *Summary) Bad() int {
 		}
 	}
 	return bad
-}
-
-// Violations returns the non-control violation outcomes.
-func (s *Summary) Violations() []Outcome {
-	var out []Outcome
-	for _, o := range s.Outcomes {
-		if !o.Case.NegativeControl && o.Verdict == VerdictViolation {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // Sweep runs a case list on a worker pool and aggregates the outcomes,

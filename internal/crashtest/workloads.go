@@ -2,9 +2,11 @@ package crashtest
 
 import (
 	"fmt"
+	"io"
 
 	"asap"
 	"asap/internal/core"
+	"asap/internal/faults"
 	"asap/internal/machine"
 	"asap/internal/sim"
 	"asap/internal/snapshot"
@@ -36,15 +38,57 @@ func workloadConfig(seed int64, crashed func(start uint64)) workload.Config {
 	}
 }
 
-// runWorkload runs a workload case: the named structure through the
-// public workload path up to the crash, then the shared post-crash step
-// with the structure's verify check, then a reboot on the recovered image
-// that must let the workload continue.
+// runWorkload runs a workload case: the pre-crash run, then the shared
+// post-crash step with the structure's verify check, then a reboot on the
+// recovered image that must let the workload continue.
 func runWorkload(c Case, out *Outcome) {
-	run, err := newWorkloadRun(c.Workload)
+	run, pf, err := crashWorkload(c)
 	if err != nil {
 		out.Verdict, out.Detail = VerdictError, err.Error()
 		return
+	}
+	pub := pf.recoverAndCheck(out, run.verify)
+	if pub == nil {
+		return
+	}
+	// Reboot on the recovered image and keep going: recovery must leave a
+	// machine the workload can actually continue on.
+	sysCfg := asap.DefaultConfig()
+	sysCfg.Cores = 2
+	sysCfg.MemoryControllers, sysCfg.ChannelsPerMC = 1, 1
+	sys2, err := asap.NewSystemFromCrash(sysCfg, pub)
+	if err != nil {
+		out.Verdict, out.Detail = VerdictError, "reboot: "+err.Error()
+		return
+	}
+	if problem := run.post(sys2, c.Seed+1); problem != "" {
+		out.Verdict, out.Detail = VerdictViolation, "after reboot: "+problem
+		return
+	}
+	out.passed()
+}
+
+// SaveCrash runs a workload case up to its power failure and writes the
+// crash state to w: the bytes the sweep hands to asap.LoadCrashState, so
+// a separate process can recover them. It returns the injected events.
+func SaveCrash(c Case, w io.Writer) ([]faults.Event, error) {
+	if c.Preset != "" {
+		return nil, fmt.Errorf("crashtest: cannot save torture case %s", c)
+	}
+	_, pf, err := crashWorkload(c)
+	if err != nil {
+		return nil, err
+	}
+	return pf.save(w)
+}
+
+// crashWorkload is a workload case's pre-crash run: the named structure
+// through the public workload path, with the power failure armed at the
+// case's crash point.
+func crashWorkload(c Case) (workloadRun, *powerFailure, error) {
+	run, err := newWorkloadRun(c.Workload)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	m := machine.New(machineConfig())
@@ -84,26 +128,7 @@ func runWorkload(c Case, out *Outcome) {
 		defer func() { _ = recover() }() // a halt mid-run may strand the driver
 		workload.Run(env, run.bench(), wcfg)
 	}()
-
-	pub := pf.recoverAndCheck(out, run.verify)
-	if pub == nil {
-		return
-	}
-	// Reboot on the recovered image and keep going: recovery must leave a
-	// machine the workload can actually continue on.
-	sysCfg := asap.DefaultConfig()
-	sysCfg.Cores = 2
-	sysCfg.MemoryControllers, sysCfg.ChannelsPerMC = 1, 1
-	sys2, err := asap.NewSystemFromCrash(sysCfg, pub)
-	if err != nil {
-		out.Verdict, out.Detail = VerdictError, "reboot: "+err.Error()
-		return
-	}
-	if problem := run.post(sys2, c.Seed+1); problem != "" {
-		out.Verdict, out.Detail = VerdictViolation, "after reboot: "+problem
-		return
-	}
-	out.passed()
+	return run, pf, nil
 }
 
 // workloadRun binds one case's benchmark instance to the invariant checks

@@ -3,9 +3,21 @@ package report
 import (
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
+
+// IsTerminal reports whether w is a character device. It gates the
+// default progress line, so piped and CI output stays clean.
+func IsTerminal(w io.Writer) bool {
+	f, ok := w.(*os.File)
+	if !ok {
+		return false
+	}
+	fi, err := f.Stat()
+	return err == nil && fi.Mode()&os.ModeCharDevice != 0
+}
 
 // rateWindow is the sliding window over which the instantaneous
 // completion rate is measured. Short enough to track phase changes
