@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -89,16 +90,15 @@ func run() int {
 	slog.SetDefault(logger)
 
 	if *killCases > 0 {
-		return runCampaign(campaign.Kill, campaign.Config{Cases: *killCases, Seed: *seed, Control: *control})
+		return runCampaign(os.Stdout, campaign.Kill, campaign.Config{Cases: *killCases, Seed: *seed, Control: *control})
 	}
 	if *ioCases > 0 {
-		return runCampaign(campaign.IO, campaign.Config{Cases: *ioCases, Seed: *seed, Control: *control})
+		return runCampaign(os.Stdout, campaign.IO, campaign.Config{Cases: *ioCases, Seed: *seed, Control: *control})
 	}
 
 	// The result cache lives beside the artifact store by default: both
-	// share the temp+fsync+rename discipline, and a redelivered or
-	// resubmitted sweep re-renders from cached cells instead of
-	// resimulating.
+	// are iofault.Blobs namespaces, and a redelivered or resubmitted
+	// sweep re-renders from cached cells instead of resimulating.
 	if *cacheDir == "" {
 		*cacheDir = filepath.Join(*dir, "resultcache")
 	}
@@ -146,9 +146,8 @@ func run() int {
 		return 1
 	}
 	if cache != nil {
-		ioErrs := d.Metrics.CounterVec("asapd_io_errors_total",
-			"I/O failures on durable paths, by path (journal/store/resultcache/snapshot) and fault class.",
-			"path", "class")
+		// The daemon registered this family and its help text.
+		ioErrs := d.Metrics.CounterVec("asapd_io_errors_total", "", "path", "class")
 		cache.SetErrorHook(func(err error) {
 			ioErrs.With("resultcache", iofault.Classify(err)).Inc()
 		})
@@ -250,11 +249,6 @@ func newSweepExec(cache *resultcache.Store, codeVersion string, observeRuns *met
 	}
 }
 
-// sweepExec runs one job with no metrics attached.
-func sweepExec(ctx context.Context, raw json.RawMessage, cache *resultcache.Store, codeVersion string) ([]byte, error) {
-	return runSweepJob(ctx, raw, cache, codeVersion, nil)
-}
-
 func runSweepJob(ctx context.Context, raw json.RawMessage, cache *resultcache.Store, codeVersion string, observeRuns *metrics.CounterVec) ([]byte, error) {
 	var spec sweep.Spec
 	if err := json.Unmarshal(raw, &spec); err != nil {
@@ -310,14 +304,14 @@ func runSweepJob(ctx context.Context, raw json.RawMessage, cache *resultcache.St
 // -iocampaign N), prints its summary as JSON and exits by its verdict.
 // Under -control the verdict inverts: the run passes only if the audit
 // detected the damage the control causes.
-func runCampaign(run func(campaign.Config) (*campaign.Summary, error), cfg campaign.Config) int {
+func runCampaign(stdout io.Writer, run func(campaign.Config) (*campaign.Summary, error), cfg campaign.Config) int {
 	sum, err := run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asapd: campaign: %v\n", err)
 		return 1
 	}
 	buf, _ := json.MarshalIndent(sum, "", "  ")
-	fmt.Println(string(buf))
+	fmt.Fprintln(stdout, string(buf))
 	if err := sum.Verdict(); err != nil {
 		fmt.Fprintf(os.Stderr, "asapd: %s campaign FAILED: %v\n", sum.Campaign, err)
 		return 1

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"sync"
 	"testing"
 
+	"asap/internal/campaign"
 	"asap/internal/metrics"
 	"asap/internal/queue"
 	"asap/internal/report"
@@ -21,9 +23,9 @@ import (
 func TestSweepExecMatchesCLIBytes(t *testing.T) {
 	raw := json.RawMessage(`{"experiments":["config","area"],"scale":"quick"}`)
 
-	got, err := sweepExec(context.Background(), raw, nil, "")
+	got, err := runSweepJob(context.Background(), raw, nil, "", nil)
 	if err != nil {
-		t.Fatalf("sweepExec: %v", err)
+		t.Fatalf("runSweepJob: %v", err)
 	}
 
 	var spec sweep.Spec
@@ -48,11 +50,11 @@ func TestSweepExecMatchesCLIBytes(t *testing.T) {
 // content address.
 func TestSweepExecDeterministic(t *testing.T) {
 	raw := json.RawMessage(`{"experiments":["config"],"scale":"quick"}`)
-	a, err := sweepExec(context.Background(), raw, nil, "")
+	a, err := runSweepJob(context.Background(), raw, nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sweepExec(context.Background(), raw, nil, "")
+	b, err := runSweepJob(context.Background(), raw, nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestSweepExecDeterministic(t *testing.T) {
 func TestSweepExecOutputNeutralUnderObservation(t *testing.T) {
 	raw := json.RawMessage(`{"experiments":["fig8"],"scale":"quick"}`)
 
-	bare, err := sweepExec(context.Background(), raw, nil, "")
+	bare, err := runSweepJob(context.Background(), raw, nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestSweepExecOutputNeutralUnderObservation(t *testing.T) {
 		mu.Unlock()
 	})
 
-	observed, err := sweepExec(ctx, raw, nil, "")
+	observed, err := runSweepJob(ctx, raw, nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +182,11 @@ func TestSweepExecWarmCacheBytesIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := json.RawMessage(`{"experiments":["fig1"],"scale":"quick"}`)
-	cold, err := sweepExec(context.Background(), raw, store, "asapd-test")
+	cold, err := runSweepJob(context.Background(), raw, store, "asapd-test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := sweepExec(context.Background(), raw, store, "asapd-test")
+	warm, err := runSweepJob(context.Background(), raw, store, "asapd-test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,5 +251,28 @@ func TestSweepExecObserveCacheArtifactsIdentical(t *testing.T) {
 					name, i, a.Name, len(a.Data), c.Name, len(c.Data))
 			}
 		}
+	}
+}
+
+// TestIOCampaignSeed7Golden pins the hostile-I/O campaign byte for byte:
+// FaultFS draws one random number per mutating operation and trips count
+// operations, so an unchanged report proves the durable writers still
+// make the same I/O calls in the same order. docs/iocampaign-seed7.json
+// is `asapd -iocampaign 300 -seed 7` stdout; CI cmps it and the seed-1234
+// file against the real binary.
+func TestIOCampaignSeed7Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("300-case campaign; skipped under -short")
+	}
+	want, err := os.ReadFile("../../docs/iocampaign-seed7.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if code := runCampaign(&got, campaign.IO, campaign.Config{Cases: 300, Seed: 7, Dir: t.TempDir()}); code != 0 {
+		t.Fatalf("campaign exit %d", code)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("report differs from docs/iocampaign-seed7.json:\n%s", got.String())
 	}
 }

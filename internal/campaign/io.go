@@ -316,41 +316,37 @@ func (c *caseRun) auditTableMatches(live []queue.JobInfo, q2 *queue.Queue) {
 
 func (c *caseRun) runStore() {
 	sdir := filepath.Join(c.dir, "store")
-	put := func(st *queue.Store, n int, record map[string][]byte) {
-		for i := 0; i < n; i++ {
-			body := make([]byte, 50+c.rng.Intn(400))
-			c.rng.Read(body)
-			hash, err := st.Put(body)
-			c.note(err)
-			if err == nil {
-				record[hash] = body
-			}
-		}
-	}
 	committed := make(map[string][]byte)
 	attempted := make(map[string][]byte)
+	put := func(st *queue.Store) {
+		body := make([]byte, 50+c.rng.Intn(400))
+		c.rng.Read(body)
+		attempted[queue.HashBytes(body)] = body
+		hash, err := st.Put(body)
+		c.note(err)
+		if err == nil {
+			committed[hash] = body
+		}
+	}
 
 	st, err := queue.OpenStoreFS(iofault.OS{}, sdir)
 	if err != nil {
 		c.failf("phase A open: %v", err)
 		return
 	}
-	put(st, 3+c.rng.Intn(4), committed)
+	for i, n := 0, 3+c.rng.Intn(4); i < n; i++ {
+		put(st)
+	}
 
 	ffs := c.faultFS("objects")
 	st2, err := queue.OpenStoreFS(ffs, sdir)
 	if err != nil {
 		c.refusals++
 	} else {
+		// The bound is redrawn every iteration: docs/iocampaign-*.json
+		// pin the RNG stream this loop draws.
 		for i := 0; i < 5+c.rng.Intn(6); i++ {
-			body := make([]byte, 50+c.rng.Intn(400))
-			c.rng.Read(body)
-			attempted[queue.HashBytes(body)] = body
-			hash, err := st2.Put(body)
-			c.note(err)
-			if err == nil {
-				committed[hash] = body
-			}
+			put(st2)
 		}
 	}
 	c.injected = len(ffs.Log()) > 0
@@ -383,10 +379,13 @@ func (c *caseRun) runStore() {
 			}
 		}
 	}
-	// The reopen swept all temp debris.
-	if n, _ := iofault.SweepTmp(iofault.OS{}, sdir); n != 0 {
-		c.failf("%d temp files survived the reopen sweep", n)
-	}
+	// The reopen swept all temp debris, wherever it lies.
+	filepath.Walk(sdir, func(p string, _ os.FileInfo, err error) error {
+		if tmp, _ := filepath.Match(".tmp-*", filepath.Base(p)); tmp {
+			c.failf("a temp file survived the reopen sweep")
+		}
+		return err
+	})
 }
 
 // --- result cache ---

@@ -463,3 +463,20 @@ func TestPostRunPanicIsAFinding(t *testing.T) {
 		t.Fatalf("problem = %q, want %q", problem, want)
 	}
 }
+
+// TestPostRunStallIsAFinding: a post-recovery body that blocks forever
+// stalls the rebooted machine; the kernel's StallError must come back
+// as a finding instead of leaving the case clean.
+func TestPostRunStallIsAFinding(t *testing.T) {
+	sys, err := asap.NewSystem(asap.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	problem := runPost(sys, 1, func(c *Ctx) string {
+		c.T.WaitUntil(func() bool { return false })
+		return ""
+	})
+	if !strings.HasPrefix(problem, "post-recovery run stalled: ") {
+		t.Fatalf("problem = %q, want a post-recovery stall", problem)
+	}
+}

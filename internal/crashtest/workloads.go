@@ -297,8 +297,9 @@ func (qr *queueRun) post(sys *asap.System, seed int64) string {
 type Ctx = workload.Ctx
 
 // runPost spawns one thread on the rebooted system, lets body operate on
-// the recovered structures, and returns its verdict. A panic anywhere in
-// the rebooted machine is itself a finding, not a harness crash.
+// the recovered structures, and returns its verdict. A panic or a stall
+// (a reboot that deadlocks or livelocks) anywhere in the rebooted
+// machine is itself a finding, not a harness crash or a clean pass.
 func runPost(sys *asap.System, seed int64, body func(c *Ctx) string) (problem string) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -317,6 +318,8 @@ func runPost(sys *asap.System, seed int64, body func(c *Ctx) string) (problem st
 		}
 		scheme.DrainBarrier(t)
 	})
-	m.K.Run()
+	if err := m.K.Run(); err != nil && problem == "" {
+		problem = "post-recovery run stalled: " + err.Error()
+	}
 	return problem
 }

@@ -1,10 +1,12 @@
 // Package iofault is the filesystem seam under every durable path in
-// the service layer (queue journal, artifact store, result cache,
-// snapshot files). It exists for the same reason internal/faults exists
-// under the simulated persist path: the only way to trust recovery code
-// is to run it against the failures it claims to survive. FS is a small
-// interface covering exactly the operations the durable writers use; OS
-// is the passthrough; FaultFS (faultfs.go) is a seeded, deterministic
+// the service layer: the queue journal, snapshot files, and one blob
+// store (Blobs, blobs.go) holding both content-addressed namespaces,
+// the artifact store's objects/ and the result cache's cells/. It
+// exists for the same reason internal/faults exists under the simulated
+// persist path: the only way to trust recovery code is to run it
+// against the failures it claims to survive. FS is a small interface
+// covering exactly the operations the durable writers use; OS is the
+// passthrough; FaultFS (faultfs.go) is a seeded, deterministic
 // adversary injecting ENOSPC, EIO, short writes, torn-at-byte-N syncs,
 // failed renames and kill -9 at chosen operations.
 //
@@ -24,7 +26,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"syscall"
 )
 
@@ -143,78 +144,6 @@ func Classify(err error) string {
 		return ClassNotExist
 	}
 	return ClassOther
-}
-
-// SweepTmp removes .tmp-* debris under root — the half-written temp
-// files a crash mid-commit strands. They are invisible to every reader
-// (never renamed into place) and would otherwise accumulate forever.
-// Returns the number of files reaped. A missing root is not an error.
-func SweepTmp(fsys FS, root string) (int, error) {
-	reaped := 0
-	var walk func(dir string) error
-	walk = func(dir string) error {
-		ents, err := fsys.ReadDir(dir)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		for _, e := range ents {
-			p := filepath.Join(dir, e.Name())
-			if e.IsDir() {
-				if err := walk(p); err != nil {
-					return err
-				}
-				continue
-			}
-			if len(e.Name()) >= 5 && e.Name()[:5] == ".tmp-" {
-				if err := fsys.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-					return err
-				}
-				reaped++
-			}
-		}
-		return nil
-	}
-	if err := walk(root); err != nil {
-		return reaped, err
-	}
-	return reaped, nil
-}
-
-// DirBytes sums the sizes of regular files under root. A missing root
-// counts as zero. Used to seed the per-store byte accounting watermark
-// checks run against.
-func DirBytes(fsys FS, root string) (int64, error) {
-	var total int64
-	var walk func(dir string) error
-	walk = func(dir string) error {
-		ents, err := fsys.ReadDir(dir)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		for _, e := range ents {
-			p := filepath.Join(dir, e.Name())
-			if e.IsDir() {
-				if err := walk(p); err != nil {
-					return err
-				}
-				continue
-			}
-			if info, err := e.Info(); err == nil {
-				total += info.Size()
-			}
-		}
-		return nil
-	}
-	if err := walk(root); err != nil {
-		return total, err
-	}
-	return total, nil
 }
 
 // WriteDurable writes data to path via the full commit discipline:

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"asap/internal/iofault"
 	"asap/internal/metrics"
 )
 
@@ -68,7 +69,7 @@ func newSvcMetrics(reg *metrics.Registry) *svcMetrics {
 			"Journal rotations: checkpoint written into a fresh segment, old segments deleted."),
 
 		ioErrors: reg.CounterVec("asapd_io_errors_total",
-			"I/O failures on durable paths, by path (journal/store/resultcache/snapshot) and fault class.",
+			"I/O failures on durable paths, by path (journal/store/resultcache) and fault class.",
 			"path", "class"),
 		degraded: reg.Gauge("asapd_degraded",
 			"Disk-budget degraded level: 0 healthy, 1 soft (cache shed), 2 hard (intake refused)."),
@@ -119,16 +120,14 @@ func (m *svcMetrics) wire(d *Daemon) {
 		"Records recovered by the last journal replay.").Set(float64(d.JournalRep.Records))
 	reg.Gauge("asapd_journal_replay_torn_bytes",
 		"Trailing bytes discarded as a torn append by the last replay.").Set(float64(d.JournalRep.TornBytes))
+	torn := reg.Counter("asapd_journal_torn_truncations_total", "Journal opens that truncated a torn tail.")
 	if d.JournalRep.TornBytes > 0 {
-		reg.Counter("asapd_journal_torn_truncations_total",
-			"Journal opens that truncated a torn tail.").Inc()
-	} else {
-		reg.Counter("asapd_journal_torn_truncations_total",
-			"Journal opens that truncated a torn tail.")
+		torn.Inc()
 	}
 
 	d.Q.setMetrics(m.transitions)
-	d.St.setMetrics(m.storePuts, m.storeDedup, m.storePutBytes, m.ioErrors)
+	d.St.metPuts, d.St.metDedup, d.St.metPutBytes = m.storePuts, m.storeDedup, m.storePutBytes
+	d.St.blobs.SetErrorHook(func(err error) { m.ioErrors.With("store", iofault.Classify(err)).Inc() })
 
 	depth := reg.GaugeVec("asapd_queue_depth", "Jobs by state (eligible = pending and past backoff gate).", "state")
 	depth.WithFunc(func() float64 { return float64(d.Q.Depths().Pending) }, "pending")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -805,18 +804,6 @@ func (q *Queue) Counters() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// CounterNames returns the touched counter names, sorted.
-func (q *Queue) CounterNames() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	names := make([]string, 0, len(q.ctr))
-	for k := range q.ctr {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Idle reports whether no job is pending or leased — the queue has

@@ -3,54 +3,26 @@ package queue
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 
 	"asap/internal/iofault"
 	"asap/internal/metrics"
 )
 
-// Store is a content-addressed artifact store: objects live at
-// objects/<aa>/<rest-of-sha256>, written via temp-file + fsync + rename
-// + directory fsync so a crash can never leave a half-written object
-// under its final name, and a committed object survives power loss.
-// Puts are idempotent — re-running a redelivered job that produced the
-// same bytes lands on the same address, which is what makes at-least-once
-// execution look exactly-once to every reader.
+// Store is the content-addressed artifact store: an iofault.Blobs under
+// <dir>/objects, addressed "sha256-<digest>". Puts are idempotent — a
+// redelivered job that produced the same bytes lands on the same
+// address, which makes at-least-once execution look exactly-once to
+// every reader.
 type Store struct {
-	dir  string
-	fsys iofault.FS
+	blobs *iofault.Blobs
 
-	// bytes tracks the store's on-disk footprint (objects only), seeded
-	// by a walk at open and advanced by every new object committed. The
-	// disk-budget watermarks read it on the hot path, so it must be a
-	// counter, not a walk.
-	bytes atomic.Int64
-
-	// Service instruments, attached by the daemon; nil-safe.
+	// Service instruments, set by the daemon's metrics wiring; nil-safe.
 	metPuts     *metrics.Counter
 	metDedup    *metrics.Counter
 	metPutBytes *metrics.Counter
-	metIOErrs   *metrics.CounterVec // labels: path, class
 }
-
-// setMetrics attaches put/dedup/byte counters.
-func (s *Store) setMetrics(puts, dedup, bytes *metrics.Counter, ioErrs *metrics.CounterVec) {
-	s.metPuts, s.metDedup, s.metPutBytes, s.metIOErrs = puts, dedup, bytes, ioErrs
-}
-
-// countIOErr charges one I/O failure to the store's error family.
-func (s *Store) countIOErr(err error) {
-	if s.metIOErrs != nil {
-		s.metIOErrs.With("store", iofault.Classify(err)).Inc()
-	}
-}
-
-// ErrBadHash rejects malformed or path-escaping artifact addresses.
-var ErrBadHash = errors.New("queue: malformed artifact hash")
 
 // OpenStore creates (if needed) and opens the object store rooted at
 // dir on the real filesystem.
@@ -58,30 +30,18 @@ func OpenStore(dir string) (*Store, error) {
 	return OpenStoreFS(iofault.OS{}, dir)
 }
 
-// OpenStoreFS opens the store through an explicit filesystem — the seam
-// the hostile-I/O campaign injects faults through. Temp files orphaned
-// by a kill -9 mid-Put (written but never renamed into place) are swept
-// from the whole store tree on open — they are invisible to every
-// reader and would otherwise accumulate forever.
+// OpenStoreFS opens the store through an explicit filesystem, the seam
+// the fault campaigns inject through.
 func OpenStoreFS(fsys iofault.FS, dir string) (*Store, error) {
-	objects := filepath.Join(dir, "objects")
-	if err := fsys.MkdirAll(objects, 0o755); err != nil {
-		return nil, err
-	}
-	if _, err := iofault.SweepTmp(fsys, dir); err != nil {
-		return nil, err
-	}
-	s := &Store{dir: dir, fsys: fsys}
-	n, err := iofault.DirBytes(fsys, objects)
+	b, err := iofault.OpenBlobs(fsys, filepath.Join(dir, "objects"))
 	if err != nil {
 		return nil, err
 	}
-	s.bytes.Store(n)
-	return s, nil
+	return &Store{blobs: b}, nil
 }
 
 // Bytes returns the store's current on-disk footprint.
-func (s *Store) Bytes() int64 { return s.bytes.Load() }
+func (s *Store) Bytes() int64 { return s.blobs.Bytes() }
 
 // HashBytes returns the store address of b: "sha256-" + hex digest.
 func HashBytes(b []byte) string {
@@ -89,76 +49,35 @@ func HashBytes(b []byte) string {
 	return "sha256-" + hex.EncodeToString(sum[:])
 }
 
-// parseHash validates an address and returns its hex digest.
-func parseHash(hash string) (string, error) {
-	hexpart, ok := strings.CutPrefix(hash, "sha256-")
-	if !ok || len(hexpart) != 64 {
-		return "", fmt.Errorf("%w: %q", ErrBadHash, hash)
+// digest maps an address to its blob name; one without the "sha256-"
+// prefix maps to "", which the blobs reject.
+func digest(hash string) string {
+	if d, ok := strings.CutPrefix(hash, "sha256-"); ok {
+		return d
 	}
-	if _, err := hex.DecodeString(hexpart); err != nil {
-		return "", fmt.Errorf("%w: %q", ErrBadHash, hash)
-	}
-	return hexpart, nil
+	return ""
 }
 
-// objectPath maps a validated digest to its on-disk path.
-func (s *Store) objectPath(hexpart string) string {
-	return filepath.Join(s.dir, "objects", hexpart[:2], hexpart[2:])
-}
-
-// Put stores b and returns its address. Existing objects are trusted by
-// name (content addressing makes overwrites pointless) and the write is
-// durable — fsynced, renamed, parent directory fsynced — when Put
-// returns. On any failure the object is absent under its final name:
-// readers see all of it or none of it, and the failed temp file is
-// removed (or swept at next open if even that fails).
+// Put stores b and returns its address. An existing object is trusted
+// by name (content addressing makes overwrites pointless); a new one is
+// durable when Put returns, and absent under its address on failure.
 func (s *Store) Put(b []byte) (string, error) {
 	hash := HashBytes(b)
-	hexpart, _ := parseHash(hash)
-	final := s.objectPath(hexpart)
 	s.metPuts.Inc()
 	s.metPutBytes.Add(float64(len(b)))
-	if _, err := s.fsys.Stat(final); err == nil {
+	if s.blobs.Has(digest(hash)) {
 		s.metDedup.Inc()
-		return hash, nil
-	}
-	dir := filepath.Dir(final)
-	if err := s.fsys.MkdirAll(dir, 0o755); err != nil {
-		s.countIOErr(err)
+	} else if err := s.blobs.Put(digest(hash), b); err != nil {
 		return "", err
 	}
-	if err := iofault.WriteDurable(s.fsys, dir, final, b); err != nil {
-		s.countIOErr(err)
-		return "", err
-	}
-	s.bytes.Add(int64(len(b)))
 	return hash, nil
 }
 
 // Get returns the object at hash.
-func (s *Store) Get(hash string) ([]byte, error) {
-	hexpart, err := parseHash(hash)
-	if err != nil {
-		return nil, err
-	}
-	return s.fsys.ReadFile(s.objectPath(hexpart))
-}
+func (s *Store) Get(hash string) ([]byte, error) { return s.blobs.Get(digest(hash)) }
 
 // Has reports whether the object exists.
-func (s *Store) Has(hash string) bool {
-	hexpart, err := parseHash(hash)
-	if err != nil {
-		return false
-	}
-	_, serr := s.fsys.Stat(s.objectPath(hexpart))
-	return serr == nil
-}
+func (s *Store) Has(hash string) bool { return s.blobs.Has(digest(hash)) }
 
 // Path returns the validated on-disk path for hash (for http.ServeFile).
-func (s *Store) Path(hash string) (string, error) {
-	hexpart, err := parseHash(hash)
-	if err != nil {
-		return "", err
-	}
-	return s.objectPath(hexpart), nil
-}
+func (s *Store) Path(hash string) (string, error) { return s.blobs.Path(digest(hash)) }
