@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"asap/internal/arch"
 	"asap/internal/core"
 	"asap/internal/wal"
 )
@@ -112,6 +113,36 @@ func TestLoadCrashStateMalformedStructure(t *testing.T) {
 		}
 		if _, err := LoadCrashState(&buf); err == nil {
 			t.Errorf("%s: loaded without error", name)
+		}
+	}
+}
+
+// forgedImage gob-encodes the way memdev.Image does, with whatever line
+// payloads it holds.
+type forgedImage map[arch.LineAddr][]byte
+
+func (f forgedImage) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(map[arch.LineAddr][]byte(f))
+	return buf.Bytes(), err
+}
+
+// TestLoadCrashStateBadLineLength forges crash files whose image holds one
+// line of the wrong size: loading must reject each, and accept the same
+// file with a 64 B line.
+func TestLoadCrashStateBadLineLength(t *testing.T) {
+	for _, n := range []int{0, 1, arch.LineSize - 1, arch.LineSize, arch.LineSize + 1} {
+		var buf bytes.Buffer
+		forged := struct{ Image forgedImage }{forgedImage{arch.LineSize: make([]byte, n)}}
+		if err := gob.NewEncoder(&buf).Encode(forged); err != nil {
+			t.Fatalf("%d B line: encode: %v", n, err)
+		}
+		_, err := LoadCrashState(&buf)
+		if n == arch.LineSize && err != nil {
+			t.Errorf("64 B line: %v", err)
+		}
+		if n != arch.LineSize && err == nil {
+			t.Errorf("%d B line loaded without error", n)
 		}
 	}
 }

@@ -21,6 +21,11 @@ type EvictInfo struct {
 // Hierarchy is the full cache system: private L1/L2 per core, a shared
 // inclusive L3, and the tag-extension table.
 //
+// A core's L1 and L2 are built on its first access: the other cores'
+// levels are reached only through a line's holders mask, which names no
+// core that never accessed, so their entries stay nil. Release hands
+// every level back to a pool that the next hierarchy draws from.
+//
 // Hot-path layout (this file plus level.go and meta.go is the machine
 // model's inner loop): every access first probes the core's L1 with a
 // packed-tag scan; an L1 hit — the overwhelmingly common case — returns
@@ -33,7 +38,7 @@ type Hierarchy struct {
 	st     *stats.Set
 	fabric *memdev.Fabric
 	cores  int
-	l1, l2 []*level
+	l1, l2 []*level // nil until the core's first access
 	l3     *level
 	table  *Table
 
@@ -64,7 +69,9 @@ func NewHierarchy(st *stats.Set, fabric *memdev.Fabric, cores int, cfg Config, i
 		st:         st,
 		fabric:     fabric,
 		cores:      cores,
-		l3:         newLevel(cfg.L3),
+		l1:         make([]*level, cores),
+		l2:         make([]*level, cores),
+		l3:         getLevel(cfg.L3),
 		table:      NewTable(isPersistent),
 		nL1Hits:    st.Counter(stats.L1Hits),
 		nL1Misses:  st.Counter(stats.L1Misses),
@@ -74,11 +81,31 @@ func NewHierarchy(st *stats.Set, fabric *memdev.Fabric, cores int, cfg Config, i
 		nL3Misses:  st.Counter(stats.L3Misses),
 		nEvictions: st.Counter(stats.Evictions),
 	}
-	for i := 0; i < cores; i++ {
-		h.l1 = append(h.l1, newLevel(cfg.L1))
-		h.l2 = append(h.l2, newLevel(cfg.L2))
-	}
 	return h
+}
+
+// Release returns every cache array to the pool for the next hierarchy.
+// The caller must not use h afterwards: any access then panics. A
+// hierarchy that is never released is garbage-collected as usual.
+func (h *Hierarchy) Release() {
+	for _, ls := range [][]*level{h.l1, h.l2, {h.l3}} {
+		for _, l := range ls {
+			if l != nil {
+				putLevel(l)
+			}
+		}
+	}
+	h.l1, h.l2, h.l3 = nil, nil, nil
+}
+
+// private returns core's L1, building the core's L1 and L2 on its first
+// access.
+func (h *Hierarchy) private(core int) *level {
+	if h.l1[core] == nil {
+		h.l1[core] = getLevel(h.cfg.L1)
+		h.l2[core] = getLevel(h.cfg.L2)
+	}
+	return h.l1[core]
 }
 
 // SetEvictHook installs the engine's LLC-eviction callback.
@@ -96,7 +123,7 @@ func (h *Hierarchy) Table() *Table { return h.table }
 // CanAccess reports whether an access by core to line could allocate all
 // the slots it needs right now (no set is fully pinned by LockBits).
 func (h *Hierarchy) CanAccess(core int, line arch.LineAddr) bool {
-	if h.l1[core].lookup(line) < 0 && h.l1[core].victim(line) < 0 {
+	if l1 := h.private(core); l1.lookup(line) < 0 && l1.victim(line) < 0 {
 		return false
 	}
 	if h.l2[core].lookup(line) < 0 && h.l2[core].victim(line) < 0 {
@@ -120,6 +147,9 @@ func (h *Hierarchy) Access(core int, line arch.LineAddr, write bool) (latency ui
 	// true. The slot carries the Meta pointer, so the whole hit costs one
 	// packed-tag scan — no map probe, no table call, no victim scan.
 	l1 := h.l1[core]
+	if l1 == nil {
+		l1 = h.private(core)
+	}
 	if si := l1.lookup(line); si >= 0 {
 		m = l1.meta[si]
 		*h.nL1Hits++

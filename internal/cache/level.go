@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/bits"
+	"sync"
 
 	"asap/internal/arch"
 )
@@ -24,6 +25,9 @@ type level struct {
 	lastUse []uint64
 	meta    []*Meta // per-slot metadata: the victim scan's pinned check
 	clock   uint64  // LRU timestamp source
+	// used has one bit per set that ever had an install: every slot
+	// outside those sets is still zero, so reset clears only these.
+	used []uint64
 }
 
 // ceilPow2 rounds n up to the next power of two (minimum 1).
@@ -50,7 +54,60 @@ func newLevel(cfg LevelConfig) *level {
 		dirty:   make([]bool, n),
 		lastUse: make([]uint64, n),
 		meta:    make([]*Meta, n),
+		used:    make([]uint64, (sets+63)/64),
 	}
+}
+
+// reset returns l to the state newLevel builds, in time proportional to
+// the sets it used.
+func (l *level) reset() {
+	for w, word := range l.used {
+		for ; word != 0; word &= word - 1 {
+			lo := (w<<6 + bits.TrailingZeros64(word)) * l.ways
+			hi := lo + l.ways
+			clear(l.tags[lo:hi])
+			clear(l.dirty[lo:hi])
+			clear(l.lastUse[lo:hi])
+			clear(l.meta[lo:hi])
+		}
+		l.used[w] = 0
+	}
+	l.clock = 0
+}
+
+// levelPool holds reset levels for reuse, keyed by their (rounded)
+// configuration. A level enters it only through putLevel, so it never
+// holds more levels than were once live at the same time.
+var levelPool = struct {
+	sync.Mutex
+	free map[LevelConfig][]*level
+}{free: make(map[LevelConfig][]*level)}
+
+// getLevel returns a zeroed level for cfg: a pooled one if there is one,
+// otherwise a new one.
+func getLevel(cfg LevelConfig) *level {
+	cfg.Sets = ceilPow2(cfg.Sets)
+	levelPool.Lock()
+	free := levelPool.free[cfg]
+	var l *level
+	if n := len(free); n > 0 {
+		l = free[n-1]
+		free[n-1] = nil
+		levelPool.free[cfg] = free[:n-1]
+	}
+	levelPool.Unlock()
+	if l == nil {
+		l = newLevel(cfg)
+	}
+	return l
+}
+
+// putLevel resets l and pools it. The caller must hold no other reference.
+func putLevel(l *level) {
+	l.reset()
+	levelPool.Lock()
+	levelPool.free[l.cfg] = append(levelPool.free[l.cfg], l)
+	levelPool.Unlock()
 }
 
 // sets returns the effective (rounded) set count.
@@ -119,6 +176,8 @@ func (l *level) invalidate(line arch.LineAddr) (present, dirty bool) {
 
 // install places line into the given slot (already chosen by victim).
 func (l *level) install(si int, line arch.LineAddr, m *Meta, dirty bool) {
+	set := uint64(line) >> arch.LineShift & l.setMask
+	l.used[set>>6] |= 1 << (set & 63)
 	l.tags[si] = uint64(line) | 1
 	l.meta[si] = m
 	l.dirty[si] = dirty

@@ -27,18 +27,43 @@ func appendLevel(e *snapshot.Enc, l *level) {
 	}
 }
 
+// appendPrivate digests one core's private level, l, of configuration
+// cfg. A level that was never built (nil) digests as a new one.
+func appendPrivate(e *snapshot.Enc, l *level, cfg LevelConfig) {
+	if l != nil {
+		appendLevel(e, l)
+		return
+	}
+	n := ceilPow2(cfg.Sets) * cfg.Ways
+	e.U64(0)
+	e.I64(int64(n))
+	for i := 0; i < n; i++ {
+		e.U64(0)
+	}
+	for i := 0; i < n; i++ {
+		e.Bool(false)
+	}
+	for i := 0; i < n; i++ {
+		e.U64(0)
+	}
+	for i := 0; i < n; i++ {
+		e.U64(^uint64(0))
+	}
+}
+
 // AppendState digests the whole cache system: every private L1/L2, the
 // shared L3, and the tag-extension table in allocation (handle) order —
 // which is deterministic because handle assignment follows first-touch
-// order, itself a scheduling outcome.
+// order, itself a scheduling outcome. A core's levels that were never
+// built digest as empty ones.
 func (h *Hierarchy) AppendState(e *snapshot.Enc) {
 	e.Section("cache")
 	e.I64(int64(h.cores))
 	for _, l := range h.l1 {
-		appendLevel(e, l)
+		appendPrivate(e, l, h.cfg.L1)
 	}
 	for _, l := range h.l2 {
-		appendLevel(e, l)
+		appendPrivate(e, l, h.cfg.L2)
 	}
 	appendLevel(e, h.l3)
 

@@ -86,6 +86,59 @@ func Run(v Variant, bench string, scale Scale, valueBytes int) workload.Result {
 	return res
 }
 
+// newCell builds one cell's machine from mc, with v's PM latency
+// multiplier and LH-WPQ size applied, and v's scheme on it. It is the one
+// place a scheme name becomes a scheme.
+func newCell(v Variant, mc machine.Config) (*machine.Machine, machine.Scheme) {
+	if v.PMMult > 1 {
+		mc.Mem.PMLatencyMult = v.PMMult
+	}
+	if v.LHWPQ > 0 {
+		mc.Mem.LHWPQEntries = v.LHWPQ
+	}
+	m := machine.New(mc)
+	switch v.Scheme {
+	case "NP":
+		return m, schemes.NewNP(m)
+	case "SW":
+		return m, schemes.NewSW(m)
+	case "SW-DPOOnly":
+		return m, schemes.NewSWDPOOnly(m)
+	case "HWUndo":
+		u := schemes.NewHWUndo(m)
+		if truncOverride > 0 {
+			u.TruncateDelay = truncOverride
+		}
+		return m, u
+	case "HWRedo":
+		return m, schemes.NewHWRedo(m)
+	case "ASAP-Redo":
+		return m, schemes.NewASAPRedo(m)
+	case "ASAP":
+		opt := core.DefaultOptions()
+		if v.ASAPOpts != nil {
+			opt = *v.ASAPOpts
+		}
+		eng := core.NewEngine(m, opt)
+		if v.Trace != nil {
+			eng.SetTrace(v.Trace)
+		}
+		return m, eng
+	}
+	panic("experiment: unknown scheme " + v.Scheme)
+}
+
+// runCell runs benchmark b on a new cell of v and mc and then releases
+// the cell's machine (see machine.Release) unless the run stalled.
+func runCell(v Variant, mc machine.Config, b workload.Benchmark, cfg workload.Config) workload.Result {
+	m, s := newCell(v, mc)
+	res := workload.Run(&workload.Env{M: m, S: s}, b, cfg)
+	if res.Stall == nil {
+		m.Release()
+	}
+	return res
+}
+
 // runWithCheckpointer is Run's full-control form: a non-zero every attaches
 // a machine.Checkpointer (returned so callers can read its Snaps), and
 // onBoundary, when non-nil, decides at each boundary whether to continue
@@ -96,45 +149,7 @@ func runWithCheckpointer(v Variant, bench string, scale Scale, valueBytes int,
 	if issueDelayOverride > 0 {
 		mc.Mem.IssueDelayCycles = issueDelayOverride
 	}
-	if v.PMMult > 1 {
-		mc.Mem.PMLatencyMult = v.PMMult
-	}
-	if v.LHWPQ > 0 {
-		mc.Mem.LHWPQEntries = v.LHWPQ
-	}
-	m := machine.New(mc)
-
-	var s machine.Scheme
-	switch v.Scheme {
-	case "NP":
-		s = schemes.NewNP(m)
-	case "SW":
-		s = schemes.NewSW(m)
-	case "SW-DPOOnly":
-		s = schemes.NewSWDPOOnly(m)
-	case "HWUndo":
-		u := schemes.NewHWUndo(m)
-		if truncOverride > 0 {
-			u.TruncateDelay = truncOverride
-		}
-		s = u
-	case "HWRedo":
-		s = schemes.NewHWRedo(m)
-	case "ASAP-Redo":
-		s = schemes.NewASAPRedo(m)
-	case "ASAP":
-		opt := core.DefaultOptions()
-		if v.ASAPOpts != nil {
-			opt = *v.ASAPOpts
-		}
-		eng := core.NewEngine(m, opt)
-		if v.Trace != nil {
-			eng.SetTrace(v.Trace)
-		}
-		s = eng
-	default:
-		panic("experiment: unknown scheme " + v.Scheme)
-	}
+	m, s := newCell(v, mc)
 
 	if v.Obs != nil {
 		m.K.SetObserver(v.Obs)
@@ -187,6 +202,11 @@ func runWithCheckpointer(v Variant, bench string, scale Scale, valueBytes int,
 		// panics in a *PanicError whose Unwrap exposes it, so callers can
 		// still errors.As their way to the *sim.StallError diagnosis.
 		panic(res.Stall)
+	}
+	if ck == nil && v.Obs == nil {
+		// The run finished and no checkpointer or observer reads the
+		// machine any more.
+		m.Release()
 	}
 	if res.CheckErr != "" {
 		panic(fmt.Sprintf("experiment: %s under %s left inconsistent state: %s",

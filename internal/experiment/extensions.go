@@ -8,7 +8,6 @@ import (
 	"asap/internal/machine"
 	"asap/internal/resultcache"
 	"asap/internal/runner"
-	"asap/internal/schemes"
 	"asap/internal/stats"
 	"asap/internal/workload"
 )
@@ -173,30 +172,7 @@ func CoRunning(scale Scale) *Table {
 
 // runMulti is Run's co-running sibling.
 func runMulti(v Variant, mix []string, scale Scale) workload.MultiResult {
-	mc := machine.DefaultConfig()
-	if v.PMMult > 1 {
-		mc.Mem.PMLatencyMult = v.PMMult
-	}
-	m := machine.New(mc)
-	var s machine.Scheme
-	switch v.Scheme {
-	case "NP":
-		s = schemes.NewNP(m)
-	case "SW":
-		s = schemes.NewSW(m)
-	case "HWUndo":
-		s = schemes.NewHWUndo(m)
-	case "HWRedo":
-		s = schemes.NewHWRedo(m)
-	case "ASAP":
-		opt := core.DefaultOptions()
-		if v.ASAPOpts != nil {
-			opt = *v.ASAPOpts
-		}
-		s = core.NewEngine(m, opt)
-	default:
-		panic("experiment: unknown scheme " + v.Scheme)
-	}
+	m, s := newCell(v, machine.DefaultConfig())
 	var benches []workload.Benchmark
 	for _, name := range mix {
 		benches = append(benches, workload.ByName(name))
@@ -209,6 +185,9 @@ func runMulti(v Variant, mix []string, scale Scale) workload.MultiResult {
 		Seed:         42,
 	}
 	res := workload.RunMulti(&workload.Env{M: m, S: s}, benches, cfg)
+	if res.Stall == nil {
+		m.Release()
+	}
 	if len(res.CheckErrs) > 0 {
 		panic(fmt.Sprintf("experiment: co-run inconsistency: %v", res.CheckErrs))
 	}
@@ -250,9 +229,6 @@ func FenceSweep(scale Scale) *Table {
 				// about, but not this table's.)
 				mc := machine.DefaultConfig()
 				mc.Mem.Controllers, mc.Mem.ChannelsPerMC = 1, 2
-				mc.Mem.PMLatencyMult = 4
-				m := machine.New(mc)
-				s := core.NewEngine(m, core.DefaultOptions())
 				cfg := workload.Config{
 					ValueBytes:   64,
 					InitialItems: scale.InitialItems,
@@ -261,7 +237,7 @@ func FenceSweep(scale Scale) *Table {
 					Seed:         42,
 					FencePeriod:  p,
 				}
-				return workload.Run(&workload.Env{M: m, S: s}, workload.NewQueue(), cfg)
+				return runCell(Variant{Scheme: "ASAP", PMMult: 4}, mc, workload.NewQueue(), cfg)
 			},
 		})
 	}
@@ -395,23 +371,11 @@ func NUMA(scale Scale) *Table {
 				custom: func() workload.Result {
 					mc := machine.DefaultConfig()
 					mc.Mem.NUMARemotePenalty = penalty
-					m := machine.New(mc)
-					var sch machine.Scheme
-					switch s {
-					case "NP":
-						sch = schemes.NewNP(m)
-					case "ASAP":
-						sch = core.NewEngine(m, core.DefaultOptions())
-					case "HWUndo":
-						sch = schemes.NewHWUndo(m)
-					case "HWRedo":
-						sch = schemes.NewHWRedo(m)
-					}
 					cfg := workload.Config{
 						ValueBytes: 64, InitialItems: scale.InitialItems,
 						Threads: scale.Threads, OpsPerThread: scale.OpsPerThread, Seed: 42,
 					}
-					return workload.Run(&workload.Env{M: m, S: sch}, workload.NewQueue(), cfg)
+					return runCell(Variant{Scheme: s}, mc, workload.NewQueue(), cfg)
 				},
 			})
 		}

@@ -69,6 +69,15 @@ func New(cfg Config) *Machine {
 	return m
 }
 
+// Release returns the machine's cache arrays to a pool that the next New
+// draws from, so a sweep does not build and zero a full hierarchy per
+// cell. Call it only after the kernel's Run has returned from a finished
+// run — never after a halt or a stall, whose machine may still be read —
+// and only when nothing else (a Checkpointer, an observer) still reads
+// the machine: the caches must not be used afterwards. A machine that is
+// never released is garbage-collected as usual.
+func (m *Machine) Release() { m.Caches.Release() }
+
 // CoreOf maps a simulated thread to its current core.
 func (m *Machine) CoreOf(t *sim.Thread) int {
 	if c, ok := m.cores[t.ID()]; ok {

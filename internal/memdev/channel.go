@@ -16,9 +16,9 @@ type Channel struct {
 	st  *stats.Set
 	pm  *Image
 
-	queue         []*Entry // accepted, in FIFO drain order (droppable)
-	inflight      *Entry   // entry whose device write has issued
-	pickupPending bool     // a scheduled issue awaits its IssueDelay
+	queue         entryRing // accepted, in FIFO drain order (droppable)
+	inflight      *Entry    // entry whose device write has issued
+	pickupPending bool      // a scheduled issue awaits its IssueDelay
 	arrivals      []arrival
 	pool          *entryPool // fabric-wide recycler for drained/dropped entries
 
@@ -38,6 +38,54 @@ type Channel struct {
 	finishFn func()
 }
 
+// entryRing is the WPQ's FIFO of accepted entries: a ring of WPQEntries
+// slots, so accepting and issuing allocate nothing.
+type entryRing struct {
+	buf     []*Entry
+	head, n int
+}
+
+// index returns the slot of the i-th entry from the head.
+func (r *entryRing) index(i int) int {
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
+// at returns the i-th entry from the head.
+func (r *entryRing) at(i int) *Entry { return r.buf[r.index(i)] }
+
+func (r *entryRing) push(e *Entry) {
+	if r.n == len(r.buf) {
+		panic("memdev: WPQ accepted beyond its capacity")
+	}
+	r.buf[r.index(r.n)] = e
+	r.n++
+}
+
+func (r *entryRing) pop() {
+	r.buf[r.head] = nil
+	r.head = r.index(1)
+	r.n--
+}
+
+// filter keeps the entries for which keep returns true, in order.
+func (r *entryRing) filter(keep func(*Entry) bool) {
+	w := 0
+	for i := 0; i < r.n; i++ {
+		if e := r.at(i); keep(e) {
+			r.buf[r.index(w)] = e
+			w++
+		}
+	}
+	for i := w; i < r.n; i++ {
+		r.buf[r.index(i)] = nil
+	}
+	r.n = w
+}
+
 type arrival struct {
 	e        *Entry
 	onAccept func(at uint64)
@@ -53,6 +101,7 @@ func newChannel(id int, cfg *Config, k *sim.Kernel, st *stats.Set, pm *Image, po
 		pool: pool,
 		lh:   newLHWPQ(cfg.LHWPQEntries),
 	}
+	c.queue.buf = make([]*Entry, max(cfg.WPQEntries, 0))
 	c.cells = st.Cells()
 	c.pickupFn = func() {
 		c.pickupPending = false
@@ -70,7 +119,7 @@ func (c *Channel) LH() *LHWPQ { return c.lh }
 
 // Occupancy returns the number of WPQ slots in use (queued plus in flight).
 func (c *Channel) Occupancy() int {
-	n := len(c.queue)
+	n := c.queue.n
 	if c.inflight != nil {
 		n++
 	}
@@ -99,7 +148,7 @@ func (c *Channel) Arrive(e *Entry, onAccept func(at uint64)) {
 
 func (c *Channel) accept(e *Entry, onAccept func(at uint64)) {
 	e.acceptedAt = c.k.Now()
-	c.queue = append(c.queue, e)
+	c.queue.push(e)
 	c.cells.WPQDepth.Observe(uint64(c.Occupancy()))
 	c.cells.LHWPQDepth.Observe(uint64(c.lh.Len()))
 	if onAccept != nil {
@@ -112,10 +161,10 @@ func (c *Channel) accept(e *Entry, onAccept func(at uint64)) {
 // idle. The write command issues no earlier than IssueDelayCycles after
 // acceptance; until then the entry stays droppable in the queue.
 func (c *Channel) startDrain() {
-	if c.inflight != nil || c.pickupPending || len(c.queue) == 0 {
+	if c.inflight != nil || c.pickupPending || c.queue.n == 0 {
 		return
 	}
-	e := c.queue[0]
+	e := c.queue.at(0)
 	ready := e.acceptedAt + c.cfg.IssueDelayCycles
 	if now := c.k.Now(); ready <= now {
 		c.issue(e)
@@ -127,13 +176,13 @@ func (c *Channel) startDrain() {
 
 // issue commits the head entry to the device (no longer droppable).
 func (c *Channel) issue(e *Entry) {
-	if len(c.queue) == 0 || c.queue[0] != e {
+	if c.queue.n == 0 || c.queue.at(0) != e {
 		// The entry was dropped (removed) while awaiting issue; pick the
 		// new head instead.
 		c.startDrain()
 		return
 	}
-	c.queue = c.queue[1:]
+	c.queue.pop()
 	e.draining = true
 	c.inflight = e
 	c.k.ScheduleAfter(c.cfg.PMWrite(), c.finishFn)
@@ -196,18 +245,16 @@ func (c *Channel) SupersedeDPO(line arch.LineAddr) int {
 // droppable.
 func (c *Channel) dropWhere(match func(*Entry) bool, counter *int64) int {
 	dropped := 0
-	kept := c.queue[:0]
-	for _, e := range c.queue {
-		if match(e) {
-			e.dropped = true
-			dropped++
-			*counter++
-			c.pool.put(e) // never reaches the device; recycle now
-			continue
+	c.queue.filter(func(e *Entry) bool {
+		if !match(e) {
+			return true
 		}
-		kept = append(kept, e)
-	}
-	c.queue = kept
+		e.dropped = true
+		dropped++
+		*counter++
+		c.pool.put(e) // never reaches the device; recycle now
+		return false
+	})
 	if dropped > 0 {
 		c.admitWaiters()
 	}
@@ -244,9 +291,12 @@ func (c *Channel) FlushToImage() {
 // QueuedEntries returns the accepted-but-undrained entries, head first, for
 // tests and debugging.
 func (c *Channel) QueuedEntries() []*Entry {
-	out := make([]*Entry, 0, len(c.queue)+1)
+	out := make([]*Entry, 0, c.queue.n+1)
 	if c.inflight != nil {
 		out = append(out, c.inflight)
 	}
-	return append(out, c.queue...)
+	for i := 0; i < c.queue.n; i++ {
+		out = append(out, c.queue.at(i))
+	}
+	return out
 }

@@ -388,3 +388,37 @@ func TestNUMAOffByDefault(t *testing.T) {
 		t.Fatal("channels must be symmetric without NUMA penalty")
 	}
 }
+
+// TestEntryRingWrapsAndFilters drives the WPQ ring across its wrap point
+// with a drop in the middle: order must hold and freed slots be cleared.
+func TestEntryRingWrapsAndFilters(t *testing.T) {
+	es := make([]*Entry, 5)
+	for i := range es {
+		es[i] = &Entry{Dst: arch.LineAddr(i * arch.LineSize)}
+	}
+	r := entryRing{buf: make([]*Entry, 3)}
+	r.push(es[0])
+	r.push(es[1])
+	r.pop()
+	r.push(es[2])
+	r.push(es[3]) // wraps into slot 0
+	r.filter(func(e *Entry) bool { return e != es[2] })
+	r.push(es[4])
+	want := []*Entry{es[1], es[3], es[4]}
+	if r.n != len(want) {
+		t.Fatalf("ring holds %d entries, want %d", r.n, len(want))
+	}
+	for i, e := range want {
+		if r.at(i) != e {
+			t.Fatalf("entry %d is %v, want %v", i, r.at(i).Dst, e.Dst)
+		}
+	}
+	r.pop()
+	r.pop()
+	r.pop()
+	for i, e := range r.buf {
+		if e != nil {
+			t.Fatalf("slot %d still holds an entry after the ring emptied", i)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package memdev
 
 import (
+	"math/bits"
 	"sort"
 
 	"asap/internal/arch"
@@ -42,9 +43,9 @@ func (f *Fabric) AppendState(e *snapshot.Enc) {
 	e.I64(int64(len(f.channels)))
 	for _, c := range f.channels {
 		e.I64(int64(c.id))
-		e.I64(int64(len(c.queue)))
-		for _, en := range c.queue {
-			appendEntry(e, en)
+		e.I64(int64(c.queue.n))
+		for i := 0; i < c.queue.n; i++ {
+			appendEntry(e, c.queue.at(i))
 		}
 		e.Bool(c.inflight != nil)
 		if c.inflight != nil {
@@ -68,14 +69,18 @@ func (f *Fabric) AppendState(e *snapshot.Enc) {
 
 // AppendState digests the persisted image in ascending line order.
 func (im *Image) AppendState(e *snapshot.Enc) {
-	lines := make([]arch.LineAddr, 0, len(im.lines))
-	for l := range im.lines {
-		lines = append(lines, l)
+	keys := make([]arch.LineAddr, 0, len(im.slabs))
+	for key := range im.slabs {
+		keys = append(keys, key)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	e.I64(int64(len(lines)))
-	for _, l := range lines {
-		e.U64(uint64(l))
-		e.Bytes(im.lines[l])
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	e.I64(int64(im.n))
+	for _, key := range keys {
+		s := im.slabs[key]
+		for has := s.has; has != 0; has &= has - 1 {
+			i := bits.TrailingZeros64(has)
+			e.U64(uint64(key + arch.LineAddr(i*arch.LineSize)))
+			e.Bytes(s.line(i))
+		}
 	}
 }
