@@ -27,6 +27,7 @@ import (
 	"asap/internal/machine"
 	"asap/internal/memdev"
 	"asap/internal/recovery"
+	"asap/internal/schemes"
 	"asap/internal/sim"
 )
 
@@ -122,39 +123,12 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	m := machine.New(machine.Config{Cores: cfg.Cores, Mem: mem, Caches: cache.DefaultConfig()})
 
-	sys := &System{cfg: cfg, m: m}
-	scheme, engine, err := buildScheme(m, cfg)
+	scheme, err := schemes.New(string(cfg.Scheme), m, &cfg.ASAP)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("asap: %w", err)
 	}
-	sys.scheme, sys.engine = scheme, engine
-	return sys, nil
-}
-
-func buildScheme(m *machine.Machine, cfg Config) (machine.Scheme, *core.Engine, error) {
-	switch cfg.Scheme {
-	case SchemeASAP:
-		opt := cfg.ASAP
-		if opt.CLListEntries == 0 {
-			opt = core.DefaultOptions()
-		}
-		e := core.NewEngine(m, opt)
-		return e, e, nil
-	case SchemeASAPRedo:
-		return newASAPRedo(m), nil, nil
-	case SchemeHWUndo:
-		return newHWUndo(m), nil, nil
-	case SchemeHWRedo:
-		return newHWRedo(m), nil, nil
-	case SchemeSW:
-		return newSW(m, false), nil, nil
-	case SchemeSWDPOOnly:
-		return newSW(m, true), nil, nil
-	case SchemeNP:
-		return newNP(m), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("asap: unknown scheme %q", cfg.Scheme)
-	}
+	engine, _ := scheme.(*core.Engine)
+	return &System{cfg: cfg, m: m, scheme: scheme, engine: engine}, nil
 }
 
 // Config returns the system's configuration.

@@ -20,7 +20,9 @@ func TestQuickstartFlow(t *testing.T) {
 		th.Fence()
 		th.Drain()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	st := sys.Stats()
 	if st["region.committed"] != 1 {
 		t.Fatalf("committed = %d", st["region.committed"])
@@ -46,7 +48,9 @@ func TestEverySchemeConstructs(t *testing.T) {
 			th.End()
 			th.Drain()
 		})
-		sys.Run()
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
 		if sys.SchemeImpl().Name() != string(s) {
 			t.Fatalf("scheme name %q != %q", sys.SchemeImpl().Name(), s)
 		}
@@ -79,7 +83,9 @@ func TestMutexAndMultiThread(t *testing.T) {
 			th.Drain()
 		})
 	}
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	// Verify through a fresh crash image: everything committed and
 	// persisted.
 	cs, err := sys.Crash()
@@ -118,7 +124,9 @@ func TestCrashAndRecoverThroughPublicAPI(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := crash.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +144,9 @@ func TestCrashRequiresASAP(t *testing.T) {
 	cfg.Cores = 2
 	sys, _ := NewSystem(cfg)
 	sys.Spawn("w", func(th *Thread) {})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sys.Crash(); err == nil {
 		t.Fatal("Crash should fail for non-ASAP schemes")
 	}
@@ -160,7 +170,9 @@ func TestMallocFreeRoundTrip(t *testing.T) {
 			t.Error("recycled allocation should keep old contents (no unlogged zeroing)")
 		}
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReadBytesSpansLines(t *testing.T) {
@@ -176,7 +188,9 @@ func TestReadBytesSpansLines(t *testing.T) {
 		th.End()
 		th.Drain()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	cs, _ := sys.Crash()
 	got := cs.ReadBytes(base+30, 200)
 	for i := range got {
@@ -205,7 +219,9 @@ func TestCrashStateSaveLoadRoundTrip(t *testing.T) {
 		th.End()
 		crash, _ = sys.Crash()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := crash.Save(&buf); err != nil {
@@ -245,7 +261,9 @@ func TestPublicMigrateAndVolatile(t *testing.T) {
 			t.Error("values lost across migration")
 		}
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if sys.Stats()["region.committed"] != 1 {
 		t.Fatal("migrated region did not commit")
 	}
@@ -253,7 +271,9 @@ func TestPublicMigrateAndVolatile(t *testing.T) {
 	cfg.Scheme = SchemeNP
 	sys2, _ := NewSystem(cfg)
 	sys2.Spawn("w", func(th *Thread) { th.Migrate(1) })
-	sys2.Run()
+	if err := sys2.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPublicAccessors(t *testing.T) {
@@ -288,7 +308,9 @@ func TestASAPRedoThroughPublicAPI(t *testing.T) {
 		th.Fence()
 		th.Drain()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if sys.Engine() != nil {
 		t.Fatal("Engine() must be nil for non-undo schemes")
 	}
@@ -338,7 +360,9 @@ func TestCrashRecoverRestartContinue(t *testing.T) {
 			th.Drain()
 		})
 	}
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if crash == nil {
 		crash, _ = sys.Crash()
 	}
@@ -369,7 +393,9 @@ func TestCrashRecoverRestartContinue(t *testing.T) {
 			th.Drain()
 		})
 	}
-	sys2.Run()
+	if err := sys2.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	final, _ := sys2.Crash()
 	got := final.ReadUint64(counter)

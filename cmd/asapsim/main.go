@@ -28,6 +28,7 @@ import (
 
 	"asap/internal/experiment"
 	"asap/internal/obs"
+	"asap/internal/schemes"
 	"asap/internal/snapshot"
 	"asap/internal/trace"
 	"asap/internal/workload"
@@ -35,13 +36,11 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// schemeNames are the schemes experiment.Run builds.
-var schemeNames = []string{"NP", "SW", "SW-DPOOnly", "HWUndo", "HWRedo", "ASAP", "ASAP-Redo"}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("asapsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "Q", "benchmark: BN BT CT EO HM Q RB SS TPCC")
+	schemeNames := schemes.Names()
 	scheme := fs.String("scheme", "ASAP", "scheme: "+strings.Join(schemeNames, " "))
 	threads := fs.Int("threads", 4, "worker threads")
 	ops := fs.Int("ops", 500, "operations per thread")

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"asap/internal/schemes"
 )
 
 // TestBadInputExitsTwo: an unknown scheme or a non-positive thread or op
@@ -29,7 +31,7 @@ func TestBadInputExitsTwo(t *testing.T) {
 // TestEverySchemeRuns: every scheme the -scheme flag accepts builds and
 // runs a tiny workload consistently.
 func TestEverySchemeRuns(t *testing.T) {
-	for _, s := range schemeNames {
+	for _, s := range schemes.Names() {
 		var out, errb bytes.Buffer
 		if code := run([]string{"-scheme", s, "-threads", "1", "-ops", "5", "-items", "8"}, &out, &errb); code != 0 {
 			t.Errorf("%s: exit %d\nstderr: %s", s, code, errb.String())

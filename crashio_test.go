@@ -34,7 +34,9 @@ func savedCrashBytes(t *testing.T) []byte {
 		th.StoreUint64(a, 8)
 		crash, _ = sys.Crash()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := crash.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,9 @@ func Example() {
 		t.End() // returns immediately; the commit is asynchronous
 		t.Drain()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 	fmt.Println("committed regions:", sys.Stats()["region.committed"])
 	// Output: committed regions: 1
 }
@@ -36,7 +38,9 @@ func ExampleThread_Fence() {
 		t.Fence() // all three regions are durable past this point
 		fmt.Println("durable value:", t.LoadUint64(cell))
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 	// Output: durable value: 3
 }
 
@@ -55,7 +59,9 @@ func ExampleSystem_Crash() {
 		t.Drain() // let the region commit before the failure
 		crash, _ = sys.Crash()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 	crash.Recover()
 	fmt.Println("persisted:", crash.ReadUint64(cell))
 	// Output: persisted: 7
@@ -79,7 +85,9 @@ func ExampleMutex() {
 			t.Drain()
 		})
 	}
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 	crash, _ := sys.Crash()
 	fmt.Println("persisted counter:", crash.ReadUint64(counter))
 	// Output: persisted counter: 15
@@ -98,7 +106,9 @@ func ExampleConfig_scheme() {
 		t.End() // HWUndo waits here for LPOs and DPOs (synchronous commit)
 		t.Drain()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 	fmt.Println(sys.SchemeImpl().Name())
 	// Output: HWUndo
 }

@@ -58,7 +58,9 @@ func run(scheme asap.Scheme) (cycles uint64, pmWrites int64, total uint64) {
 			})
 		}
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 
 	// Money is conserved across every scheme.
 	sum := uint64(0)

@@ -46,7 +46,9 @@ func main() {
 			}
 		}
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("crash at cycle %d with ledger half-written\n", sys.Now())
 	rep, err := crash.Recover()

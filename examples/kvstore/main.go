@@ -92,7 +92,9 @@ func main() {
 			t.Drain()
 		})
 	}
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 
 	// Reopen the store through a crash image to prove durability.
 	cs, err := sys.Crash()

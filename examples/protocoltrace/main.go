@@ -60,7 +60,9 @@ func main() {
 			e.DrainBarrier(t)
 		})
 	}
-	m.K.Run()
+	if err := m.K.Run(); err != nil {
+		panic(err)
+	}
 
 	fmt.Println("\nprotocol event stream:")
 	fmt.Print(buf.String())

@@ -41,7 +41,9 @@ func main() {
 		fmt.Printf("balance after 10 deposits: %d\n", t.LoadUint64(account))
 		t.Drain()
 	})
-	sys.Run()
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
 
 	st := sys.Stats()
 	fmt.Printf("regions committed: %d\n", st["region.committed"])

@@ -147,5 +147,5 @@ func BenchmarkPersistRoundTrip(b *testing.B) {
 			t.WaitUntil(func() bool { return done && f.Quiesced() })
 		}
 	})
-	k.Run()
+	k.MustRun()
 }

@@ -363,8 +363,6 @@ func (h *Hierarchy) AccessBlocking(t *sim.Thread, core int, line arch.LineAddr, 
 		if ok {
 			return lat, m
 		}
-		h.prof.Enter(t, obs.LockedSet)
-		t.WaitUntil(func() bool { return h.CanAccess(core, line) })
-		h.prof.Exit(t)
+		h.prof.Wait(t, obs.LockedSet, func() bool { return h.CanAccess(core, line) })
 	}
 }

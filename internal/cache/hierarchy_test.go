@@ -173,7 +173,7 @@ func TestAccessBlockingWaitsForUnlock(t *testing.T) {
 		th.Advance(lat1)
 		done = th.Now()
 	})
-	k.Run()
+	k.MustRun()
 	if done < 500 {
 		t.Fatalf("blocked access finished at %d, want >= 500 (unlock time)", done)
 	}

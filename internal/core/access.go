@@ -33,14 +33,9 @@ func (e *Engine) Load(t *sim.Thread, addr uint64, buf []byte) {
 // undo log.
 func (e *Engine) Store(t *sim.Thread, addr uint64, data []byte) {
 	ts := e.state(t)
-	machine.VisitLines(addr, len(data), func(line arch.LineAddr) {
-		lat, meta := e.m.Caches.AccessBlocking(t, ts.core, line, true)
-		t.Advance(lat)
-		if e.m.Heap.IsPersistentLine(line) {
-			e.onPersistentAccess(t, ts, line, meta, true)
-		}
-	})
-	e.m.Heap.Write(addr, data)
+	e.m.Store(t, addr, data, func(line arch.LineAddr, meta *cache.Meta) {
+		e.onPersistentAccess(t, ts, line, meta, true)
+	}, nil)
 }
 
 // onPersistentAccess performs the §4.6 per-access hardware work. meta is
@@ -87,26 +82,11 @@ func (e *Engine) initiateLPO(t *sim.Thread, ts *threadState, r *regionState, lin
 		lh := e.homeLH(r.rid)
 		if !lh.HasSpaceFor(r.rid) {
 			*e.m.Cells.LHWPQStalls++
-			e.prof.Enter(t, obs.LHWPQFull)
-			t.WaitUntil(func() bool { return lh.HasSpaceFor(r.rid) })
-			e.prof.Exit(t)
+			e.prof.Wait(t, obs.LHWPQFull, func() bool { return lh.HasSpaceFor(r.rid) })
 		}
-		header, end, ok := ts.log.AllocRecord()
-		if !ok {
-			// Log overflow exception (§4.4): grow the buffer.
-			*e.m.Cells.LogOverflows++
-			e.prof.Enter(t, obs.LogOverflow)
-			t.Advance(e.opt.OverflowPenalty)
-			e.prof.Exit(t)
-			ts.log.Grow()
-			header, end, ok = ts.log.AllocRecord()
-			if !ok {
-				panic("core: log allocation failed after grow")
-			}
-		}
+		header, end := e.m.AllocRecord(t, e.prof, ts.log, e.opt.OverflowPenalty)
 		r.rec = &record{header: header, h: lh.Open(r.rid, header)}
 		r.logEnd = end
-		r.logEpoch = ts.log.Overflows()
 	}
 
 	rec := r.rec
@@ -223,9 +203,7 @@ func (e *Engine) noteWrite(t *sim.Thread, r *regionState, line arch.LineAddr, me
 			s.Forced = true
 			e.maybeIssueDPO(r, s)
 		}
-		e.prof.Enter(t, obs.CLPtr)
-		t.WaitUntil(func() bool { return r.clList.CanAddSlot(r.cl, line) })
-		e.prof.Exit(t)
+		e.prof.Wait(t, obs.CLPtr, func() bool { return r.clList.CanAddSlot(r.cl, line) })
 	}
 	for _, s := range cl.Slots {
 		if s.Line != line {

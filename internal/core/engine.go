@@ -39,10 +39,9 @@ type regionState struct {
 	dList  *DependenceList
 	dep    *DepEntry
 
-	rec      *record // open (still filling) log record, if any
-	logEnd   uint64  // absolute log offset after the region's last record
-	logEpoch int     // log Grow count when logEnd was recorded
-	endedAt  uint64  // when asap_end ran, for the commit-lag histogram
+	rec     *record        // open (still filling) log record, if any
+	logEnd  machine.LogEnd // free point after the region's last record
+	endedAt uint64         // when asap_end ran, for the commit-lag histogram
 
 	// frees holds asap_free requests made inside the region; the memory
 	// recycles only at commit, when the free is durable.
@@ -197,9 +196,7 @@ func (e *Engine) Begin(t *sim.Thread) {
 	rid := arch.MakeRID(ts.tid, ts.local)
 	clList := e.cl[ts.core]
 	dList := e.depListOf(rid)
-	e.prof.Enter(t, obs.BeginWait)
-	t.WaitUntil(func() bool { return clList.HasSpace() && dList.HasSpace() })
-	e.prof.Exit(t)
+	e.prof.Wait(t, obs.BeginWait, func() bool { return clList.HasSpace() && dList.HasSpace() })
 
 	r := &regionState{rid: rid, ts: ts, clList: clList, dList: dList}
 	r.cl = clList.Add(rid)
@@ -246,7 +243,7 @@ func (e *Engine) End(t *sim.Thread) {
 	if e.opt.UnsafeEarlyLogFree {
 		// Seeded negative control: frees the undo log before the region's
 		// dependence closure has committed, violating the §4.7 commit rule.
-		r.ts.log.FreeUpTo(r.logEnd)
+		r.logEnd.Free(r.ts.log)
 	}
 	e.emit(trace.RegionEnd, r.rid, 0, 0)
 	*e.m.Cells.RegionCycles += int64(t.Now() - ts.beginAt)
@@ -264,20 +261,16 @@ func (e *Engine) Fence(t *sim.Thread) {
 		return
 	}
 	start := t.Now()
-	e.prof.Enter(t, obs.FenceWait)
-	t.WaitUntil(func() bool { return last.committed })
-	e.prof.Exit(t)
+	e.prof.Wait(t, obs.FenceWait, func() bool { return last.committed })
 	*e.m.Cells.FenceCycles += int64(t.Now() - start)
 }
 
 // DrainBarrier blocks until every region has committed and the memory
 // fabric is idle: the end-of-run accounting point.
 func (e *Engine) DrainBarrier(t *sim.Thread) {
-	e.prof.Enter(t, obs.Drain)
-	t.WaitUntil(func() bool {
+	e.prof.Wait(t, obs.Drain, func() bool {
 		return len(e.regions) == 0 && e.m.Fabric.Quiesced()
 	})
-	e.prof.Exit(t)
 }
 
 // ActiveRegions returns the number of uncommitted regions.
@@ -336,11 +329,9 @@ func (e *Engine) addDep(t *sim.Thread, r *regionState, dep arch.RID) {
 	}
 	if !r.dList.CanAddDep(r.dep, dep) {
 		*e.m.Cells.DepStalls++
-		e.prof.Enter(t, obs.DepSlot)
-		t.WaitUntil(func() bool {
+		e.prof.Wait(t, obs.DepSlot, func() bool {
 			return e.depOf(dep) == nil || r.dList.CanAddDep(r.dep, dep)
 		})
-		e.prof.Exit(t)
 		if e.depOf(dep) == nil {
 			return
 		}
@@ -391,15 +382,7 @@ func (e *Engine) DeferFree(t *sim.Thread, addr uint64) {
 // that may now be able to commit.
 func (e *Engine) commit(r *regionState) []*regionState {
 	r.committed = true
-	if r.logEpoch == r.ts.log.Overflows() {
-		// Free only when the offsets still refer to the current buffer: a
-		// Grow since the region's last allocation reset head/tail, so a
-		// stale logEnd would alias into — and wrongly free — records that
-		// later regions allocated in the new buffer. Records left in an
-		// abandoned buffer need no freeing (the whole buffer is dead once
-		// its live regions commit).
-		r.ts.log.FreeUpTo(r.logEnd)
-	}
+	r.logEnd.Free(r.ts.log)
 	for _, addr := range r.frees {
 		e.m.Heap.Free(addr)
 	}

@@ -32,7 +32,7 @@ func run(m *machine.Machine, e *Engine, fns ...func(t *sim.Thread)) {
 			e.DrainBarrier(t)
 		})
 	}
-	m.K.Run()
+	m.K.MustRun()
 }
 
 func storeU64(e *Engine, t *sim.Thread, addr, v uint64) {
@@ -630,7 +630,7 @@ func TestOwnerRIDSpillAndReload(t *testing.T) {
 			e.DrainBarrier(t)
 		})
 	}
-	m.K.Run()
+	m.K.MustRun()
 	if m.St.Get(stats.OwnerIDSpills) == 0 {
 		t.Fatal("no OwnerRID spills despite cache thrash with uncommitted region")
 	}

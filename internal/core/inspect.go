@@ -48,8 +48,8 @@ func (e *Engine) LiveRegions() []RegionInspect {
 			Thread:     r.ts.tid,
 			Ended:      r.endedAt > 0,
 			CLResident: r.cl != nil,
-			LogEnd:     r.logEnd,
-			LogEpoch:   r.logEpoch,
+			LogEnd:     r.logEnd.Off,
+			LogEpoch:   r.logEnd.Epoch,
 		}
 		if r.cl != nil {
 			ri.CLSlots = len(r.cl.Slots)

@@ -96,7 +96,7 @@ func TestRuntimeInvariants(t *testing.T) {
 			e.DrainBarrier(th)
 		})
 	}
-	m.K.Run()
+	m.K.MustRun()
 
 	if len(violations) > 0 {
 		t.Fatalf("%d invariant violations, first: %s", len(violations), violations[0])

@@ -34,9 +34,7 @@ func (e *Engine) Migrate(t *sim.Thread, core int) {
 			s.Forced = true
 			e.maybeIssueDPO(r, s)
 		}
-		e.prof.Enter(t, obs.CLPtr)
-		t.WaitUntil(func() bool { return r.cl == nil || len(r.cl.Slots) == 0 })
-		e.prof.Exit(t)
+		e.prof.Wait(t, obs.CLPtr, func() bool { return r.cl == nil || len(r.cl.Slots) == 0 })
 		if r.cl != nil {
 			r.clList.Remove(r.rid)
 			r.cl = nil
@@ -52,9 +50,7 @@ func (e *Engine) Migrate(t *sim.Thread, core int) {
 	if r != nil && !r.committed {
 		// Re-home the InProgress region on the new core's CL List.
 		newList := e.cl[core]
-		e.prof.Enter(t, obs.BeginWait)
-		t.WaitUntil(newList.HasSpace)
-		e.prof.Exit(t)
+		e.prof.Wait(t, obs.BeginWait, newList.HasSpace)
 		r.clList = newList
 		r.cl = newList.Add(r.rid)
 		r.cl.Done = false

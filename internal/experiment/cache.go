@@ -51,9 +51,7 @@ func standardKey(v Variant, bench string, scale Scale, valueBytes int) *resultca
 		Fieldf("ops", "%d", scale.OpsPerThread).
 		Fieldf("items", "%d", scale.InitialItems).
 		Fieldf("valuebytes", "%d", valueBytes).
-		Fieldf("seed", "%d", v.seed()).
-		Fieldf("issuedelay", "%d", issueDelayOverride).
-		Fieldf("trunc", "%d", truncOverride)
+		Fieldf("seed", "%d", v.seed())
 	if v.ASAPOpts != nil {
 		blob, err := json.Marshal(v.ASAPOpts)
 		if err != nil {

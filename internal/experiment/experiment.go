@@ -70,12 +70,6 @@ func (v Variant) seed() int64 {
 	return 42
 }
 
-// issueDelayOverride lets calibration tests sweep the WPQ issue delay.
-var issueDelayOverride uint64
-
-// truncOverride lets calibration tests sweep HWUndo's truncation delay.
-var truncOverride uint64
-
 // Run executes one benchmark under one variant at the given scale and
 // value size, on a fresh machine. When SetCheckpointEvery has armed audit
 // mode, the run carries a checkpointer whose boundary digests are recorded
@@ -97,35 +91,14 @@ func newCell(v Variant, mc machine.Config) (*machine.Machine, machine.Scheme) {
 		mc.Mem.LHWPQEntries = v.LHWPQ
 	}
 	m := machine.New(mc)
-	switch v.Scheme {
-	case "NP":
-		return m, schemes.NewNP(m)
-	case "SW":
-		return m, schemes.NewSW(m)
-	case "SW-DPOOnly":
-		return m, schemes.NewSWDPOOnly(m)
-	case "HWUndo":
-		u := schemes.NewHWUndo(m)
-		if truncOverride > 0 {
-			u.TruncateDelay = truncOverride
-		}
-		return m, u
-	case "HWRedo":
-		return m, schemes.NewHWRedo(m)
-	case "ASAP-Redo":
-		return m, schemes.NewASAPRedo(m)
-	case "ASAP":
-		opt := core.DefaultOptions()
-		if v.ASAPOpts != nil {
-			opt = *v.ASAPOpts
-		}
-		eng := core.NewEngine(m, opt)
-		if v.Trace != nil {
-			eng.SetTrace(v.Trace)
-		}
-		return m, eng
+	s, err := schemes.New(v.Scheme, m, v.ASAPOpts)
+	if err != nil {
+		panic("experiment: unknown scheme " + v.Scheme)
 	}
-	panic("experiment: unknown scheme " + v.Scheme)
+	if eng, ok := s.(*core.Engine); ok && v.Trace != nil {
+		eng.SetTrace(v.Trace)
+	}
+	return m, s
 }
 
 // runCell runs benchmark b on a new cell of v and mc and then releases
@@ -145,11 +118,7 @@ func runCell(v Variant, mc machine.Config, b workload.Benchmark, cfg workload.Co
 // (false halts the kernel at the boundary — partial state, no Check run).
 func runWithCheckpointer(v Variant, bench string, scale Scale, valueBytes int,
 	every uint64, onBoundary func(snapshot.Snap) bool) (workload.Result, *machine.Checkpointer) {
-	mc := machine.DefaultConfig()
-	if issueDelayOverride > 0 {
-		mc.Mem.IssueDelayCycles = issueDelayOverride
-	}
-	m, s := newCell(v, mc)
+	m, s := newCell(v, machine.DefaultConfig())
 
 	if v.Obs != nil {
 		m.K.SetObserver(v.Obs)

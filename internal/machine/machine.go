@@ -123,20 +123,25 @@ func LinesOf(addr uint64, size int) []arch.LineAddr {
 
 // VisitLines calls fn for every line touched by [addr, addr+size), in
 // ascending order. It is the allocation-free form of LinesOf for the
-// access hot paths: every load and store in every scheme walks its lines
-// through here.
+// access hot paths: loads and Access walk their lines through here; the
+// logging schemes' stores walk theirs in Store.
 func VisitLines(addr uint64, size int, fn func(arch.LineAddr)) {
-	if size <= 0 {
-		size = 1
-	}
-	first := arch.LineOf(addr)
-	last := arch.LineOf(addr + uint64(size) - 1)
+	first, last := lineSpan(addr, size)
 	for l := first; ; l += arch.LineSize {
 		fn(l)
 		if l >= last {
 			break
 		}
 	}
+}
+
+// lineSpan returns the first and last lines touched by [addr, addr+size);
+// an empty access touches addr's line.
+func lineSpan(addr uint64, size int) (first, last arch.LineAddr) {
+	if size <= 0 {
+		size = 1
+	}
+	return arch.LineOf(addr), arch.LineOf(addr + uint64(size) - 1)
 }
 
 // Access charges cache latency for one data access by t covering

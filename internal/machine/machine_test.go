@@ -73,7 +73,7 @@ func TestCoreOfDefaultsAndMigration(t *testing.T) {
 		th.Advance(10)
 		got[2] = m.CoreOf(th)
 	})
-	m.K.Run()
+	m.K.MustRun()
 	if got[0] != 0 || got[1] != 3 || got[2] != 1 {
 		t.Fatalf("cores = %v, want [0 3 1]", got)
 	}
@@ -89,7 +89,7 @@ func TestSetCoreOutOfRangePanics(t *testing.T) {
 		}()
 		m.SetCore(th, 7)
 	})
-	m.K.Run()
+	m.K.MustRun()
 }
 
 func TestDefaultsFilledIn(t *testing.T) {
@@ -115,7 +115,7 @@ func TestAccessChargesLatencyAndTouches(t *testing.T) {
 		m.Access(th, addr, 128, true, func(l arch.LineAddr) { touched = append(touched, l) })
 		elapsed = th.Now() - start
 	})
-	m.K.Run()
+	m.K.MustRun()
 	if len(touched) != 2 {
 		t.Fatalf("touched %d lines, want 2", len(touched))
 	}

@@ -33,7 +33,7 @@ func TestSubmitPersistAcceptAndDrain(t *testing.T) {
 		})
 		th.Advance(10000)
 	})
-	k.Run()
+	k.MustRun()
 	if acceptedAt != cfg.TransferCycles {
 		t.Fatalf("accepted at %d, want transfer latency %d", acceptedAt, cfg.TransferCycles)
 	}
@@ -86,7 +86,7 @@ func TestWPQBackpressure(t *testing.T) {
 		}
 		th.Advance(100000)
 	})
-	k.Run()
+	k.MustRun()
 	if accepts != 5 {
 		t.Fatalf("accepts = %d, want all 5 eventually", accepts)
 	}
@@ -114,7 +114,7 @@ func TestArrivalsAcceptedFIFO(t *testing.T) {
 		}
 		th.Advance(10000)
 	})
-	k.Run()
+	k.MustRun()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("accept order = %v, want FIFO", order)
@@ -144,7 +144,7 @@ func TestLPODropping(t *testing.T) {
 		}
 		th.Advance(100000)
 	})
-	k.Run()
+	k.MustRun()
 	if st.Get(stats.LPOsDropped) != 2 {
 		t.Fatalf("LPOsDropped = %d, want 2", st.Get(stats.LPOsDropped))
 	}
@@ -172,7 +172,7 @@ func TestDPODropping(t *testing.T) {
 		}
 		th.Advance(100000)
 	})
-	k.Run()
+	k.MustRun()
 	if st.Get(stats.DPOsDropped) != 1 {
 		t.Fatalf("DPOsDropped = %d, want 1", st.Get(stats.DPOsDropped))
 	}
@@ -194,7 +194,7 @@ func TestFlushToImageOnCrash(t *testing.T) {
 		}
 		th.Kernel().Halt() // power failure: nothing drains after the crash
 	})
-	k.Run()
+	k.MustRun()
 	if st.Get(stats.PMWrites) != 0 {
 		t.Fatalf("flush must not count as drain traffic, got %d", st.Get(stats.PMWrites))
 	}
@@ -218,7 +218,7 @@ func TestUnacceptedArrivalsLostOnCrash(t *testing.T) {
 			t.Error("arrival-queue entry must NOT survive crash (never accepted)")
 		}
 	})
-	k.Run()
+	k.MustRun()
 }
 
 func TestLHWPQLifecycle(t *testing.T) {
@@ -314,7 +314,7 @@ func TestQuiesced(t *testing.T) {
 			t.Error("fabric must quiesce after drain")
 		}
 	})
-	k.Run()
+	k.MustRun()
 }
 
 func TestImageCloneIndependent(t *testing.T) {
@@ -346,7 +346,7 @@ func TestSupersedeDPO(t *testing.T) {
 		}
 		th.Advance(100000)
 	})
-	k.Run()
+	k.MustRun()
 	if st.Get(stats.DPOsDropped) != 2 {
 		t.Fatalf("DPOsDropped = %d", st.Get(stats.DPOsDropped))
 	}
@@ -376,7 +376,7 @@ func TestNUMAPersistPenalty(t *testing.T) {
 		f.SubmitPersist(&Entry{Kind: KindDPO, Dst: 2 * 64, Payload: payload(2)}, func(at uint64) { remoteAt = at })
 		th.Advance(100000)
 	})
-	k.Run()
+	k.MustRun()
 	if remoteAt != localAt+500 {
 		t.Fatalf("remote accept at %d, local at %d, want +500", remoteAt, localAt)
 	}

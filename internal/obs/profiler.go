@@ -144,6 +144,22 @@ func (p *Profiler) Exit(t *sim.Thread) {
 	}
 }
 
+// Wait blocks t until pred holds, charging the wait to bucket b. With a
+// nil profiler it only waits.
+func (p *Profiler) Wait(t *sim.Thread, b Bucket, pred func() bool) {
+	p.Enter(t, b)
+	t.WaitUntil(pred)
+	p.Exit(t)
+}
+
+// Stall advances t by cycles, charging them to bucket b. With a nil
+// profiler it only advances.
+func (p *Profiler) Stall(t *sim.Thread, b Bucket, cycles uint64) {
+	p.Enter(t, b)
+	t.Advance(cycles)
+	p.Exit(t)
+}
+
 // LockBegin implements sim.Observer: mutex contention is LockWait time.
 func (p *Profiler) LockBegin(t *sim.Thread) { p.Enter(t, LockWait) }
 

@@ -30,7 +30,7 @@ func TestBucketSumsExact(t *testing.T) {
 	k.Spawn("worker", func(th *sim.Thread) {
 		th.Advance(30)
 	})
-	k.Run()
+	k.MustRun()
 
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestNestedBuckets(t *testing.T) {
 		p.Exit(th)
 		th.Advance(2)
 	})
-	k.Run()
+	k.MustRun()
 
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestLockContentionChargedToLockWait(t *testing.T) {
 		th.Advance(1)
 		mu.Unlock(th)
 	})
-	k.Run()
+	k.MustRun()
 
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestExitWithoutEnterPanics(t *testing.T) {
 	k.SetObserver(&Session{Prof: p})
 	var captured *sim.Thread
 	k.Spawn("x", func(th *sim.Thread) { captured = th; th.Advance(1) })
-	k.Run()
+	k.MustRun()
 
 	defer func() {
 		if r := recover(); r == nil {
@@ -175,7 +175,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 	k.SetObserver(&Session{Prof: p})
 	var captured *sim.Thread
 	k.Spawn("x", func(th *sim.Thread) { captured = th; th.Advance(4) })
-	k.Run()
+	k.MustRun()
 	if err := p.Check(); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestSpanRecording(t *testing.T) {
 			p.Exit(th)
 		}
 	})
-	k.Run()
+	k.MustRun()
 
 	spans, dropped := p.Spans()
 	if len(spans) != 2 || dropped != 1 {
@@ -231,7 +231,7 @@ func TestWriteJSON(t *testing.T) {
 		th.Advance(4)
 		p.Exit(th)
 	})
-	k.Run()
+	k.MustRun()
 
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {
@@ -303,5 +303,40 @@ func TestBucketNames(t *testing.T) {
 	}
 	if !strings.HasPrefix(Bucket(200).String(), "bucket(") {
 		t.Fatal("out-of-range bucket should fall back")
+	}
+}
+
+// TestWaitAndStall: Wait and Stall charge their cycles to the bucket, and
+// a nil profiler still waits and advances.
+func TestWaitAndStall(t *testing.T) {
+	for _, p := range []*Profiler{nil, NewProfiler()} {
+		k := sim.NewKernel()
+		if p != nil {
+			k.SetObserver(&Session{Prof: p})
+		}
+		ready := false
+		k.Schedule(50, func() { ready = true })
+		var waited, stalled uint64
+		k.Spawn("w", func(th *sim.Thread) {
+			p.Wait(th, FenceWait, func() bool { return ready })
+			waited = th.Now()
+			p.Stall(th, LogOverflow, 20)
+			stalled = th.Now()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if waited != 50 || stalled != 70 {
+			t.Fatalf("profiler %v: waited to %d, stalled to %d; want 50, 70", p != nil, waited, stalled)
+		}
+		if p == nil {
+			continue
+		}
+		if err := p.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if w := p.Threads()[0]; w.Cycles[FenceWait] != 50 || w.Cycles[LogOverflow] != 20 {
+			t.Fatalf("fence=%d overflow=%d, want 50/20", w.Cycles[FenceWait], w.Cycles[LogOverflow])
+		}
 	}
 }

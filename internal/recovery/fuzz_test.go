@@ -218,7 +218,7 @@ func TestHaltDuringWorkloadReturns(t *testing.T) {
 			e.End(th)
 		}
 	})
-	m.K.Run()
+	m.K.MustRun()
 	if !m.K.Halted() {
 		t.Fatal("kernel did not halt")
 	}

@@ -93,7 +93,7 @@ func TestRecoveryAtManyCrashPoints(t *testing.T) {
 		rig := newCrashRig(3, 8, true)
 		var cs *core.CrashState
 		rig.m.K.Schedule(crashAt, func() { cs = rig.e.Crash() })
-		rig.m.K.Run()
+		rig.m.K.MustRun()
 		if cs == nil {
 			// The run finished before the crash point: still verify.
 			cs = rig.e.Crash()
@@ -141,7 +141,7 @@ func TestRecoveryUndoesInReverseHappensBefore(t *testing.T) {
 		}
 		cs = e.Crash()
 	})
-	m.K.Run()
+	m.K.MustRun()
 
 	if got := e.ActiveRegions(); got == 0 {
 		t.Fatal("expected uncommitted regions at crash")
@@ -167,7 +167,7 @@ func TestRecoveryUndoesInReverseHappensBefore(t *testing.T) {
 
 func TestRecoveryCleanShutdownIsNoop(t *testing.T) {
 	rig := newCrashRig(2, 5, false)
-	rig.m.K.Run() // run to completion, all committed
+	rig.m.K.MustRun() // run to completion, all committed
 	cs := rig.e.Crash()
 	rep, err := Recover(cs)
 	if err != nil {
@@ -206,7 +206,7 @@ func TestRecoveryIgnoresStaleHeaders(t *testing.T) {
 		}
 		cs = e.Crash()
 	})
-	m.K.Run()
+	m.K.MustRun()
 	rep, err := Recover(cs)
 	if err != nil {
 		t.Fatal(err)

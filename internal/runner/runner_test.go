@@ -278,7 +278,7 @@ func TestCollectCatchesSimulatedThreadPanic(t *testing.T) {
 				th.Advance(3)
 				panic("boom")
 			})
-			k.Run()
+			k.MustRun()
 			return 2
 		}},
 	}

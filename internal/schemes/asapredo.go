@@ -6,7 +6,6 @@ import (
 	"asap/internal/arch"
 	"asap/internal/cache"
 	"asap/internal/machine"
-	"asap/internal/memdev"
 	"asap/internal/obs"
 	"asap/internal/sim"
 	"asap/internal/wal"
@@ -15,34 +14,22 @@ import (
 // redoARegion is one atomic region's state under asynchronous-commit redo
 // logging (the Figure 2c design).
 type redoARegion struct {
-	rid arch.RID
-	ts  *redoAThread
+	redoLog
+	deps map[arch.RID]struct{}
 
-	dirty map[arch.LineAddr]bool
-	deps  map[arch.RID]struct{}
-
-	pendingLogs int  // log-line writes not yet accepted
-	ended       bool // asap_end ran
-	markerSent  bool
-	logDone     bool // all LPOs + commit marker accepted
-	committed   bool
-
-	pendingDPOs int
-	rec         arch.LineAddr
-	recUsed     int
-	logEnd      uint64
-	words       int
+	ended      bool // asap_end ran
+	markerSent bool
+	logDone    bool // all LPOs + commit marker accepted
+	committed  bool
 }
 
 // redoAThread is one thread's state.
 type redoAThread struct {
+	nesting
 	log   *wal.ThreadLog
-	nest  int
 	local uint64
-
-	cur     *redoARegion
-	last    *redoARegion
-	beginAt uint64
+	cur   *redoARegion
+	last  *redoARegion
 }
 
 // ASAPRedo is the paper's suggested alternative design (§3): asynchronous
@@ -58,38 +45,22 @@ type redoAThread struct {
 // and evicted-dirty reads redirect to the log — exactly the §3 trade-off
 // that made the authors choose undo logging.
 type ASAPRedo struct {
-	m       *machine.Machine
+	redoWriter
 	threads map[int]*redoAThread
 	regions map[arch.RID]*redoARegion
-
-	redirect map[arch.LineAddr]bool
-
-	// Window bounds outstanding log writes per region.
-	Window int
-	// RedirectPenalty is the extra latency of a log-redirected read.
-	RedirectPenalty uint64
-
-	prof *obs.Profiler
 }
-
-// SetProfiler attaches a stall-attribution profiler (nil detaches).
-func (s *ASAPRedo) SetProfiler(p *obs.Profiler) {
-	s.prof = p
-	s.m.Caches.SetProfiler(p)
-}
-
-var _ machine.Scheme = (*ASAPRedo)(nil)
 
 // NewASAPRedo builds the asynchronous-commit redo engine on m.
 func NewASAPRedo(m *machine.Machine) *ASAPRedo {
 	s := &ASAPRedo{
-		m:               m,
-		threads:         make(map[int]*redoAThread),
-		regions:         make(map[arch.RID]*redoARegion),
-		redirect:        make(map[arch.LineAddr]bool),
-		Window:          64,
-		RedirectPenalty: 30,
+		redoWriter: newRedoWriter(m),
+		threads:    make(map[int]*redoAThread),
+		regions:    make(map[arch.RID]*redoARegion),
 	}
+	s.freeAfterDPOs = true
+	// A log line is accepted only before its region's marker is sent, so
+	// the region is still live.
+	s.logged = func(l *redoLog) { s.maybeSendMarker(s.regions[l.rid]) }
 	m.Caches.SetEvictHook(s.onEvict)
 	return s
 }
@@ -99,7 +70,7 @@ func (s *ASAPRedo) Name() string { return "ASAP-Redo" }
 
 // InitThread implements machine.Scheme.
 func (s *ASAPRedo) InitThread(t *sim.Thread) {
-	s.threads[t.ID()] = &redoAThread{log: wal.NewThreadLog(s.m.Heap, 256<<10)}
+	s.threads[t.ID()] = &redoAThread{log: wal.NewThreadLog(s.m.Heap, logBytes)}
 	t.Advance(200)
 }
 
@@ -109,18 +80,17 @@ func (s *ASAPRedo) state(t *sim.Thread) *redoAThread { return s.threads[t.ID()] 
 // dependence on the thread's previous region if it is still uncommitted.
 func (s *ASAPRedo) Begin(t *sim.Thread) {
 	ts := s.state(t)
-	ts.nest++
-	if ts.nest > 1 {
-		t.Advance(1)
+	if !s.begin(t, &ts.nesting) {
 		return
 	}
-	ts.beginAt = t.Now()
 	ts.local++
 	r := &redoARegion{
-		rid:   arch.MakeRID(t.ID(), ts.local),
-		ts:    ts,
-		dirty: make(map[arch.LineAddr]bool),
-		deps:  make(map[arch.RID]struct{}),
+		redoLog: redoLog{
+			logCursor: logCursor{log: ts.log},
+			rid:       arch.MakeRID(t.ID(), ts.local),
+			dirty:     make(map[arch.LineAddr]bool),
+		},
+		deps: make(map[arch.RID]struct{}),
 	}
 	if prev := ts.last; prev != nil && !prev.committed {
 		r.deps[prev.rid] = struct{}{}
@@ -128,7 +98,6 @@ func (s *ASAPRedo) Begin(t *sim.Thread) {
 	s.regions[r.rid] = r
 	ts.cur = r
 	ts.last = r
-	*s.m.Cells.RegionsBegun++
 	t.Advance(4)
 }
 
@@ -137,22 +106,16 @@ func (s *ASAPRedo) Begin(t *sim.Thread) {
 // background (asynchronous commit).
 func (s *ASAPRedo) End(t *sim.Thread) {
 	ts := s.state(t)
-	ts.nest--
-	if ts.nest > 0 {
-		t.Advance(1)
+	if !s.end(t, &ts.nesting) {
 		return
 	}
 	r := ts.cur
 	ts.cur = nil
-	if r.words > 0 {
-		r.words = 0
-		s.flushLogLine(t, r)
-	}
+	s.flushPartial(t, &r.redoLog)
 	r.ended = true
 	s.maybeSendMarker(r)
 	t.Advance(4)
-	*s.m.Cells.RegionCycles += int64(t.Now() - ts.beginAt)
-	s.m.Cells.RegionLatency.Observe(t.Now() - ts.beginAt)
+	s.account(t, &ts.nesting, false)
 }
 
 // maybeSendMarker persists the commit marker once every log write has
@@ -168,12 +131,7 @@ func (s *ASAPRedo) maybeSendMarker(r *redoARegion) {
 		s.maybeCommit(r)
 		return
 	}
-	if r.rec == 0 {
-		s.allocRecord(nil, r)
-	}
-	hdr := s.m.Fabric.NewEntry(memdev.KindLogHeader, r.rid, r.rec, r.rec)
-	hdr.SetPayload(wal.EncodeHeader(r.rid, firstLines(r.dirty)))
-	s.m.Fabric.SubmitPersist(hdr, func(uint64) {
+	s.mark(nil, &r.redoLog, func(uint64) {
 		r.logDone = true
 		s.maybeCommit(r)
 	})
@@ -181,35 +139,19 @@ func (s *ASAPRedo) maybeSendMarker(r *redoARegion) {
 
 // maybeCommit applies the Figure 2c rule: the region commits once its log
 // (including the marker) is durable and every dependence has committed;
-// only then do the in-place DPOs go out.
+// only then do the in-place DPOs go out, and the log is freed once they
+// complete.
 func (s *ASAPRedo) maybeCommit(r *redoARegion) {
 	if r.committed || !r.logDone || len(r.deps) > 0 {
 		return
 	}
 	r.committed = true
 	*s.m.Cells.RegionsCommitted++
-
-	for _, line := range sortedLines(r.dirty) {
-		line := line
-		s.m.Fabric.SupersedeDPO(line)
-		r.pendingDPOs++
-		*s.m.Cells.DPOsIssued++
-		e := s.m.Fabric.NewEntry(memdev.KindDPO, r.rid, line, line)
-		s.m.Heap.ReadLineInto(line, e.Payload)
-		s.m.Fabric.SubmitPersist(e, func(uint64) {
-			r.pendingDPOs--
-			s.m.Caches.MarkClean(line)
-			if r.pendingDPOs == 0 {
-				// Data in place: the redo log may be reclaimed.
-				r.ts.log.FreeUpTo(r.logEnd)
-			}
-		})
-		delete(s.redirect, line)
-		meta := s.m.Caches.Table().Peek(line)
-		if meta != nil && meta.Owner == r.rid {
+	s.writeBack(&r.redoLog, func(line arch.LineAddr) {
+		if meta := s.m.Caches.Table().Peek(line); meta != nil && meta.Owner == r.rid {
 			meta.Owner = arch.NoRID
 		}
-	}
+	})
 	delete(s.regions, r.rid)
 
 	// Broadcast to dependents, in RID order for determinism.
@@ -233,69 +175,43 @@ func (s *ASAPRedo) maybeCommit(r *redoARegion) {
 func (s *ASAPRedo) Fence(t *sim.Thread) {
 	ts := s.state(t)
 	*s.m.Cells.Fences++
-	last := ts.last
-	if last == nil {
-		return
+	if last := ts.last; last != nil {
+		s.prof.Wait(t, obs.FenceWait, func() bool { return last.committed })
 	}
-	s.prof.Enter(t, obs.FenceWait)
-	t.WaitUntil(func() bool { return last.committed })
-	s.prof.Exit(t)
 }
 
 // DrainBarrier implements machine.Scheme.
 func (s *ASAPRedo) DrainBarrier(t *sim.Thread) {
-	s.prof.Enter(t, obs.Drain)
-	t.WaitUntil(func() bool {
-		if len(s.regions) != 0 {
-			return false
-		}
-		return s.m.Fabric.Quiesced()
+	s.prof.Wait(t, obs.Drain, func() bool {
+		return len(s.regions) == 0 && s.m.Fabric.Quiesced()
 	})
-	s.prof.Exit(t)
 }
 
 // Load implements machine.Scheme with dependence capture and redirect
 // penalties.
 func (s *ASAPRedo) Load(t *sim.Thread, addr uint64, buf []byte) {
 	ts := s.state(t)
-	machine.VisitLines(addr, len(buf), func(line arch.LineAddr) {
-		lat, meta := s.m.Caches.AccessBlocking(t, s.m.CoreOf(t), line, false)
-		if s.redirect[line] {
-			lat += s.RedirectPenalty
-		}
-		t.Advance(lat)
-		if s.m.Heap.IsPersistentLine(line) && ts.cur != nil {
+	s.load(t, addr, buf, func(meta *cache.Meta) {
+		if ts.cur != nil {
 			s.captureDep(ts.cur, meta, false)
 		}
 	})
-	s.m.Heap.Read(addr, buf)
 }
 
 // Store implements machine.Scheme: direct update in cache, word-packed
 // redo logging, dependence capture and ownership transfer.
 func (s *ASAPRedo) Store(t *sim.Thread, addr uint64, data []byte) {
 	ts := s.state(t)
-	machine.VisitLines(addr, len(data), func(line arch.LineAddr) {
-		lat, meta := s.m.Caches.AccessBlocking(t, s.m.CoreOf(t), line, true)
-		t.Advance(lat)
-		if !s.m.Heap.IsPersistentLine(line) || ts.cur == nil {
-			return
+	s.m.Store(t, addr, data, func(line arch.LineAddr, meta *cache.Meta) {
+		if r := ts.cur; r != nil {
+			s.captureDep(r, meta, true)
+			r.dirty[line] = true
 		}
-		s.captureDep(ts.cur, meta, true)
-		ts.cur.dirty[line] = true
+	}, func() {
+		if r := ts.cur; r != nil {
+			s.pack(t, &r.redoLog, addr, len(data))
+		}
 	})
-	if ts.cur != nil && s.m.Heap.IsPersistentAddr(addr) {
-		r := ts.cur
-		r.words += (len(data) + 7) / 8
-		for r.words >= 8 {
-			r.words -= 8
-			s.prof.Enter(t, obs.WPQFull)
-			t.WaitUntil(func() bool { return r.pendingLogs < s.Window })
-			s.prof.Exit(t)
-			s.flushLogLine(t, r)
-		}
-	}
-	s.m.Heap.Write(addr, data)
 }
 
 // captureDep records a data dependence through the line's OwnerRID tag,
@@ -314,39 +230,6 @@ func (s *ASAPRedo) captureDep(r *redoARegion, meta *cache.Meta, isWrite bool) {
 	}
 }
 
-// flushLogLine sends one packed redo log line toward the WPQ. t may be
-// nil when called from event context (marker path record allocation).
-func (s *ASAPRedo) flushLogLine(t *sim.Thread, r *redoARegion) {
-	if r.recUsed == wal.RecordEntries || r.rec == 0 {
-		s.allocRecord(t, r)
-	}
-	logLine := wal.EntryLine(r.rec, r.recUsed)
-	r.recUsed++
-	r.pendingLogs++
-	*s.m.Cells.LPOsIssued++
-	e := s.m.Fabric.NewEntry(memdev.KindLPO, r.rid, logLine, logLine)
-	e.SetPayload(nil) // packed new-value words, modeled as zeros
-	s.m.Fabric.SubmitPersist(e, func(uint64) {
-		r.pendingLogs--
-		s.maybeSendMarker(r)
-	})
-}
-
-func (s *ASAPRedo) allocRecord(t *sim.Thread, r *redoARegion) {
-	rec, end, ok := r.ts.log.AllocRecord()
-	if !ok {
-		*s.m.Cells.LogOverflows++
-		if t != nil {
-			s.prof.Enter(t, obs.LogOverflow)
-			t.Advance(2000)
-			s.prof.Exit(t)
-		}
-		r.ts.log.Grow()
-		rec, end, _ = r.ts.log.AllocRecord()
-	}
-	r.rec, r.recUsed, r.logEnd = rec, 0, end
-}
-
 // onEvict suppresses in-place writeback of lines owned by uncommitted
 // regions (their durable new values live only in the log).
 func (s *ASAPRedo) onEvict(info cache.EvictInfo) {
@@ -358,5 +241,5 @@ func (s *ASAPRedo) onEvict(info cache.EvictInfo) {
 		}
 		info.Meta.Owner = arch.NoRID
 	}
-	evictWriteback(s.m, info)
+	s.evictWriteback(info)
 }

@@ -6,6 +6,7 @@ import (
 	"asap/internal/machine"
 	"asap/internal/sim"
 	"asap/internal/stats"
+	"asap/internal/wal"
 )
 
 func buildRedoA(mutate func(*machine.Config)) (*machine.Machine, *ASAPRedo) {
@@ -48,7 +49,7 @@ func TestASAPRedoEndIsAsynchronous(t *testing.T) {
 		endAt = th.Now()
 		s.DrainBarrier(th)
 	})
-	m.K.Run()
+	m.K.MustRun()
 	if endAt > 3000 {
 		t.Fatalf("End stalled until %d: asynchronous redo commit broken", endAt)
 	}
@@ -105,7 +106,7 @@ func TestASAPRedoDependenceOrder(t *testing.T) {
 			s.DrainBarrier(th)
 		})
 	}
-	m.K.Run()
+	m.K.MustRun()
 	if got := m.Heap.ReadU64(x); got != 8 {
 		t.Fatalf("x = %d, want 8", got)
 	}
@@ -148,8 +149,46 @@ func TestASAPRedoFenceWaits(t *testing.T) {
 		fenceAt = th.Now()
 		s.DrainBarrier(th)
 	})
-	m.K.Run()
+	m.K.MustRun()
 	if fenceAt <= endAt {
 		t.Fatalf("fence (%d) should wait beyond End (%d)", fenceAt, endAt)
+	}
+}
+
+func TestASAPRedoFreeAfterGrowKeepsLiveRecords(t *testing.T) {
+	// Region A's DPOs complete after the thread's log has grown under
+	// region B. A's log end is an offset into the abandoned buffer, so
+	// freeing up to it must leave B's record in the new buffer live.
+	m, s := buildRedoA(func(c *machine.Config) {
+		c.Mem.Controllers, c.Mem.ChannelsPerMC = 1, 1
+		c.Mem.WPQEntries = 1
+		c.Mem.PMWriteCycles = 3000
+	})
+	base := m.Heap.Alloc(64*2, true)
+	var live uint64
+	m.K.Spawn("w", func(th *sim.Thread) {
+		s.InitThread(th)
+		ts := s.state(th)
+		ts.log = wal.NewThreadLog(m.Heap, wal.RecordBytes) // room for A's record only
+		words := make([]byte, 64)                          // eight words: one log line
+		s.Begin(th)
+		s.Store(th, base, words)
+		s.End(th)
+		a := ts.last
+		s.Begin(th)
+		s.Store(th, base+64, words) // B's record overflows the log: Grow
+		th.WaitUntil(func() bool { return a.committed && a.pendingDPOs == 0 })
+		live = ts.log.Live()
+		s.End(th)
+		s.DrainBarrier(th)
+	})
+	if err := m.K.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.St.Get(stats.LogOverflows); got != 1 {
+		t.Fatalf("log overflows = %d, want 1", got)
+	}
+	if live < wal.RecordBytes {
+		t.Fatalf("B's record freed by A's stale log end: %d live bytes, want >= %d", live, wal.RecordBytes)
 	}
 }

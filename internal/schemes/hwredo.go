@@ -4,7 +4,6 @@ import (
 	"asap/internal/arch"
 	"asap/internal/cache"
 	"asap/internal/machine"
-	"asap/internal/memdev"
 	"asap/internal/obs"
 	"asap/internal/sim"
 	"asap/internal/wal"
@@ -12,18 +11,9 @@ import (
 
 // redoThread is one thread's hardware-redo-logging state.
 type redoThread struct {
-	log     *wal.ThreadLog
-	nest    int
-	beginAt uint64
-	local   uint64
-	rid     arch.RID
-
-	dirty       map[arch.LineAddr]bool
-	words       int // redo words buffered toward the next log-line write
-	pendingLogs int
-	rec         arch.LineAddr
-	recUsed     int
-	logEnd      uint64
+	nesting
+	redoLog
+	local uint64
 }
 
 // HWRedo is the state-of-the-art hardware redo-logging baseline (§6.3,
@@ -36,42 +26,20 @@ type redoThread struct {
 // Data lines modified by an uncommitted region must not reach PM in place;
 // if one is evicted, later reads are redirected to the log at a penalty.
 type HWRedo struct {
-	m       *machine.Machine
+	redoWriter
 	threads map[int]*redoThread
 
 	// owned maps a line to the uncommitted region that modified it, for
 	// eviction suppression and read redirection.
 	owned map[arch.LineAddr]arch.RID
-	// redirect holds evicted-while-uncommitted lines whose reads must go
-	// to the log.
-	redirect map[arch.LineAddr]bool
-
-	// RedirectPenalty is the extra latency of a log-redirected read.
-	RedirectPenalty uint64
-	// Window bounds the outstanding log writes per thread (§6.3: on-chip
-	// resources of similar size to ASAP's).
-	Window int
-
-	prof *obs.Profiler
 }
-
-// SetProfiler attaches a stall-attribution profiler (nil detaches).
-func (s *HWRedo) SetProfiler(p *obs.Profiler) {
-	s.prof = p
-	s.m.Caches.SetProfiler(p)
-}
-
-var _ machine.Scheme = (*HWRedo)(nil)
 
 // NewHWRedo builds the hardware redo-logging baseline on m.
 func NewHWRedo(m *machine.Machine) *HWRedo {
 	s := &HWRedo{
-		m:               m,
-		threads:         make(map[int]*redoThread),
-		owned:           make(map[arch.LineAddr]arch.RID),
-		redirect:        make(map[arch.LineAddr]bool),
-		RedirectPenalty: 30,
-		Window:          64,
+		redoWriter: newRedoWriter(m),
+		threads:    make(map[int]*redoThread),
+		owned:      make(map[arch.LineAddr]arch.RID),
 	}
 	m.Caches.SetEvictHook(s.onEvict)
 	return s
@@ -82,10 +50,10 @@ func (s *HWRedo) Name() string { return "HWRedo" }
 
 // InitThread implements machine.Scheme.
 func (s *HWRedo) InitThread(t *sim.Thread) {
-	s.threads[t.ID()] = &redoThread{
-		log:   wal.NewThreadLog(s.m.Heap, 256<<10),
-		dirty: make(map[arch.LineAddr]bool),
-	}
+	s.threads[t.ID()] = &redoThread{redoLog: redoLog{
+		logCursor: logCursor{log: wal.NewThreadLog(s.m.Heap, logBytes)},
+		dirty:     make(map[arch.LineAddr]bool),
+	}}
 	t.Advance(200)
 }
 
@@ -94,17 +62,13 @@ func (s *HWRedo) state(t *sim.Thread) *redoThread { return s.threads[t.ID()] }
 // Begin implements machine.Scheme.
 func (s *HWRedo) Begin(t *sim.Thread) {
 	ts := s.state(t)
-	ts.nest++
-	if ts.nest > 1 {
-		t.Advance(1)
+	if !s.begin(t, &ts.nesting) {
 		return
 	}
-	ts.beginAt = t.Now()
 	ts.local++
 	ts.rid = arch.MakeRID(t.ID(), ts.local)
 	ts.dirty = make(map[arch.LineAddr]bool)
 	ts.words = 0
-	*s.m.Cells.RegionsBegun++
 	t.Advance(4)
 }
 
@@ -114,135 +78,44 @@ func (s *HWRedo) Begin(t *sim.Thread) {
 // follow asynchronously.
 func (s *HWRedo) End(t *sim.Thread) {
 	ts := s.state(t)
-	ts.nest--
-	if ts.nest > 0 {
-		t.Advance(1)
+	if !s.end(t, &ts.nesting) {
 		return
 	}
-	if ts.words > 0 {
-		s.flushLogLine(t, ts)
-	}
-	s.prof.Enter(t, obs.FenceWait)
-	t.WaitUntil(func() bool { return ts.pendingLogs == 0 })
-	s.prof.Exit(t)
-
+	s.flushPartial(t, &ts.redoLog)
+	s.prof.Wait(t, obs.FenceWait, func() bool { return ts.pendingLogs == 0 })
 	if len(ts.dirty) > 0 {
-		// Commit record: redo logging needs a durable commit marker before
-		// the log may be replayed (and before execution proceeds).
-		if ts.rec == 0 {
-			s.allocRecord(t, ts)
-		}
 		ts.pendingLogs++
-		hdr := s.m.Fabric.NewEntry(memdev.KindLogHeader, ts.rid, ts.rec, ts.rec)
-		hdr.SetPayload(wal.EncodeHeader(ts.rid, firstLines(ts.dirty)))
-		s.m.Fabric.SubmitPersist(hdr, func(uint64) { ts.pendingLogs-- })
-		s.prof.Enter(t, obs.FenceWait)
-		t.WaitUntil(func() bool { return ts.pendingLogs == 0 })
-		s.prof.Exit(t)
+		s.mark(t, &ts.redoLog, func(uint64) { ts.pendingLogs-- })
+		s.prof.Wait(t, obs.FenceWait, func() bool { return ts.pendingLogs == 0 })
 	}
 
-	// Committed. Issue the in-place DPOs asynchronously, superseding any
-	// still-queued DPO to the same line from an earlier region — the
-	// redo-side write filtering (§7.2).
+	// Committed: the in-place DPOs go out asynchronously.
 	rid := ts.rid
-	for _, line := range sortedLines(ts.dirty) {
-		line := line
-		s.m.Fabric.SupersedeDPO(line)
-		*s.m.Cells.DPOsIssued++
-		e := s.m.Fabric.NewEntry(memdev.KindDPO, rid, line, line)
-		s.m.Heap.ReadLineInto(line, e.Payload)
-		s.m.Fabric.SubmitPersist(e, func(uint64) { s.m.Caches.MarkClean(line) })
+	s.writeBack(&ts.redoLog, func(line arch.LineAddr) {
 		if s.owned[line] == rid {
 			delete(s.owned, line)
 		}
-		delete(s.redirect, line)
-	}
-	ts.log.FreeUpTo(ts.logEnd)
-	ts.rec, ts.recUsed = 0, 0
-	t.Advance(4)
-	*s.m.Cells.RegionCycles += int64(t.Now() - ts.beginAt)
-	s.m.Cells.RegionLatency.Observe(t.Now() - ts.beginAt)
-	*s.m.Cells.RegionsCommitted++
-}
-
-func firstLines(m map[arch.LineAddr]bool) []arch.LineAddr {
-	lines := sortedLines(m)
-	if len(lines) > wal.RecordEntries {
-		lines = lines[:wal.RecordEntries]
-	}
-	return lines
-}
-
-// Fence implements machine.Scheme: commit is synchronous at End.
-func (s *HWRedo) Fence(t *sim.Thread) { *s.m.Cells.Fences++ }
-
-// Load implements machine.Scheme, charging the log-redirection penalty for
-// lines whose in-cache copy was evicted before commit (§2.3).
-func (s *HWRedo) Load(t *sim.Thread, addr uint64, buf []byte) {
-	machine.VisitLines(addr, len(buf), func(line arch.LineAddr) {
-		lat, _ := s.m.Caches.AccessBlocking(t, s.m.CoreOf(t), line, false)
-		if s.redirect[line] {
-			lat += s.RedirectPenalty
-		}
-		t.Advance(lat)
 	})
-	s.m.Heap.Read(addr, buf)
+	ts.logEnd.Free(ts.log)
+	ts.rec = 0
+	t.Advance(4)
+	s.account(t, &ts.nesting, true)
 }
 
 // Store implements machine.Scheme: every persistent word written inside a
-// region is appended to the packed redo log; a log line flushes (one LPO)
-// per eight words.
+// region is appended to the packed redo log.
 func (s *HWRedo) Store(t *sim.Thread, addr uint64, data []byte) {
 	ts := s.state(t)
-	machine.VisitLines(addr, len(data), func(line arch.LineAddr) {
-		lat, _ := s.m.Caches.AccessBlocking(t, s.m.CoreOf(t), line, true)
-		t.Advance(lat)
-		if !s.m.Heap.IsPersistentLine(line) || ts.nest == 0 {
-			return
+	s.m.Store(t, addr, data, func(line arch.LineAddr, _ *cache.Meta) {
+		if ts.nest > 0 {
+			ts.dirty[line] = true
+			s.owned[line] = ts.rid
 		}
-		ts.dirty[line] = true
-		s.owned[line] = ts.rid
+	}, func() {
+		if ts.nest > 0 {
+			s.pack(t, &ts.redoLog, addr, len(data))
+		}
 	})
-	if ts.nest > 0 && s.m.Heap.IsPersistentAddr(addr) {
-		words := (len(data) + 7) / 8
-		ts.words += words
-		for ts.words >= 8 {
-			ts.words -= 8
-			s.prof.Enter(t, obs.WPQFull)
-			t.WaitUntil(func() bool { return ts.pendingLogs < s.Window })
-			s.prof.Exit(t)
-			s.flushLogLine(t, ts)
-		}
-	}
-	s.m.Heap.Write(addr, data)
-}
-
-// flushLogLine sends one packed redo log line toward the WPQ.
-func (s *HWRedo) flushLogLine(t *sim.Thread, ts *redoThread) {
-	if ts.recUsed == wal.RecordEntries || ts.rec == 0 {
-		s.allocRecord(t, ts)
-	}
-	logLine := wal.EntryLine(ts.rec, ts.recUsed)
-	ts.recUsed++
-	ts.pendingLogs++
-	*s.m.Cells.LPOsIssued++
-	e := s.m.Fabric.NewEntry(memdev.KindLPO, ts.rid, logLine, logLine)
-	e.SetPayload(nil) // packed new-value words, modeled as zeros
-	s.m.Fabric.SubmitPersist(e, func(uint64) { ts.pendingLogs-- })
-	ts.words = max(ts.words, 0)
-}
-
-func (s *HWRedo) allocRecord(t *sim.Thread, ts *redoThread) {
-	rec, end, ok := ts.log.AllocRecord()
-	if !ok {
-		*s.m.Cells.LogOverflows++
-		s.prof.Enter(t, obs.LogOverflow)
-		t.Advance(2000)
-		s.prof.Exit(t)
-		ts.log.Grow()
-		rec, end, _ = ts.log.AllocRecord()
-	}
-	ts.rec, ts.recUsed, ts.logEnd = rec, 0, end
 }
 
 // onEvict suppresses in-place writeback of lines modified by uncommitted
@@ -253,19 +126,5 @@ func (s *HWRedo) onEvict(info cache.EvictInfo) {
 		s.redirect[info.Line] = true
 		return
 	}
-	evictWriteback(s.m, info)
-}
-
-// DrainBarrier implements machine.Scheme.
-func (s *HWRedo) DrainBarrier(t *sim.Thread) {
-	s.prof.Enter(t, obs.Drain)
-	t.WaitUntil(s.m.Fabric.Quiesced)
-	s.prof.Exit(t)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	s.evictWriteback(info)
 }

@@ -12,20 +12,16 @@ import (
 
 // undoThread is one thread's hardware-undo-logging state.
 type undoThread struct {
-	log     *wal.ThreadLog
-	nest    int
-	beginAt uint64
-	local   uint64
+	nesting
+	logCursor
+	local uint64
+	rid   arch.RID
 
 	logged      map[arch.LineAddr]bool // LPO issued this region
 	dirty       map[arch.LineAddr]bool // lines still needing a DPO
 	dpoDone     map[arch.LineAddr]bool // eager DPO already accepted
 	pendingLPOs int
 	pendingDPOs int
-	rec         arch.LineAddr
-	recUsed     int
-	logEnd      uint64
-	rid         arch.RID
 }
 
 // HWUndo is the state-of-the-art hardware undo-logging baseline (Proteus
@@ -35,33 +31,14 @@ type undoThread struct {
 // asap_end until every LPO and DPO has completed (§2.3). LPO dropping is
 // applied on commit, as in the original work.
 type HWUndo struct {
-	m       *machine.Machine
+	base
 	threads map[int]*undoThread
-
-	// TruncateDelay is how long after a region's synchronous commit the
-	// log-truncation hardware gets around to freeing its log and dropping
-	// its queued LPOs (Proteus truncates lazily, off the critical path).
-	TruncateDelay uint64
-	// Window bounds the outstanding persist operations per thread: the
-	// baselines get on-chip tracking resources of a size similar to
-	// ASAP's (§6.3), not unbounded ones.
-	Window int
-
-	prof *obs.Profiler
 }
-
-// SetProfiler attaches a stall-attribution profiler (nil detaches).
-func (s *HWUndo) SetProfiler(p *obs.Profiler) {
-	s.prof = p
-	s.m.Caches.SetProfiler(p)
-}
-
-var _ machine.Scheme = (*HWUndo)(nil)
 
 // NewHWUndo builds the hardware undo-logging baseline on m.
 func NewHWUndo(m *machine.Machine) *HWUndo {
-	s := &HWUndo{m: m, threads: make(map[int]*undoThread), TruncateDelay: 500, Window: 64}
-	m.Caches.SetEvictHook(func(info cache.EvictInfo) { evictWriteback(m, info) })
+	s := &HWUndo{base: base{m: m}, threads: make(map[int]*undoThread)}
+	m.Caches.SetEvictHook(s.evictWriteback)
 	return s
 }
 
@@ -71,10 +48,10 @@ func (s *HWUndo) Name() string { return "HWUndo" }
 // InitThread implements machine.Scheme.
 func (s *HWUndo) InitThread(t *sim.Thread) {
 	s.threads[t.ID()] = &undoThread{
-		log:     wal.NewThreadLog(s.m.Heap, 256<<10),
-		logged:  make(map[arch.LineAddr]bool),
-		dirty:   make(map[arch.LineAddr]bool),
-		dpoDone: make(map[arch.LineAddr]bool),
+		logCursor: logCursor{log: wal.NewThreadLog(s.m.Heap, logBytes)},
+		logged:    make(map[arch.LineAddr]bool),
+		dirty:     make(map[arch.LineAddr]bool),
+		dpoDone:   make(map[arch.LineAddr]bool),
 	}
 	t.Advance(200)
 }
@@ -84,18 +61,14 @@ func (s *HWUndo) state(t *sim.Thread) *undoThread { return s.threads[t.ID()] }
 // Begin implements machine.Scheme.
 func (s *HWUndo) Begin(t *sim.Thread) {
 	ts := s.state(t)
-	ts.nest++
-	if ts.nest > 1 {
-		t.Advance(1)
+	if !s.begin(t, &ts.nesting) {
 		return
 	}
-	ts.beginAt = t.Now()
 	ts.local++
 	ts.rid = arch.MakeRID(t.ID(), ts.local)
 	ts.logged = make(map[arch.LineAddr]bool)
 	ts.dirty = make(map[arch.LineAddr]bool)
 	ts.dpoDone = make(map[arch.LineAddr]bool)
-	*s.m.Cells.RegionsBegun++
 	t.Advance(4)
 }
 
@@ -104,57 +77,37 @@ func (s *HWUndo) Begin(t *sim.Thread) {
 // instruction execution proceeds past the region.
 func (s *HWUndo) End(t *sim.Thread) {
 	ts := s.state(t)
-	ts.nest--
-	if ts.nest > 0 {
-		t.Advance(1)
+	if !s.end(t, &ts.nesting) {
 		return
 	}
 	// Most DPOs were initiated eagerly when their LPOs completed (§2.3);
 	// the remainder are lines whose LPO is still in flight or that were
 	// rewritten after their eager DPO. Wait for LPOs, flush the stragglers,
 	// wait for all DPOs — the synchronous commit.
-	s.prof.Enter(t, obs.FenceWait)
-	t.WaitUntil(func() bool { return ts.pendingLPOs == 0 })
-	s.prof.Exit(t)
+	s.prof.Wait(t, obs.FenceWait, func() bool { return ts.pendingLPOs == 0 })
 	for _, line := range sortedLines(ts.dirty) {
 		s.issueDPO(ts, line)
 	}
-	s.prof.Enter(t, obs.FenceWait)
-	t.WaitUntil(func() bool { return ts.pendingDPOs == 0 })
-	s.prof.Exit(t)
+	s.prof.Wait(t, obs.FenceWait, func() bool { return ts.pendingDPOs == 0 })
 
 	// Committed: the log is freed and its still-queued LPOs dropped
 	// (§5.1) when the lazy truncation pass reaches this region.
 	logEnd, rid := ts.logEnd, ts.rid
-	s.m.K.ScheduleAfter(s.TruncateDelay, func() {
-		ts.log.FreeUpTo(logEnd)
+	s.m.K.ScheduleAfter(truncateDelay, func() {
+		logEnd.Free(ts.log)
 		s.m.Fabric.DropRegionOps(rid)
 	})
-	ts.rec, ts.recUsed = 0, 0
+	ts.rec = 0
 	t.Advance(4)
-	*s.m.Cells.RegionCycles += int64(t.Now() - ts.beginAt)
-	s.m.Cells.RegionLatency.Observe(t.Now() - ts.beginAt)
-	*s.m.Cells.RegionsCommitted++
-}
-
-// Fence implements machine.Scheme: synchronous commit means nothing is
-// outstanding after End.
-func (s *HWUndo) Fence(t *sim.Thread) { *s.m.Cells.Fences++ }
-
-// Load implements machine.Scheme.
-func (s *HWUndo) Load(t *sim.Thread, addr uint64, buf []byte) {
-	s.m.Access(t, addr, len(buf), false, nil)
-	s.m.Heap.Read(addr, buf)
+	s.account(t, &ts.nesting, true)
 }
 
 // Store implements machine.Scheme: the hardware initiates an LPO on the
 // first write to each line, transparently and asynchronously.
 func (s *HWUndo) Store(t *sim.Thread, addr uint64, data []byte) {
 	ts := s.state(t)
-	machine.VisitLines(addr, len(data), func(line arch.LineAddr) {
-		lat, _ := s.m.Caches.AccessBlocking(t, s.m.CoreOf(t), line, true)
-		t.Advance(lat)
-		if !s.m.Heap.IsPersistentLine(line) || ts.nest == 0 {
+	s.m.Store(t, addr, data, func(line arch.LineAddr, _ *cache.Meta) {
+		if ts.nest == 0 {
 			return
 		}
 		ts.dirty[line] = true
@@ -163,35 +116,19 @@ func (s *HWUndo) Store(t *sim.Thread, addr uint64, data []byte) {
 			return
 		}
 		ts.logged[line] = true
-		s.prof.Enter(t, obs.WPQFull)
-		t.WaitUntil(func() bool { return ts.pendingLPOs+ts.pendingDPOs < s.Window })
-		s.prof.Exit(t)
+		s.prof.Wait(t, obs.WPQFull, func() bool { return ts.pendingLPOs+ts.pendingDPOs < window })
 		s.issueLPO(t, ts, line)
-	})
-	s.m.Heap.Write(addr, data)
+	}, nil)
 }
 
 func (s *HWUndo) issueLPO(t *sim.Thread, ts *undoThread, line arch.LineAddr) {
-	if ts.recUsed == wal.RecordEntries || ts.rec == 0 {
-		if ts.rec != 0 {
-			// Filled record: its header goes to the WPQ in the background.
-			hdr := s.m.Fabric.NewEntry(memdev.KindLogHeader, ts.rid, ts.rec, ts.rec)
-			hdr.SetPayload(wal.EncodeHeader(ts.rid, nil))
-			s.m.Fabric.SubmitPersist(hdr, nil)
-		}
-		rec, end, ok := ts.log.AllocRecord()
-		if !ok {
-			*s.m.Cells.LogOverflows++
-			s.prof.Enter(t, obs.LogOverflow)
-			t.Advance(2000)
-			s.prof.Exit(t)
-			ts.log.Grow()
-			rec, end, _ = ts.log.AllocRecord()
-		}
-		ts.rec, ts.recUsed, ts.logEnd = rec, 0, end
+	if ts.rec != 0 && ts.recUsed == wal.RecordEntries {
+		// Filled record: its header goes to the WPQ in the background.
+		hdr := s.m.Fabric.NewEntry(memdev.KindLogHeader, ts.rid, ts.rec, ts.rec)
+		hdr.SetPayload(wal.EncodeHeader(ts.rid, nil))
+		s.m.Fabric.SubmitPersist(hdr, nil)
 	}
-	logLine := wal.EntryLine(ts.rec, ts.recUsed)
-	ts.recUsed++
+	logLine := s.nextEntry(t, &ts.logCursor)
 	e := s.m.Fabric.NewEntry(memdev.KindLPO, ts.rid, logLine, line)
 	s.m.Heap.ReadLineInto(line, e.Payload) // old value
 	ts.pendingLPOs++
@@ -222,11 +159,4 @@ func (s *HWUndo) issueDPO(ts *undoThread, line arch.LineAddr) {
 		ts.dpoDone[line] = true
 		s.m.Caches.MarkClean(line)
 	})
-}
-
-// DrainBarrier implements machine.Scheme.
-func (s *HWUndo) DrainBarrier(t *sim.Thread) {
-	s.prof.Enter(t, obs.Drain)
-	t.WaitUntil(s.m.Fabric.Quiesced)
-	s.prof.Exit(t)
 }

@@ -1,56 +1,22 @@
-// Package schemes implements the paper's four baselines behind the
-// machine.Scheme interface: NP (no persistence), SW (software undo
-// logging, §6.3), SWDPOOnly (the Figure 1 middle bar), HWUndo
-// (Proteus-style synchronous-commit hardware undo logging) and HWRedo
-// (redo logging with synchronous LPOs and asynchronous DPOs).
 package schemes
 
 import (
-	"sort"
-
-	"asap/internal/arch"
-	"asap/internal/cache"
 	"asap/internal/machine"
-	"asap/internal/obs"
 	"asap/internal/sim"
 )
-
-// sortedLines returns the map's keys in address order: flush loops iterate
-// deterministically so queue admission order (and thus timing) is stable
-// run to run.
-func sortedLines(m map[arch.LineAddr]bool) []arch.LineAddr {
-	out := make([]arch.LineAddr, 0, len(m))
-	for l := range m {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // NP is the no-persistency upper bound: data lives in persistent memory
 // (reads and dirty evictions touch the PM device) but no LPOs or DPOs are
 // ever performed and regions carry no commit semantics.
 type NP struct {
-	m *machine.Machine
-
-	nest    map[int]int
-	beginAt map[int]uint64
-
-	prof *obs.Profiler
+	base
+	threads map[int]*nesting
 }
-
-// SetProfiler attaches a stall-attribution profiler (nil detaches).
-func (s *NP) SetProfiler(p *obs.Profiler) {
-	s.prof = p
-	s.m.Caches.SetProfiler(p)
-}
-
-var _ machine.Scheme = (*NP)(nil)
 
 // NewNP builds the NP baseline on m.
 func NewNP(m *machine.Machine) *NP {
-	np := &NP{m: m, nest: make(map[int]int), beginAt: make(map[int]uint64)}
-	m.Caches.SetEvictHook(np.onEvict)
+	np := &NP{base: base{m: m}, threads: make(map[int]*nesting)}
+	m.Caches.SetEvictHook(np.evictWriteback)
 	return np
 }
 
@@ -58,51 +24,29 @@ func NewNP(m *machine.Machine) *NP {
 func (s *NP) Name() string { return "NP" }
 
 // InitThread implements machine.Scheme.
-func (s *NP) InitThread(t *sim.Thread) { t.Advance(50) }
+func (s *NP) InitThread(t *sim.Thread) {
+	s.threads[t.ID()] = &nesting{}
+	t.Advance(50)
+}
 
 // Begin implements machine.Scheme (latency accounting only).
 func (s *NP) Begin(t *sim.Thread) {
-	s.nest[t.ID()]++
-	if s.nest[t.ID()] == 1 {
-		s.beginAt[t.ID()] = t.Now()
-		*s.m.Cells.RegionsBegun++
+	if s.begin(t, s.threads[t.ID()]) {
+		t.Advance(1)
 	}
-	t.Advance(1)
 }
 
 // End implements machine.Scheme.
 func (s *NP) End(t *sim.Thread) {
-	s.nest[t.ID()]--
-	t.Advance(1)
-	if s.nest[t.ID()] == 0 {
-		*s.m.Cells.RegionCycles += int64(t.Now() - s.beginAt[t.ID()])
-		s.m.Cells.RegionLatency.Observe(t.Now() - s.beginAt[t.ID()])
-		*s.m.Cells.RegionsCommitted++
+	if n := s.threads[t.ID()]; s.end(t, n) {
+		t.Advance(1)
+		s.account(t, n, true)
 	}
 }
 
-// Fence implements machine.Scheme: nothing to wait for.
-func (s *NP) Fence(t *sim.Thread) { *s.m.Cells.Fences++ }
-
-// Load implements machine.Scheme.
-func (s *NP) Load(t *sim.Thread, addr uint64, buf []byte) {
-	s.m.Access(t, addr, len(buf), false, nil)
-	s.m.Heap.Read(addr, buf)
-}
-
-// Store implements machine.Scheme.
+// Store implements machine.Scheme. NP keeps machine.Access, which
+// advances once per store: a per-line walk would move its cycles.
 func (s *NP) Store(t *sim.Thread, addr uint64, data []byte) {
 	s.m.Access(t, addr, len(data), true, nil)
 	s.m.Heap.Write(addr, data)
-}
-
-// DrainBarrier implements machine.Scheme.
-func (s *NP) DrainBarrier(t *sim.Thread) {
-	s.prof.Enter(t, obs.Drain)
-	t.WaitUntil(s.m.Fabric.Quiesced)
-	s.prof.Exit(t)
-}
-
-func (s *NP) onEvict(info cache.EvictInfo) {
-	evictWriteback(s.m, info)
 }

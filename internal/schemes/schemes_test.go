@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"asap/internal/arch"
-	"asap/internal/core"
 	"asap/internal/machine"
 	"asap/internal/sim"
 	"asap/internal/stats"
@@ -19,29 +18,14 @@ func build(name string, mutate func(*machine.Config)) (*machine.Machine, machine
 		mutate(&cfg)
 	}
 	m := machine.New(cfg)
-	var s machine.Scheme
-	switch name {
-	case "NP":
-		s = NewNP(m)
-	case "SW":
-		s = NewSW(m)
-	case "SW-DPOOnly":
-		s = NewSWDPOOnly(m)
-	case "HWUndo":
-		s = NewHWUndo(m)
-	case "HWRedo":
-		s = NewHWRedo(m)
-	case "ASAP":
-		s = core.NewEngine(m, core.DefaultOptions())
-	case "ASAP-Redo":
-		s = NewASAPRedo(m)
-	default:
-		panic("unknown scheme " + name)
+	s, err := New(name, m, nil)
+	if err != nil {
+		panic(err)
 	}
 	return m, s
 }
 
-var allSchemes = []string{"NP", "SW", "SW-DPOOnly", "HWUndo", "HWRedo", "ASAP", "ASAP-Redo"}
+var allSchemes = Names()
 
 // miniWorkload runs regions regions, each updating span distinct lines of
 // a shared array plus a counter line, and returns total cycles.
@@ -68,7 +52,7 @@ func miniWorkload(m *machine.Machine, s machine.Scheme, regions, span int) uint6
 		}
 		s.DrainBarrier(t)
 	})
-	m.K.Run()
+	m.K.MustRun()
 	return m.K.Now()
 }
 
@@ -105,7 +89,7 @@ func TestSchemesProduceIdenticalFinalData(t *testing.T) {
 			}
 			s.DrainBarrier(t)
 		})
-		m.K.Run()
+		m.K.MustRun()
 		got := make([]byte, 64*8)
 		m.Heap.Read(base, got)
 		if want == nil {
@@ -203,7 +187,7 @@ func TestHWUndoEndIsSynchronous(t *testing.T) {
 			at = t.Now()
 			s.DrainBarrier(t)
 		})
-		m.K.Run()
+		m.K.MustRun()
 		return at
 	}
 	undo := endTime("HWUndo")
@@ -233,7 +217,7 @@ func TestHWRedoRedirectPenalty(t *testing.T) {
 		s.Load(t, uint64(line), b[:])
 		withoutPenalty = t.Now() - start
 	})
-	m.K.Run()
+	m.K.MustRun()
 	if withPenalty <= withoutPenalty {
 		t.Fatalf("redirected read (%d) should cost more than normal (%d)", withPenalty, withoutPenalty)
 	}
@@ -262,7 +246,7 @@ func TestMultithreadedSchemesAgree(t *testing.T) {
 				s.DrainBarrier(t)
 			})
 		}
-		m.K.Run()
+		m.K.MustRun()
 		got := make([]byte, 8)
 		m.Heap.Read(counter, got)
 		if got[0] != 75 {

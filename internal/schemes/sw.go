@@ -1,8 +1,6 @@
 package schemes
 
 import (
-	"sort"
-
 	"asap/internal/arch"
 	"asap/internal/cache"
 	"asap/internal/machine"
@@ -14,17 +12,16 @@ import (
 
 // swThread is one thread's software-logging state.
 type swThread struct {
-	log     *wal.ThreadLog
-	nest    int
-	beginAt uint64
-	logged  map[arch.LineAddr]arch.LineAddr // data line -> log line (this region)
-	dirty   map[arch.LineAddr]bool          // lines to flush at region end
-	pending int                             // outstanding synchronous persists
-	local   uint64                          // per-thread region counter
-	logEnd  uint64
-	rec     arch.LineAddr // current record header
-	recUsed int
+	nesting
+	logCursor
+	logged  map[arch.LineAddr]bool // lines with an undo entry this region
+	dirty   map[arch.LineAddr]bool // lines to flush at region end
+	pending int                    // outstanding synchronous persists
+	local   uint64                 // per-thread region counter
 }
+
+// drained reports whether every synchronous persist has been accepted.
+func (ts *swThread) drained() bool { return ts.pending == 0 }
 
 // SW is the software undo-logging baseline of §6.3: distributed per-thread
 // logs, persist instructions (clwb + fence) on the critical path, persist
@@ -34,37 +31,18 @@ type swThread struct {
 // DPOOnly drops the logging half, leaving only the data flushes: the
 // Figure 1 "DPO Only" configuration.
 type SW struct {
-	m       *machine.Machine
+	base
 	threads map[int]*swThread
 
 	// DPOOnly disables LPOs (no WAL): Figure 1's middle bar.
 	DPOOnly bool
-	// InstrOverhead models the extra instructions of software logging per
-	// persist operation (bookkeeping, address computation).
-	InstrOverhead uint64
-
-	prof *obs.Profiler
 }
 
-// SetProfiler attaches a stall-attribution profiler (nil detaches).
-func (s *SW) SetProfiler(p *obs.Profiler) {
-	s.prof = p
-	s.m.Caches.SetProfiler(p)
-}
-
-var _ machine.Scheme = (*SW)(nil)
-
-// NewSW builds the software-logging baseline on m.
-func NewSW(m *machine.Machine) *SW {
-	s := &SW{m: m, threads: make(map[int]*swThread), InstrOverhead: 12}
-	m.Caches.SetEvictHook(func(info cache.EvictInfo) { evictWriteback(m, info) })
-	return s
-}
-
-// NewSWDPOOnly builds the Figure 1 "DPO Only" variant.
-func NewSWDPOOnly(m *machine.Machine) *SW {
-	s := NewSW(m)
-	s.DPOOnly = true
+// NewSW builds the software-logging baseline on m; dpoOnly builds the
+// Figure 1 "DPO Only" variant.
+func NewSW(m *machine.Machine, dpoOnly bool) *SW {
+	s := &SW{base: base{m: m}, threads: make(map[int]*swThread), DPOOnly: dpoOnly}
+	m.Caches.SetEvictHook(s.evictWriteback)
 	return s
 }
 
@@ -79,11 +57,11 @@ func (s *SW) Name() string {
 // InitThread implements machine.Scheme.
 func (s *SW) InitThread(t *sim.Thread) {
 	ts := &swThread{
-		logged: make(map[arch.LineAddr]arch.LineAddr),
+		logged: make(map[arch.LineAddr]bool),
 		dirty:  make(map[arch.LineAddr]bool),
 	}
 	if !s.DPOOnly {
-		ts.log = wal.NewThreadLog(s.m.Heap, 256<<10)
+		ts.log = wal.NewThreadLog(s.m.Heap, logBytes)
 	}
 	s.threads[t.ID()] = ts
 	t.Advance(200)
@@ -94,17 +72,13 @@ func (s *SW) state(t *sim.Thread) *swThread { return s.threads[t.ID()] }
 // Begin implements machine.Scheme.
 func (s *SW) Begin(t *sim.Thread) {
 	ts := s.state(t)
-	ts.nest++
-	if ts.nest > 1 {
-		t.Advance(1)
+	if !s.begin(t, &ts.nesting) {
 		return
 	}
-	ts.beginAt = t.Now()
 	ts.local++
-	ts.logged = make(map[arch.LineAddr]arch.LineAddr)
+	ts.logged = make(map[arch.LineAddr]bool)
 	ts.dirty = make(map[arch.LineAddr]bool)
-	*s.m.Cells.RegionsBegun++
-	t.Advance(s.InstrOverhead)
+	t.Advance(swInstrOverhead)
 }
 
 // End implements machine.Scheme: flush every dirty line (overlapped), wait
@@ -112,64 +86,32 @@ func (s *SW) Begin(t *sim.Thread) {
 // on the critical path — the cost Figure 1 quantifies.
 func (s *SW) End(t *sim.Thread) {
 	ts := s.state(t)
-	ts.nest--
-	if ts.nest > 0 {
-		t.Advance(1)
+	if !s.end(t, &ts.nesting) {
 		return
 	}
 	// clwb every dirty line, then a single fence (hand-overlapped).
 	for _, line := range sortedLines(ts.dirty) {
-		line := line
 		ts.pending++
 		*s.m.Cells.DPOsIssued++
 		e := s.m.Fabric.NewEntry(memdev.KindDPO, arch.NoRID, line, line)
 		s.m.Heap.ReadLineInto(line, e.Payload)
 		s.m.Fabric.SubmitPersist(e, func(uint64) { ts.pending--; s.m.Caches.MarkClean(line) })
-		t.Advance(s.InstrOverhead)
+		t.Advance(swInstrOverhead)
 	}
-	s.prof.Enter(t, obs.FenceWait)
-	t.WaitUntil(func() bool { return ts.pending == 0 })
-	s.prof.Exit(t)
+	s.prof.Wait(t, obs.FenceWait, ts.drained)
 
 	if !s.DPOOnly && len(ts.logged) > 0 {
 		// Persist the commit record (log truncation point) and wait.
 		ts.pending++
 		hdr := s.m.Fabric.NewEntry(memdev.KindLogHeader, arch.NoRID, ts.rec, ts.rec)
-		hdr.SetPayload(wal.EncodeHeader(arch.MakeRID(t.ID(), ts.local), keys(ts.logged)))
+		hdr.SetPayload(wal.EncodeHeader(arch.MakeRID(t.ID(), ts.local), firstLines(ts.logged)))
 		s.m.Fabric.SubmitPersist(hdr, func(uint64) { ts.pending-- })
-		s.prof.Enter(t, obs.FenceWait)
-		t.WaitUntil(func() bool { return ts.pending == 0 })
-		s.prof.Exit(t)
-		ts.log.FreeUpTo(ts.logEnd)
-		ts.rec, ts.recUsed = 0, 0
+		s.prof.Wait(t, obs.FenceWait, ts.drained)
+		ts.logEnd.Free(ts.log)
+		ts.rec = 0
 	}
-	t.Advance(s.InstrOverhead)
-	*s.m.Cells.RegionCycles += int64(t.Now() - ts.beginAt)
-	s.m.Cells.RegionLatency.Observe(t.Now() - ts.beginAt)
-	*s.m.Cells.RegionsCommitted++
-}
-
-// keys returns at most one record's worth of logged data lines for the
-// commit header payload, in address order.
-func keys(m map[arch.LineAddr]arch.LineAddr) []arch.LineAddr {
-	out := make([]arch.LineAddr, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if len(out) > wal.RecordEntries {
-		out = out[:wal.RecordEntries]
-	}
-	return out
-}
-
-// Fence implements machine.Scheme: SW regions are already synchronous.
-func (s *SW) Fence(t *sim.Thread) { *s.m.Cells.Fences++ }
-
-// Load implements machine.Scheme.
-func (s *SW) Load(t *sim.Thread, addr uint64, buf []byte) {
-	s.m.Access(t, addr, len(buf), false, nil)
-	s.m.Heap.Read(addr, buf)
+	t.Advance(swInstrOverhead)
+	s.account(t, &ts.nesting, true)
 }
 
 // Store implements machine.Scheme: on the first write to a line in a
@@ -177,72 +119,31 @@ func (s *SW) Load(t *sim.Thread, addr uint64, buf []byte) {
 // proceed — the write-ahead rule enforced in software.
 func (s *SW) Store(t *sim.Thread, addr uint64, data []byte) {
 	ts := s.state(t)
-	machine.VisitLines(addr, len(data), func(line arch.LineAddr) {
-		lat, _ := s.m.Caches.AccessBlocking(t, s.m.CoreOf(t), line, true)
-		t.Advance(lat)
-		if !s.m.Heap.IsPersistentLine(line) || ts.nest == 0 {
+	s.m.Store(t, addr, data, func(line arch.LineAddr, _ *cache.Meta) {
+		if ts.nest == 0 {
 			return
 		}
 		ts.dirty[line] = true
-		if s.DPOOnly {
-			return
-		}
-		if _, done := ts.logged[line]; done {
+		if s.DPOOnly || ts.logged[line] {
 			return // hand-coalesced: one undo entry per line per region
 		}
-		logLine := s.appendUndo(t, ts, line)
-		ts.logged[line] = logLine
-	})
-	s.m.Heap.Write(addr, data)
+		s.appendUndo(t, ts, line)
+		ts.logged[line] = true
+	}, nil)
 }
 
 // appendUndo writes one undo entry through the cache, then clwb+fence: the
 // old value must be durable before the data write lands (WAL).
-func (s *SW) appendUndo(t *sim.Thread, ts *swThread, line arch.LineAddr) arch.LineAddr {
-	if ts.recUsed == wal.RecordEntries || ts.rec == 0 {
-		hdr, end, ok := ts.log.AllocRecord()
-		if !ok {
-			*s.m.Cells.LogOverflows++
-			s.prof.Enter(t, obs.LogOverflow)
-			t.Advance(2000)
-			s.prof.Exit(t)
-			ts.log.Grow()
-			hdr, end, _ = ts.log.AllocRecord()
-		}
-		ts.rec, ts.recUsed, ts.logEnd = hdr, 0, end
-	}
-	logLine := wal.EntryLine(ts.rec, ts.recUsed)
-	ts.recUsed++
-
+func (s *SW) appendUndo(t *sim.Thread, ts *swThread, line arch.LineAddr) {
+	logLine := s.nextEntry(t, &ts.logCursor)
 	e := s.m.Fabric.NewEntry(memdev.KindLPO, arch.NoRID, logLine, line)
 	s.m.Heap.ReadLineInto(line, e.Payload) // old value, read before the log store can yield
 	// The software store of the log entry goes through the cache.
 	lat, _ := s.m.Caches.AccessBlocking(t, s.m.CoreOf(t), logLine, true)
-	t.Advance(lat + s.InstrOverhead)
+	t.Advance(lat + swInstrOverhead)
 	// clwb + mfence: wait for WPQ acceptance before continuing.
 	ts.pending++
 	*s.m.Cells.LPOsIssued++
 	s.m.Fabric.SubmitPersist(e, func(uint64) { ts.pending--; s.m.Caches.MarkClean(logLine) })
-	s.prof.Enter(t, obs.FenceWait)
-	t.WaitUntil(func() bool { return ts.pending == 0 })
-	s.prof.Exit(t)
-	return logLine
-}
-
-// DrainBarrier implements machine.Scheme.
-func (s *SW) DrainBarrier(t *sim.Thread) {
-	s.prof.Enter(t, obs.Drain)
-	t.WaitUntil(s.m.Fabric.Quiesced)
-	s.prof.Exit(t)
-}
-
-// evictWriteback is the shared dirty-line LLC eviction path for schemes
-// without special eviction handling.
-func evictWriteback(m *machine.Machine, info cache.EvictInfo) {
-	if !info.Dirty {
-		return
-	}
-	e := m.Fabric.NewEntry(memdev.KindEvict, arch.NoRID, info.Line, info.Line)
-	m.Heap.ReadLineInto(info.Line, e.Payload)
-	m.Fabric.SubmitPersist(e, nil)
+	s.prof.Wait(t, obs.FenceWait, ts.drained)
 }

@@ -30,7 +30,7 @@ func BenchmarkAdvanceYield(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	k.Run()
+	k.MustRun()
 }
 
 // BenchmarkAdvanceYieldContended measures the two-runnable-thread step:
@@ -47,7 +47,7 @@ func BenchmarkAdvanceYieldContended(b *testing.B) {
 		})
 	}
 	b.ResetTimer()
-	k.Run()
+	k.MustRun()
 }
 
 // BenchmarkWaitUntilHandoff measures a producer/consumer ping-pong
@@ -72,7 +72,7 @@ func BenchmarkWaitUntilHandoff(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	k.Run()
+	k.MustRun()
 }
 
 // BenchmarkScheduleFire measures event throughput: schedule-then-fire of
@@ -90,7 +90,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	k.Run()
+	k.MustRun()
 	if fired != b.N {
 		b.Fatalf("fired %d events, want %d", fired, b.N)
 	}
@@ -112,7 +112,7 @@ func BenchmarkEventRepick(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	k.Run()
+	k.MustRun()
 	if fired != b.N {
 		b.Fatalf("fired %d events, want %d", fired, b.N)
 	}
@@ -129,7 +129,7 @@ func BenchmarkSleepUntil(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	k.Run()
+	k.MustRun()
 }
 
 // BenchmarkMutexPingPong measures contended lock handoff between two
@@ -148,7 +148,7 @@ func BenchmarkMutexPingPong(b *testing.B) {
 		})
 	}
 	b.ResetTimer()
-	k.Run()
+	k.MustRun()
 }
 
 // BenchmarkFullQuickScale runs one complete quick-scale benchmark (Q

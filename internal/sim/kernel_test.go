@@ -17,7 +17,7 @@ func TestSingleThreadAdvances(t *testing.T) {
 		th.Advance(5)
 		end = th.Now()
 	})
-	k.Run()
+	k.MustRun()
 	if end != 15 {
 		t.Fatalf("thread clock = %d, want 15", end)
 	}
@@ -41,7 +41,7 @@ func TestThreadsInterleaveByClock(t *testing.T) {
 			order = append(order, "fast")
 		}
 	})
-	k.Run()
+	k.MustRun()
 	want := []string{"fast", "fast", "slow", "fast", "slow", "slow"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -55,7 +55,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	k.Schedule(10, func() { fired = append(fired, 10) })
 	k.Schedule(20, func() { fired = append(fired, 20) })
 	k.Spawn("t", func(th *Thread) { th.Advance(100) })
-	k.Run()
+	k.MustRun()
 	want := []uint64{10, 20, 30}
 	if !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fired = %v, want %v", fired, want)
@@ -70,7 +70,7 @@ func TestEventBeforeThreadAtSameInstant(t *testing.T) {
 		th.Advance(10)
 		order = append(order, "thread")
 	})
-	k.Run()
+	k.MustRun()
 	// An event at cycle 10 must be visible to a thread step beginning at 10.
 	want := []string{"event", "thread"}
 	if !reflect.DeepEqual(order, want) {
@@ -86,7 +86,7 @@ func TestEventTieBreakIsInsertionOrder(t *testing.T) {
 		k.Schedule(7, func() { fired = append(fired, i) })
 	}
 	k.Spawn("t", func(th *Thread) { th.Advance(8) })
-	k.Run()
+	k.MustRun()
 	if !reflect.DeepEqual(fired, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("fired = %v, want insertion order", fired)
 	}
@@ -102,7 +102,7 @@ func TestWaitUntilUnblocksOnEvent(t *testing.T) {
 		th.WaitUntil(func() bool { return ready })
 		woke = th.Now()
 	})
-	k.Run()
+	k.MustRun()
 	if woke != 50 {
 		t.Fatalf("woke at %d, want 50", woke)
 	}
@@ -116,7 +116,7 @@ func TestWaitUntilImmediateWhenTrue(t *testing.T) {
 		th.WaitUntil(func() bool { return true })
 		woke = th.Now()
 	})
-	k.Run()
+	k.MustRun()
 	if woke != 3 {
 		t.Fatalf("woke at %d, want 3 (no block)", woke)
 	}
@@ -129,7 +129,7 @@ func TestSleepUntil(t *testing.T) {
 		th.SleepUntil(123)
 		woke = th.Now()
 	})
-	k.Run()
+	k.MustRun()
 	if woke != 123 {
 		t.Fatalf("woke at %d, want 123", woke)
 	}
@@ -290,7 +290,7 @@ func TestScheduleAfter(t *testing.T) {
 		th.Kernel().ScheduleAfter(5, func() { at = th.Kernel().Now() })
 		th.Advance(100)
 	})
-	k.Run()
+	k.MustRun()
 	if at != 15 {
 		t.Fatalf("event fired at %d, want 15", at)
 	}
@@ -316,7 +316,7 @@ func TestMutexMutualExclusion(t *testing.T) {
 			}
 		})
 	}
-	k.Run()
+	k.MustRun()
 	if maxInside != 1 {
 		t.Fatalf("max threads inside critical section = %d, want 1", maxInside)
 	}
@@ -337,7 +337,7 @@ func TestMutexContentionCostsTime(t *testing.T) {
 		second = th.Now()
 		m.Unlock(th)
 	})
-	k.Run()
+	k.MustRun()
 	if second < 104 {
 		t.Fatalf("contended acquire completed at %d, want >= 104", second)
 	}
@@ -356,7 +356,7 @@ func TestMutexUnlockByNonHolderPanics(t *testing.T) {
 		}()
 		m.Unlock(th)
 	})
-	k.Run()
+	k.MustRun()
 }
 
 func TestTryLock(t *testing.T) {
@@ -370,7 +370,7 @@ func TestTryLock(t *testing.T) {
 			t.Error("second TryLock should fail while held")
 		}
 	})
-	k.Run()
+	k.MustRun()
 }
 
 func TestDeterminism(t *testing.T) {
@@ -409,7 +409,7 @@ func TestSpawnFromRunningThread(t *testing.T) {
 		})
 		th.Advance(1)
 	})
-	k.Run()
+	k.MustRun()
 	if childEnd != 15 {
 		t.Fatalf("child finished at %d, want 15 (spawned at 10, ran 5)", childEnd)
 	}
@@ -425,7 +425,7 @@ func TestKernelClockMonotone(t *testing.T) {
 		th.Advance(10)
 		samples = append(samples, k.Now())
 	})
-	k.Run()
+	k.MustRun()
 	for i := 1; i < len(samples); i++ {
 		if samples[i] < samples[i-1] {
 			t.Fatalf("kernel clock went backwards: %v", samples)
@@ -443,7 +443,7 @@ func TestHaltStopsRun(t *testing.T) {
 			steps++
 		}
 	})
-	k.Run()
+	k.MustRun()
 	if !k.Halted() {
 		t.Fatal("kernel not halted")
 	}
@@ -467,7 +467,7 @@ func TestHaltFromThread(t *testing.T) {
 		th.Advance(1000)
 		after = true // ...but no one else is scheduled afterwards
 	})
-	k.Run()
+	k.MustRun()
 	if after {
 		t.Fatal("another thread ran after Halt")
 	}
@@ -493,7 +493,7 @@ func settleGoroutines(t *testing.T, want int) {
 // runRecover runs k and returns the value Run panicked with, if any.
 func runRecover(k *Kernel) (v any) {
 	defer func() { v = recover() }()
-	k.Run()
+	k.MustRun()
 	return nil
 }
 

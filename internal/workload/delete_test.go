@@ -59,7 +59,7 @@ func runMixedOracle(t *testing.T, b Benchmark, cfg Config, ops mixedOps, keys []
 			t.Errorf("count %d != oracle %d", ops.count(ctx), len(oracle))
 		}
 	})
-	env.M.K.Run()
+	env.M.K.MustRun()
 	return ok
 }
 
@@ -105,7 +105,7 @@ func TestRBTreeDeleteDrainsCompletely(t *testing.T) {
 			t.Errorf("tree not empty: %d nodes", got)
 		}
 	})
-	env.M.K.Run()
+	env.M.K.MustRun()
 }
 
 func TestBinaryTreeDeleteMatchesOracle(t *testing.T) {
@@ -229,7 +229,7 @@ func TestBTreeDeleteDrainsCompletely(t *testing.T) {
 			t.Errorf("tree not empty: %d keys", got)
 		}
 	})
-	env.M.K.Run()
+	env.M.K.MustRun()
 }
 
 func TestBTreeLookup(t *testing.T) {
@@ -251,7 +251,7 @@ func TestBTreeLookup(t *testing.T) {
 			}
 		}
 	})
-	env.M.K.Run()
+	env.M.K.MustRun()
 }
 
 func TestCTreeDeleteMatchesOracle(t *testing.T) {
@@ -298,5 +298,5 @@ func TestCTreeDeleteDrainsCompletely(t *testing.T) {
 			t.Error("lookup on empty trie found something")
 		}
 	})
-	env.M.K.Run()
+	env.M.K.MustRun()
 }

@@ -25,7 +25,7 @@ func oracleRun(t *testing.T, b Benchmark, cfg Config, insert func(c *Ctx, key, t
 		}
 		ok = verify(ctx, distinct)
 	})
-	env.M.K.Run()
+	env.M.K.MustRun()
 	return ok
 }
 
@@ -231,5 +231,5 @@ func TestQueueFIFOOrder(t *testing.T) {
 			t.Error(msg)
 		}
 	})
-	env.M.K.Run()
+	env.M.K.MustRun()
 }

@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"asap/internal/core"
 	"asap/internal/machine"
 	"asap/internal/schemes"
 	"asap/internal/stats"
@@ -16,18 +15,9 @@ func newEnv(scheme string, mutate func(*machine.Config)) *Env {
 		mutate(&cfg)
 	}
 	m := machine.New(cfg)
-	var s machine.Scheme
-	switch scheme {
-	case "NP":
-		s = schemes.NewNP(m)
-	case "SW":
-		s = schemes.NewSW(m)
-	case "HWUndo":
-		s = schemes.NewHWUndo(m)
-	case "HWRedo":
-		s = schemes.NewHWRedo(m)
-	default:
-		s = core.NewEngine(m, core.DefaultOptions())
+	s, err := schemes.New(scheme, m, nil)
+	if err != nil {
+		panic(err)
 	}
 	return &Env{M: m, S: s}
 }

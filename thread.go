@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 
 	"asap/internal/arch"
-	"asap/internal/schemes"
-	"asap/internal/sim"
-
 	"asap/internal/machine"
+	"asap/internal/sim"
 )
 
 // Thread is a simulated hardware thread bound to a System. All persistent
@@ -122,16 +120,3 @@ func (m *Mutex) TryLock(t *Thread) bool { return m.mu.TryLock(t.t) }
 
 // lineOf aliases the internal line mapping for the crash-image readers.
 func lineOf(addr uint64) arch.LineAddr { return arch.LineOf(addr) }
-
-// scheme constructors, aliased so asap.go stays free of internal imports
-// in its construction switch.
-func newNP(m *machine.Machine) machine.Scheme       { return schemes.NewNP(m) }
-func newHWUndo(m *machine.Machine) machine.Scheme   { return schemes.NewHWUndo(m) }
-func newASAPRedo(m *machine.Machine) machine.Scheme { return schemes.NewASAPRedo(m) }
-func newHWRedo(m *machine.Machine) machine.Scheme   { return schemes.NewHWRedo(m) }
-func newSW(m *machine.Machine, dpoOnly bool) machine.Scheme {
-	if dpoOnly {
-		return schemes.NewSWDPOOnly(m)
-	}
-	return schemes.NewSW(m)
-}
