@@ -126,7 +126,7 @@ func crashWorkload(c Case) (workloadRun, *powerFailure, error) {
 	}
 	func() {
 		defer func() { _ = recover() }() // a halt mid-run may strand the driver
-		workload.Run(env, run.bench(), wcfg)
+		workload.Run(env, []workload.Benchmark{run.bench()}, wcfg)
 	}()
 	return run, pf, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"asap/internal/resultcache"
-	"asap/internal/workload"
 )
 
 // cellCache, when non-nil, memoizes experiment cells: runAll consults it
@@ -34,104 +33,34 @@ func SetCache(c *resultcache.Store, codeVersion string) {
 // Cache returns the currently installed cell cache (nil when disabled).
 func Cache() *resultcache.Store { return cellCache }
 
-// standardKey derives the cache key for a standard Run cell, or nil when
-// the cell is uncacheable: an attached trace or observability session
-// makes the run's side effects part of its value, so it must execute.
-func standardKey(v Variant, bench string, scale Scale, valueBytes int) *resultcache.Key {
-	if v.Trace != nil || v.Obs != nil {
+// key returns the cell's cache key before the code version is folded in,
+// or nil when the cell is uncacheable: an attached trace or observability
+// session makes the run's side effects part of its value, so it must
+// execute, and a custom cell is cached only under its explicit cacheKey.
+func (s runSpec) key() *resultcache.Key {
+	switch {
+	case s.v.Trace != nil || s.v.Obs != nil:
 		return nil
+	case s.custom():
+		return s.cacheKey
 	}
 	k := resultcache.NewKey().
 		Field("kind", "cell.v1").
-		Field("scheme", v.Scheme).
-		Fieldf("pmmult", "%d", v.PMMult).
-		Fieldf("lhwpq", "%d", v.LHWPQ).
-		Field("bench", bench).
-		Fieldf("threads", "%d", scale.Threads).
-		Fieldf("ops", "%d", scale.OpsPerThread).
-		Fieldf("items", "%d", scale.InitialItems).
-		Fieldf("valuebytes", "%d", valueBytes).
-		Fieldf("seed", "%d", v.seed())
-	if v.ASAPOpts != nil {
-		blob, err := json.Marshal(v.ASAPOpts)
+		Field("scheme", s.v.Scheme).
+		Fieldf("pmmult", "%d", s.v.PMMult).
+		Fieldf("lhwpq", "%d", s.v.LHWPQ).
+		Field("bench", s.bench).
+		Fieldf("threads", "%d", s.scale.Threads).
+		Fieldf("ops", "%d", s.scale.OpsPerThread).
+		Fieldf("items", "%d", s.scale.InitialItems).
+		Fieldf("valuebytes", "%d", s.valueBytes).
+		Fieldf("seed", "%d", s.v.seed())
+	if s.v.ASAPOpts != nil {
+		blob, err := json.Marshal(s.v.ASAPOpts)
 		if err != nil {
 			return nil
 		}
 		k.Field("asapopts", string(blob))
 	}
 	return k
-}
-
-// cacheProbe resolves a spec's cache key: standard cells derive one from
-// the variant, custom cells supply one explicitly (nil = uncacheable).
-func (s *runSpec) cacheProbe() (string, bool) {
-	if cellCache == nil {
-		return "", false
-	}
-	var k *resultcache.Key
-	if s.custom == nil {
-		k = standardKey(s.v, s.bench, s.scale, s.valueBytes)
-	} else {
-		k = s.cacheKey
-	}
-	if k == nil {
-		return "", false
-	}
-	return k.Field("codeversion", cacheCodeVersion).Sum(), true
-}
-
-// encodeResult renders a cell result to cacheable bytes. Stalled or
-// inconsistent runs are never cached — Run panics on them anyway, and a
-// cache must only ever replay successes.
-func encodeResult(r workload.Result) ([]byte, bool) {
-	if r.Stall != nil || r.CheckErr != "" {
-		return nil, false
-	}
-	blob, err := json.Marshal(r)
-	return blob, err == nil
-}
-
-// decodeResult parses cached bytes back into a cell result. The JSON
-// codec is exact for every field figures reduce (uint64/int64 counters
-// and sorted map keys), which is what makes warm output byte-identical.
-func decodeResult(blob []byte) (workload.Result, bool) {
-	var r workload.Result
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return workload.Result{}, false
-	}
-	return r, true
-}
-
-// encodeMulti / decodeMulti are the co-running sweep's codec.
-func encodeMulti(r workload.MultiResult) ([]byte, bool) {
-	if r.Stall != nil || len(r.CheckErrs) > 0 {
-		return nil, false
-	}
-	blob, err := json.Marshal(r)
-	return blob, err == nil
-}
-
-func decodeMulti(blob []byte) (workload.MultiResult, bool) {
-	var r workload.MultiResult
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return workload.MultiResult{}, false
-	}
-	return r, true
-}
-
-// memoize attaches cache probe/store hooks to a standard cell job.
-func memoizeResult(key string, jobCached *func() (workload.Result, bool), jobStore *func(workload.Result)) {
-	c := cellCache
-	*jobCached = func() (workload.Result, bool) {
-		blob, ok := c.Get(key)
-		if !ok {
-			return workload.Result{}, false
-		}
-		return decodeResult(blob)
-	}
-	*jobStore = func(r workload.Result) {
-		if blob, ok := encodeResult(r); ok {
-			c.Put(key, blob)
-		}
-	}
 }

@@ -8,6 +8,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -25,21 +26,21 @@ var checkpointEvery uint64
 // for subsequent Runs.
 func SetCheckpointEvery(n uint64) { checkpointEvery = n }
 
-// runIdentity names a run for snapshot stamping: the canonical cache-key
-// encoding when the variant has one, a best-effort scheme/bench tag
-// otherwise (trace- or obs-attached variants).
-func runIdentity(v Variant, bench string, scale Scale, valueBytes int) string {
-	if k := standardKey(v, bench, scale, valueBytes); k != nil {
+// identity names a cell for snapshot stamping: the canonical cache-key
+// encoding of a standard cell, a best-effort scheme/label tag otherwise
+// (custom cells and trace- or obs-attached variants).
+func (s runSpec) identity() string {
+	if k := s.key(); k != nil && !s.custom() {
 		return k.Canonical()
 	}
-	return fmt.Sprintf("custom/%s/%s", v.Scheme, bench)
+	return fmt.Sprintf("custom/%s/%s", s.v.Scheme, cmp.Or(s.label, s.bench))
 }
 
 // RunCheckpointed is Run plus a recorded snapshot every `every` cycles.
 // The result is byte-identical to Run's (boundary events are
 // scheduling-neutral); the snapshots are the resume anchors.
 func RunCheckpointed(v Variant, bench string, scale Scale, valueBytes int, every uint64) (workload.Result, []snapshot.Snap) {
-	res, ck := runWithCheckpointer(v, bench, scale, valueBytes, every, nil)
+	res, ck := runSpec{v: v, bench: bench, scale: scale, valueBytes: valueBytes}.run(every, nil)
 	if ck == nil {
 		return res, nil
 	}
@@ -72,7 +73,8 @@ func RunResumed(v Variant, bench string, scale Scale, valueBytes int, every uint
 	}
 	var rerr *ResumeError
 	verified := false
-	res, _ := runWithCheckpointer(v, bench, scale, valueBytes, every, func(s snapshot.Snap) bool {
+	spec := runSpec{v: v, bench: bench, scale: scale, valueBytes: valueBytes}
+	res, _ := spec.run(every, func(s snapshot.Snap) bool {
 		if s.Cycle != from.Cycle {
 			return true
 		}

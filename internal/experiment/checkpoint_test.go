@@ -19,8 +19,11 @@ func smallScale() Scale {
 // TestCheckpointingIsOutputNeutral is the boundary-neutrality guarantee:
 // a run with audit checkpoints enabled produces a byte-identical Result to
 // the same run without them. Boundary events advance the kernel clock to
-// the boundary but change no scheduling decision.
+// the boundary but change no scheduling decision. Custom cells (fences on
+// a narrowed memory system, co-running benchmarks) are audited too, and
+// their tables must not move either.
 func TestCheckpointingIsOutputNeutral(t *testing.T) {
+	defer SetCheckpointEvery(0)
 	for _, scheme := range []string{"ASAP", "SW", "HWUndo"} {
 		v := Variant{Scheme: scheme}
 		plain := Run(v, "HM", smallScale(), 64)
@@ -31,6 +34,17 @@ func TestCheckpointingIsOutputNeutral(t *testing.T) {
 
 		if !reflect.DeepEqual(plain, checked) {
 			t.Errorf("%s: checkpointing changed the result:\nplain:   %+v\nchecked: %+v", scheme, plain, checked)
+		}
+	}
+	for name, table := range map[string]func(Scale) *Table{"fences": FenceSweep, "corun": CoRunning} {
+		plain := table(smallScale())
+
+		SetCheckpointEvery(20000)
+		checked := table(smallScale())
+		SetCheckpointEvery(0)
+
+		if !reflect.DeepEqual(plain, checked) {
+			t.Errorf("%s: checkpointing changed the table:\nplain:\n%s\nchecked:\n%s", name, plain, checked)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func (v Variant) seed() int64 {
 // and discarded — scheduling-neutral, so output is unchanged (enforced by
 // TestCheckpointingIsOutputNeutral).
 func Run(v Variant, bench string, scale Scale, valueBytes int) workload.Result {
-	res, _ := runWithCheckpointer(v, bench, scale, valueBytes, checkpointEvery, nil)
+	res, _ := runSpec{v: v, bench: bench, scale: scale, valueBytes: valueBytes}.run(checkpointEvery, nil)
 	return res
 }
 
@@ -101,69 +101,66 @@ func newCell(v Variant, mc machine.Config) (*machine.Machine, machine.Scheme) {
 	return m, s
 }
 
-// runCell runs benchmark b on a new cell of v and mc and then releases
-// the cell's machine (see machine.Release) unless the run stalled.
-func runCell(v Variant, mc machine.Config, b workload.Benchmark, cfg workload.Config) workload.Result {
-	m, s := newCell(v, mc)
-	res := workload.Run(&workload.Env{M: m, S: s}, b, cfg)
-	if res.Stall == nil {
-		m.Release()
+// run is the one cell runner: it builds the cell's machine and scheme,
+// attaches the variant's observer, and runs the cell's benchmarks. A
+// non-zero every attaches a machine.Checkpointer (returned so callers can
+// read its Snaps), and onBoundary, when non-nil, decides at each boundary
+// whether to continue (false halts the kernel at the boundary — partial
+// state, no Check run). A stall or a failed Check panics.
+func (s runSpec) run(every uint64, onBoundary func(snapshot.Snap) bool) (workload.Result, *machine.Checkpointer) {
+	benches := s.benches
+	if benches == nil {
+		b := workload.ByName(s.bench)
+		if b == nil {
+			panic("experiment: unknown benchmark " + s.bench)
+		}
+		benches = []workload.Benchmark{b}
 	}
-	return res
-}
+	mc := machine.DefaultConfig()
+	cfg := workload.Config{
+		ValueBytes:   s.valueBytes,
+		InitialItems: s.scale.InitialItems,
+		Threads:      s.scale.Threads,
+		OpsPerThread: s.scale.OpsPerThread,
+		Seed:         s.v.seed(),
+	}
+	if s.edit != nil {
+		s.edit(&mc, &cfg)
+	}
+	m, sch := newCell(s.v, mc)
 
-// runWithCheckpointer is Run's full-control form: a non-zero every attaches
-// a machine.Checkpointer (returned so callers can read its Snaps), and
-// onBoundary, when non-nil, decides at each boundary whether to continue
-// (false halts the kernel at the boundary — partial state, no Check run).
-func runWithCheckpointer(v Variant, bench string, scale Scale, valueBytes int,
-	every uint64, onBoundary func(snapshot.Snap) bool) (workload.Result, *machine.Checkpointer) {
-	m, s := newCell(v, machine.DefaultConfig())
-
-	if v.Obs != nil {
-		m.K.SetObserver(v.Obs)
-		if v.Obs.Prof != nil {
-			if sp, ok := s.(interface{ SetProfiler(*obs.Profiler) }); ok {
-				sp.SetProfiler(v.Obs.Prof)
+	if o := s.v.Obs; o != nil {
+		m.K.SetObserver(o)
+		if o.Prof != nil {
+			if sp, ok := sch.(interface{ SetProfiler(*obs.Profiler) }); ok {
+				sp.SetProfiler(o.Prof)
 			}
 		}
-		if v.Obs.Rec != nil {
-			WireGauges(v.Obs.Rec, m, s)
+		if o.Rec != nil {
+			WireGauges(o.Rec, m, sch)
 		}
-	}
-
-	b := workload.ByName(bench)
-	if b == nil {
-		panic("experiment: unknown benchmark " + bench)
-	}
-	cfg := workload.Config{
-		ValueBytes:   valueBytes,
-		InitialItems: scale.InitialItems,
-		Threads:      scale.Threads,
-		OpsPerThread: scale.OpsPerThread,
-		Seed:         v.seed(),
 	}
 
 	var ck *machine.Checkpointer
 	if every > 0 {
 		ck = &machine.Checkpointer{
 			M:          m,
-			Identity:   runIdentity(v, bench, scale, valueBytes),
-			Seed:       v.seed(),
+			Identity:   s.identity(),
+			Seed:       cfg.Seed,
 			Every:      every,
 			OnBoundary: onBoundary,
 		}
-		if sa, ok := s.(machine.StateAppender); ok {
+		if sa, ok := sch.(machine.StateAppender); ok {
 			ck.Scheme = sa
 		}
 		ck.Arm()
 	}
 
-	res := workload.Run(&workload.Env{M: m, S: s}, b, cfg)
+	res := workload.Run(&workload.Env{M: m, S: sch}, benches, cfg)
 	if m.K.Halted() {
 		// A boundary callback stopped the run (resume replay or crash
 		// injection): the result is intentionally partial, and the
-		// benchmark's Check never ran.
+		// benchmarks' Check never ran.
 		return res, ck
 	}
 	if res.Stall != nil {
@@ -172,14 +169,14 @@ func runWithCheckpointer(v Variant, bench string, scale Scale, valueBytes int,
 		// still errors.As their way to the *sim.StallError diagnosis.
 		panic(res.Stall)
 	}
-	if ck == nil && v.Obs == nil {
+	if ck == nil && s.v.Obs == nil {
 		// The run finished and no checkpointer or observer reads the
 		// machine any more.
 		m.Release()
 	}
 	if res.CheckErr != "" {
 		panic(fmt.Sprintf("experiment: %s under %s left inconsistent state: %s",
-			bench, v.Scheme, res.CheckErr))
+			res.Benchmark, s.v.Scheme, res.CheckErr))
 	}
 	return res, ck
 }

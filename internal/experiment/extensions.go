@@ -7,7 +7,6 @@ import (
 	"asap/internal/core"
 	"asap/internal/machine"
 	"asap/internal/resultcache"
-	"asap/internal/runner"
 	"asap/internal/stats"
 	"asap/internal/workload"
 )
@@ -129,69 +128,28 @@ func CoRunning(scale Scale) *Table {
 		{"ASAP", Variant{Scheme: "ASAP"}},
 		{"NP", Variant{Scheme: "NP"}},
 	}
-	jobs := make([]runner.Job[workload.MultiResult], len(variants))
-	for i, v := range variants {
-		v := v
-		jobs[i] = runner.Job[workload.MultiResult]{
-			Label: "corun/" + v.name,
-			Run:   func() workload.MultiResult { return runMulti(v.v, mix, scale) },
+	var specs []runSpec
+	for _, v := range variants {
+		var benches []workload.Benchmark
+		for _, name := range mix {
+			benches = append(benches, workload.ByName(name))
 		}
-		if c := cellCache; c != nil {
-			key := resultcache.NewKey().
-				Field("kind", "corun.v1").
+		specs = append(specs, runSpec{
+			v: v.v, benches: benches, scale: scale, valueBytes: 64, label: v.name,
+			cacheKey: resultcache.NewKey().
+				Field("kind", "corun.v2").
 				Field("variant", v.name).
 				Field("mix", strings.Join(mix, ",")).
 				Fieldf("threads", "%d", scale.Threads).
 				Fieldf("ops", "%d", scale.OpsPerThread).
-				Fieldf("items", "%d", scale.InitialItems).
-				Field("codeversion", cacheCodeVersion).
-				Sum()
-			jobs[i].Cached = func() (workload.MultiResult, bool) {
-				blob, ok := c.Get(key)
-				if !ok {
-					return workload.MultiResult{}, false
-				}
-				return decodeMulti(blob)
-			}
-			jobs[i].Store = func(r workload.MultiResult) {
-				if blob, ok := encodeMulti(r); ok {
-					c.Put(key, blob)
-				}
-			}
-		}
+				Fieldf("items", "%d", scale.InitialItems),
+		})
 	}
-	res, err := runner.Collect(pool, jobs)
-	if err != nil {
-		panic(err)
-	}
+	res := runAll("corun", specs)
 	for i, v := range variants {
 		t.AddRow(v.name, res[i].Throughput(), float64(res[i].Stats[stats.PMWrites]))
 	}
 	return t
-}
-
-// runMulti is Run's co-running sibling.
-func runMulti(v Variant, mix []string, scale Scale) workload.MultiResult {
-	m, s := newCell(v, machine.DefaultConfig())
-	var benches []workload.Benchmark
-	for _, name := range mix {
-		benches = append(benches, workload.ByName(name))
-	}
-	cfg := workload.Config{
-		ValueBytes:   64,
-		InitialItems: scale.InitialItems,
-		Threads:      scale.Threads,
-		OpsPerThread: scale.OpsPerThread,
-		Seed:         42,
-	}
-	res := workload.RunMulti(&workload.Env{M: m, S: s}, benches, cfg)
-	if res.Stall == nil {
-		m.Release()
-	}
-	if len(res.CheckErrs) > 0 {
-		panic(fmt.Sprintf("experiment: co-run inconsistency: %v", res.CheckErrs))
-	}
-	return res
 }
 
 // FenceSweep quantifies §5.2/§6.4: with an asap_fence after every N
@@ -210,10 +168,15 @@ func FenceSweep(scale Scale) *Table {
 	periods := []int{0, 16, 4, 1}
 	var specs []runSpec
 	for _, p := range periods {
-		p := p
 		specs = append(specs, runSpec{
+			// Moderate PM pressure (4x) so commits lag region ends and a fence
+			// genuinely waits, without saturating the WPQ outright. (Under a
+			// fully saturated WPQ fencing can even help, by pacing submissions
+			// so the §5.1 drops keep firing — an emergent effect worth knowing
+			// about, but not this table's.)
+			v: Variant{Scheme: "ASAP", PMMult: 4}, bench: "Q", scale: scale, valueBytes: 64,
 			label: fmt.Sprintf("Q/period=%d", p),
-			// The closure's only inputs beyond the fixed fences.v1 recipe
+			// The cell's only inputs beyond the fixed fences.v1 recipe
 			// are the fence period, the scale, and the seed.
 			cacheKey: resultcache.NewKey().
 				Field("kind", "fences.v1").
@@ -221,23 +184,9 @@ func FenceSweep(scale Scale) *Table {
 				Fieldf("threads", "%d", scale.Threads).
 				Fieldf("ops", "%d", scale.OpsPerThread).
 				Fieldf("items", "%d", scale.InitialItems),
-			custom: func() workload.Result {
-				// Moderate PM pressure (4x) so commits lag region ends and a fence
-				// genuinely waits, without saturating the WPQ outright. (Under a
-				// fully saturated WPQ fencing can even help, by pacing submissions
-				// so the §5.1 drops keep firing — an emergent effect worth knowing
-				// about, but not this table's.)
-				mc := machine.DefaultConfig()
+			edit: func(mc *machine.Config, cfg *workload.Config) {
 				mc.Mem.Controllers, mc.Mem.ChannelsPerMC = 1, 2
-				cfg := workload.Config{
-					ValueBytes:   64,
-					InitialItems: scale.InitialItems,
-					Threads:      scale.Threads,
-					OpsPerThread: scale.OpsPerThread,
-					Seed:         42,
-					FencePeriod:  p,
-				}
-				return runCell(Variant{Scheme: "ASAP", PMMult: 4}, mc, workload.NewQueue(), cfg)
+				cfg.FencePeriod = p
 			},
 		})
 	}
@@ -358,8 +307,8 @@ func NUMA(scale Scale) *Table {
 	var specs []runSpec
 	for _, s := range order {
 		for _, penalty := range penalties {
-			s, penalty := s, penalty
 			specs = append(specs, runSpec{
+				v: Variant{Scheme: s}, bench: "Q", scale: scale, valueBytes: 64,
 				label: fmt.Sprintf("Q/%s+%d", s, penalty),
 				cacheKey: resultcache.NewKey().
 					Field("kind", "numa.v1").
@@ -368,15 +317,7 @@ func NUMA(scale Scale) *Table {
 					Fieldf("threads", "%d", scale.Threads).
 					Fieldf("ops", "%d", scale.OpsPerThread).
 					Fieldf("items", "%d", scale.InitialItems),
-				custom: func() workload.Result {
-					mc := machine.DefaultConfig()
-					mc.Mem.NUMARemotePenalty = penalty
-					cfg := workload.Config{
-						ValueBytes: 64, InitialItems: scale.InitialItems,
-						Threads: scale.Threads, OpsPerThread: scale.OpsPerThread, Seed: 42,
-					}
-					return runCell(Variant{Scheme: s}, mc, workload.NewQueue(), cfg)
-				},
+				edit: func(mc *machine.Config, _ *workload.Config) { mc.Mem.NUMARemotePenalty = penalty },
 			})
 		}
 	}

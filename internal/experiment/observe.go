@@ -7,7 +7,6 @@ import (
 	"asap/internal/machine"
 	"asap/internal/obs"
 	"asap/internal/report"
-	"asap/internal/workload"
 )
 
 // WireGauges registers the standard occupancy gauges on rec: per-channel
@@ -40,13 +39,10 @@ func CycleAccounting(scale Scale, bench string, valueBytes int) string {
 	profs := make([]*obs.Profiler, len(fig7Schemes))
 	specs := make([]runSpec, len(fig7Schemes))
 	for i, sch := range fig7Schemes {
-		i, sch := i, sch
 		profs[i] = obs.NewProfiler()
 		specs[i] = runSpec{
-			label: fmt.Sprintf("%s/%s", bench, sch),
-			custom: func() workload.Result {
-				return Run(Variant{Scheme: sch, Obs: &obs.Session{Prof: profs[i]}}, bench, scale, valueBytes)
-			},
+			v:     Variant{Scheme: sch, Obs: &obs.Session{Prof: profs[i]}},
+			bench: bench, scale: scale, valueBytes: valueBytes,
 		}
 	}
 	runAll("cycles", specs)

@@ -2,8 +2,8 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 
+	"asap/internal/machine"
 	"asap/internal/resultcache"
 	"asap/internal/runner"
 	"asap/internal/workload"
@@ -25,10 +25,6 @@ func SetPool(p *runner.Pool) {
 	}
 	pool = p
 }
-
-// SetParallelism is SetPool(runner.New(n)) for callers that need neither
-// a progress reporter nor a metrics log.
-func SetParallelism(n int) { SetPool(runner.New(n)) }
 
 // Pool returns the currently installed pool.
 func Pool() *runner.Pool { return pool }
@@ -52,47 +48,52 @@ func SetContext(ctx context.Context) {
 	runCtx = ctx
 }
 
-// runSpec describes one benchmark run for pooled fan-out: either a
-// standard Run invocation, or a custom closure for runs that build their
-// own machine configuration.
+// runSpec describes one cell: benchmark bench under variant v at the
+// given scale and value size, on the default machine. A custom cell
+// departs from that recipe through edit or benches, and is cached only
+// under an explicit cacheKey.
 type runSpec struct {
 	v          Variant
 	bench      string
 	scale      Scale
 	valueBytes int
-	// label overrides the auto-built "figure/bench/scheme" job label.
+	// label overrides the auto-built "bench/scheme" part of the job label.
 	label string
-	// custom, when non-nil, replaces the standard Run call.
-	custom func() workload.Result
-	// cacheKey makes a custom run cacheable: it must encode every input
-	// the closure bakes in (machine config deltas, workload knobs, seed).
-	// Standard runs derive their key automatically; a custom run with a
-	// nil cacheKey always executes.
+	// edit, when non-nil, changes the cell's machine and workload configs.
+	edit func(*machine.Config, *workload.Config)
+	// benches, when non-nil, replaces bench: they co-run on one machine.
+	benches []workload.Benchmark
+	// cacheKey makes a custom cell cacheable: it must encode every input
+	// that edit and benches bake in. A custom cell with a nil cacheKey
+	// always executes; a standard cell derives its key (see key).
 	cacheKey *resultcache.Key
 }
 
+// custom reports whether the cell departs from the standard recipe.
+func (s runSpec) custom() bool { return s.edit != nil || s.benches != nil }
+
 // runAll fans specs across the pool and returns results in spec order.
-// A panic inside any job (e.g. a consistency-check failure) is re-raised
-// here, preserving Run's serial semantics for callers. One failing run —
-// or a cancelled package context — stops the remaining dispatches
-// instead of running out the matrix.
+// A panic inside any job (a stall, a consistency-check failure) is
+// re-raised here, preserving Run's serial semantics for callers. One
+// failing run, or a cancelled package context, stops the remaining
+// dispatches instead of running out the matrix. Cells with a key are
+// memoized in the installed cell cache; a panicking cell is never stored.
+// The JSON codec is exact for every field figures reduce (integer
+// counters, sorted map keys), which keeps warm output byte-identical.
 func runAll(figure string, specs []runSpec) []workload.Result {
 	jobs := make([]runner.Job[workload.Result], len(specs))
 	for i, s := range specs {
-		s := s
 		label := s.label
 		if label == "" {
-			label = fmt.Sprintf("%s/%s/%s", figure, s.bench, s.v.Scheme)
-		} else {
-			label = figure + "/" + label
+			label = s.bench + "/" + s.v.Scheme
 		}
-		run := s.custom
-		if run == nil {
-			run = func() workload.Result { return Run(s.v, s.bench, s.scale, s.valueBytes) }
-		}
-		jobs[i] = runner.Job[workload.Result]{Label: label, Run: run}
-		if key, ok := s.cacheProbe(); ok {
-			memoizeResult(key, &jobs[i].Cached, &jobs[i].Store)
+		jobs[i] = runner.Job[workload.Result]{Label: figure + "/" + label, Run: func() workload.Result {
+			res, _ := s.run(checkpointEvery, nil)
+			return res
+		}}
+		if k := s.key(); k != nil && cellCache != nil {
+			key := k.Field("codeversion", cacheCodeVersion).Sum()
+			jobs[i].Cached, jobs[i].Store = resultcache.MemoJSON[workload.Result](cellCache, key)
 		}
 	}
 	out, err := runner.CollectCtx(runCtx, pool, jobs)

@@ -1,11 +1,16 @@
 package experiment
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"asap/internal/resultcache"
 	"asap/internal/runner"
 	"asap/internal/stats"
+	"asap/internal/workload"
 )
 
 // TestFigureOutputIdenticalAcrossPoolWidths is the determinism gate's
@@ -68,5 +73,69 @@ func TestPoolMetricsCarrySimulatedCycles(t *testing.T) {
 		if m.Cycles == 0 || m.Ops == 0 {
 			t.Fatalf("simulated metrics missing from %+v", m)
 		}
+	}
+}
+
+// TestCustomCellCheckFailurePanics: a custom cell whose benchmark fails
+// its consistency check must panic out of runAll like a standard cell, and
+// must leave nothing in the cell cache.
+func TestCustomCellCheckFailurePanics(t *testing.T) {
+	store, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetCache(store, "test-code-version")
+	defer SetCache(nil, "")
+	spec := runSpec{
+		v: Variant{Scheme: "ASAP"}, scale: tinyScale(), valueBytes: 64, label: "broken",
+		benches:  []workload.Benchmark{brokenCheck{workload.NewQueue()}},
+		cacheKey: resultcache.NewKey().Field("kind", "broken.v1"),
+	}
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("runAll returned a cell whose check failed")
+			}
+			if !strings.Contains(fmt.Sprint(r), "stub: invariant broken") {
+				t.Fatalf("panic lost the check verdict: %v", r)
+			}
+		}()
+		runAll("custom", []runSpec{spec})
+	}()
+	if _, _, puts := store.Stats(); puts != 0 {
+		t.Fatalf("the failed cell was cached (%d puts)", puts)
+	}
+}
+
+// brokenCheck wraps a benchmark with a post-run check that always fails.
+type brokenCheck struct{ workload.Benchmark }
+
+func (brokenCheck) Check(*workload.Ctx) string { return "stub: invariant broken" }
+
+// TestCoRunningHonoursCancellation: a cancelled package context stops the
+// co-running sweep before it dispatches a single cell.
+func TestCoRunningHonoursCancellation(t *testing.T) {
+	defer SetPool(nil)
+	p := runner.New(2)
+	log := &stats.JobLog{}
+	p.SetMetrics(log)
+	SetPool(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	SetContext(ctx)
+	defer SetContext(nil)
+
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want a context.Canceled panic, got %v", err)
+			}
+		}()
+		CoRunning(QuickScale())
+	}()
+	if n := len(log.Snapshot()); n != 0 {
+		t.Fatalf("%d co-run cells ran after cancellation", n)
 	}
 }

@@ -41,7 +41,7 @@ func TestRecycledMachineStartsFresh(t *testing.T) {
 			digests := func() (atNew, afterRun []snapshot.Section) {
 				m, s := newCell(v, mc)
 				atNew = machineDigest(m)
-				res := workload.Run(&workload.Env{M: m, S: s}, workload.ByName("HM"), cfg)
+				res := workload.Run(&workload.Env{M: m, S: s}, []workload.Benchmark{workload.ByName("HM")}, cfg)
 				if res.Stall != nil || res.CheckErr != "" {
 					t.Fatalf("cell failed: stall %v, check %q", res.Stall, res.CheckErr)
 				}

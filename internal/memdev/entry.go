@@ -67,10 +67,6 @@ type Entry struct {
 	pooled bool
 }
 
-// Dropped reports whether the entry was removed by a traffic optimization
-// before reaching the PM device.
-func (e *Entry) Dropped() bool { return e.dropped }
-
 // SetPayload copies b into the entry's inline buffer and points Payload at
 // it. Bytes past len(b) are zeroed, so a recycled buffer never leaks a
 // previous operation's image.

@@ -118,9 +118,6 @@ func sortHeaders(hs []*LogHeader) {
 	})
 }
 
-// Peak returns the highest occupancy ever reached.
-func (q *LHWPQ) Peak() int { return q.peak }
-
 // HasSpaceFor reports whether region r could hold an open header entry
 // right now: either it already has one, or a slot is free.
 func (q *LHWPQ) HasSpaceFor(r arch.RID) bool {

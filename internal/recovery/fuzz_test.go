@@ -122,7 +122,7 @@ func TestCrashRecoveryFuzzQueue(t *testing.T) {
 				// but keep the barrier for safety.
 				_ = recover()
 			}()
-			workload.Run(env, q, wcfg)
+			workload.Run(env, []workload.Benchmark{q}, wcfg)
 		}()
 		if cs == nil {
 			cs = e.Crash()
@@ -165,7 +165,7 @@ func TestCrashRecoveryFuzzHashMap(t *testing.T) {
 				m.K.Schedule(start+at, func() { cs = e.Crash() })
 			},
 		}
-		workload.Run(env, h, wcfg)
+		workload.Run(env, []workload.Benchmark{h}, wcfg)
 		if cs == nil {
 			cs = e.Crash()
 		}

@@ -125,9 +125,6 @@ type undoEntry struct {
 	logLine  arch.LineAddr
 }
 
-// debugRestore, when set by tests/tools, observes every undo application.
-var debugRestore func(rid arch.RID, dataLine, logLine arch.LineAddr, old []byte)
-
 // Report summarizes a completed recovery.
 type Report struct {
 	// Uncommitted is the set of regions found in the Dependence List,
@@ -200,11 +197,7 @@ func RecoverWithOptions(cs *core.CrashState, opt Options) (rep *Report, err erro
 			continue // region logged nothing (read-only or no accepted LPOs)
 		}
 		for _, ent := range rl.entries {
-			old := cs.Image.Read(ent.logLine)
-			if debugRestore != nil {
-				debugRestore(rid, ent.dataLine, ent.logLine, old)
-			}
-			cs.Image.Write(ent.dataLine, old)
+			cs.Image.Write(ent.dataLine, cs.Image.Read(ent.logLine))
 			rep.EntriesRestored++
 		}
 	}
@@ -455,10 +448,4 @@ func happensBefore(deps []core.DepSnapshot) ([]arch.RID, error) {
 		return nil, fmt.Errorf("recovery: dependence cycle among %d uncommitted regions", len(indeg)-len(order))
 	}
 	return order, nil
-}
-
-// DebugRestore installs an observer over undo applications (nil to clear);
-// used by debugging tools.
-func DebugRestore(fn func(rid arch.RID, dataLine, logLine arch.LineAddr, old []byte)) {
-	debugRestore = fn
 }

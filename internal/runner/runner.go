@@ -37,8 +37,7 @@ type Job[R any] struct {
 }
 
 // Measurable lets the pool lift simulator metrics out of a job result
-// without knowing its concrete type. workload.Result and
-// workload.MultiResult implement it.
+// without knowing its concrete type. workload.Result implements it.
 type Measurable interface {
 	SimCycles() uint64
 	SimOps() int64

@@ -263,7 +263,7 @@ func envFor(m *machine.Machine, s machine.Scheme) *workload.Env {
 
 func runBench(env *workload.Env, name string) string {
 	b := workload.ByName(name)
-	res := workload.Run(env, b, workload.Config{
+	res := workload.Run(env, []workload.Benchmark{b}, workload.Config{
 		ValueBytes: 64, InitialItems: 64, Threads: 3, OpsPerThread: 40, Seed: 5,
 	})
 	return res.CheckErr

@@ -63,6 +63,3 @@ func (m *Mutex) TryLock(t *Thread) bool {
 	t.Advance(m.cost())
 	return ok
 }
-
-// Holder returns the thread currently holding the mutex, or nil.
-func (m *Mutex) Holder() *Thread { return m.holder }

@@ -11,8 +11,8 @@ import (
 // TestWarmSweepIsByteIdentical is the cache's contract: a sweep run twice
 // against the same store emits byte-identical output, the second run is
 // served from cache (every cell a hit), and a run with no cache matches
-// both. fig1 covers the standard variant matrix; fences covers a custom
-// (explicit-key) spec.
+// both. fig1 covers the standard variant matrix; fences and corun cover
+// custom (explicit-key) specs, corun with co-running benchmarks.
 func TestWarmSweepIsByteIdentical(t *testing.T) {
 	t.Setenv(resultcache.CodeVersionEnv, "test-code-version")
 	version, ok := resultcache.CodeVersion()
@@ -24,7 +24,7 @@ func TestWarmSweepIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec := Spec{Experiments: []string{"fig1", "fences"}, Parallel: 2}
+	spec := Spec{Experiments: []string{"fig1", "fences", "corun"}, Parallel: 2}
 	runIt := func(cache *resultcache.Store) string {
 		var buf bytes.Buffer
 		opt := Options{}

@@ -180,7 +180,7 @@ func TestDeleteEveryEndToEnd(t *testing.T) {
 		env := newEnv("ASAP", nil)
 		cfg := smallCfg()
 		cfg.DeleteEvery = 3
-		res := Run(env, ByName(name), cfg)
+		res := Run(env, []Benchmark{ByName(name)}, cfg)
 		if res.CheckErr != "" {
 			t.Fatalf("%s with deletions: %s", name, res.CheckErr)
 		}

@@ -8,7 +8,7 @@ func TestDeterminismEverywhere(t *testing.T) {
 	for _, scheme := range []string{"NP", "SW", "HWUndo", "HWRedo", "ASAP"} {
 		run := func() (uint64, int64) {
 			env := newEnv(scheme, nil)
-			res := Run(env, NewQueue(), smallCfg())
+			res := Run(env, []Benchmark{NewQueue()}, smallCfg())
 			return res.Cycles, res.Stats["pm.writes"]
 		}
 		c1, w1 := run()

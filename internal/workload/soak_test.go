@@ -27,7 +27,7 @@ func TestSoakMixedFeatures(t *testing.T) {
 	for _, b := range All() {
 		for _, v := range variants {
 			env := newEnv("ASAP", nil)
-			res := Run(env, ByName(b.Name()), v.cfg)
+			res := Run(env, []Benchmark{ByName(b.Name())}, v.cfg)
 			if res.CheckErr != "" {
 				t.Fatalf("%s/%s: %s", b.Name(), v.name, res.CheckErr)
 			}
@@ -40,7 +40,7 @@ func TestSoakMixedFeatures(t *testing.T) {
 	// And one 2 KB pass over the structure-heavy benchmarks.
 	for _, name := range []string{"BT", "RB", "TPCC"} {
 		env := newEnv("ASAP", nil)
-		res := Run(env, ByName(name), Config{
+		res := Run(env, []Benchmark{ByName(name)}, Config{
 			ValueBytes: 2048, InitialItems: 32, Threads: 3, OpsPerThread: 25, Seed: 17,
 		})
 		if res.CheckErr != "" {

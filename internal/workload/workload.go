@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 
 	"asap/internal/machine"
 	"asap/internal/sim"
@@ -231,18 +232,27 @@ func (r Result) CyclesPerRegion() float64 {
 	return float64(r.Stats[stats.RegionCycles]) / float64(n)
 }
 
-// Run executes benchmark b on env: single-threaded setup, then
-// cfg.Threads workers of cfg.OpsPerThread operations each, then a drain
-// barrier. Only the measured phase contributes to Result.
-func Run(env *Env, b Benchmark, cfg Config) Result {
-	res := Result{Benchmark: b.Name(), Scheme: env.S.Name()}
+// Run executes benches on env, all sharing one machine: single-threaded
+// setup of each benchmark, then cfg.Threads workers of cfg.OpsPerThread
+// operations per benchmark, then a drain barrier. Only the measured phase
+// contributes to Result. Several benchmarks co-run, contending for the
+// caches, WPQs and PM bandwidth: the scenario §1 gives for why traffic
+// reduction matters even though persists are asynchronous.
+func Run(env *Env, benches []Benchmark, cfg Config) Result {
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.Name()
+	}
+	res := Result{Benchmark: strings.Join(names, "+"), Scheme: env.S.Name()}
 	env.M.K.Spawn("driver", func(t *sim.Thread) {
 		env.S.InitThread(t)
 		ctx := NewCtx(env, t, cfg.Seed)
 		if cfg.SetupInRegions {
 			ctx.Begin()
 		}
-		b.Setup(ctx, cfg)
+		for _, b := range benches {
+			b.Setup(ctx, cfg)
+		}
 		if cfg.SetupInRegions {
 			ctx.End()
 		}
@@ -253,31 +263,33 @@ func Run(env *Env, b Benchmark, cfg Config) Result {
 		if cfg.MeasureStarted != nil {
 			cfg.MeasureStarted(start)
 		}
-		done := 0
-		for w := 0; w < cfg.Threads; w++ {
-			w := w
-			env.M.K.Spawn("worker", func(wt *sim.Thread) {
-				env.S.InitThread(wt)
-				wctx := NewCtx(env, wt, cfg.Seed+int64(w)*7919+1)
-				if cfg.ZipfS > 1 {
-					wctx.SetZipf(cfg.ZipfS, uint64(cfg.InitialItems)*2)
-				}
-				for i := 0; i < cfg.OpsPerThread; i++ {
-					b.Op(wctx, i)
-					*env.M.Cells.Ops++
-					if cfg.FencePeriod > 0 && (i+1)%cfg.FencePeriod == 0 {
-						wctx.Fence()
+		done, total := 0, len(benches)*cfg.Threads
+		for bi, b := range benches {
+			for w := 0; w < cfg.Threads; w++ {
+				b, seed := b, cfg.Seed+int64(bi*1000+w)*7919+1
+				env.M.K.Spawn("worker", func(wt *sim.Thread) {
+					env.S.InitThread(wt)
+					wctx := NewCtx(env, wt, seed)
+					if cfg.ZipfS > 1 {
+						wctx.SetZipf(cfg.ZipfS, uint64(cfg.InitialItems)*2)
 					}
-				}
-				env.S.DrainBarrier(wt)
-				done++
-			})
+					for i := 0; i < cfg.OpsPerThread; i++ {
+						b.Op(wctx, i)
+						*env.M.Cells.Ops++
+						if cfg.FencePeriod > 0 && (i+1)%cfg.FencePeriod == 0 {
+							wctx.Fence()
+						}
+					}
+					env.S.DrainBarrier(wt)
+					done++
+				})
+			}
 		}
-		t.WaitUntil(func() bool { return done == cfg.Threads })
+		t.WaitUntil(func() bool { return done == total })
 		env.S.DrainBarrier(t)
 
 		res.Cycles = t.Kernel().Now() - start
-		res.Ops = int64(cfg.Threads * cfg.OpsPerThread)
+		res.Ops = int64(total * cfg.OpsPerThread)
 		res.Stats = make(map[string]int64)
 		for k, v := range env.M.St.Snapshot() {
 			res.Stats[k] = v - before[k]
@@ -286,7 +298,13 @@ func Run(env *Env, b Benchmark, cfg Config) Result {
 		res.RegionP50 = hist.Quantile(0.50)
 		res.RegionP95 = hist.Quantile(0.95)
 		res.RegionP99 = hist.Quantile(0.99)
-		res.CheckErr = b.Check(ctx)
+		var verdicts []string
+		for _, b := range benches {
+			if msg := b.Check(ctx); msg != "" {
+				verdicts = append(verdicts, msg)
+			}
+		}
+		res.CheckErr = strings.Join(verdicts, "; ")
 	})
 	if err := env.M.K.Run(); err != nil {
 		var se *sim.StallError

@@ -47,7 +47,7 @@ func TestStallSurfacesInResult(t *testing.T) {
 	env := newEnv("ASAP", nil)
 	cfg := smallCfg()
 	cfg.Threads, cfg.OpsPerThread = 2, 1
-	res := Run(env, stuckBench{}, cfg)
+	res := Run(env, []Benchmark{stuckBench{}}, cfg)
 	if res.Stall == nil {
 		t.Fatal("wedged run returned no Stall diagnosis")
 	}
@@ -61,7 +61,7 @@ func TestAllBenchmarksUnderASAP(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			env := newEnv("ASAP", nil)
-			res := Run(env, b, smallCfg())
+			res := Run(env, []Benchmark{b}, smallCfg())
 			if res.CheckErr != "" {
 				t.Fatalf("consistency check failed: %s", res.CheckErr)
 			}
@@ -88,7 +88,7 @@ func TestAllBenchmarksUnderEveryScheme(t *testing.T) {
 				env := newEnv(scheme, nil)
 				cfg := smallCfg()
 				cfg.Threads, cfg.OpsPerThread = 2, 30
-				res := Run(env, b, cfg)
+				res := Run(env, []Benchmark{b}, cfg)
 				if res.CheckErr != "" {
 					t.Fatalf("consistency check failed: %s", res.CheckErr)
 				}
@@ -105,7 +105,7 @@ func TestBenchmarksWith2KBValues(t *testing.T) {
 		cfg.ValueBytes = 2048
 		cfg.Threads, cfg.OpsPerThread = 2, 20
 		cfg.InitialItems = 16
-		res := Run(env, b, cfg)
+		res := Run(env, []Benchmark{b}, cfg)
 		if res.CheckErr != "" {
 			t.Fatalf("%s 2KB: %s", name, res.CheckErr)
 		}
@@ -115,7 +115,7 @@ func TestBenchmarksWith2KBValues(t *testing.T) {
 func TestRunIsDeterministic(t *testing.T) {
 	run := func() Result {
 		env := newEnv("ASAP", nil)
-		return Run(env, NewQueue(), smallCfg())
+		return Run(env, []Benchmark{NewQueue()}, smallCfg())
 	}
 	a, b := run(), run()
 	if a.Cycles != b.Cycles {
@@ -130,9 +130,9 @@ func TestQueueHasHighDependenceRate(t *testing.T) {
 	// §7.2 singles out Q for cross-region dependencies: every operation
 	// touches the shared head/tail/count lines.
 	envQ := newEnv("ASAP", nil)
-	q := Run(envQ, NewQueue(), smallCfg())
+	q := Run(envQ, []Benchmark{NewQueue()}, smallCfg())
 	envSS := newEnv("ASAP", nil)
-	ss := Run(envSS, NewStringSwap(), smallCfg())
+	ss := Run(envSS, []Benchmark{NewStringSwap()}, smallCfg())
 	qRate := float64(q.Stats[stats.DepEdges]) / float64(q.Stats[stats.RegionsBegun])
 	ssRate := float64(ss.Stats[stats.DepEdges]) / float64(ss.Stats[stats.RegionsBegun])
 	if qRate <= ssRate {
@@ -151,7 +151,7 @@ func TestFencePeriodRunsFencesAndStaysConsistent(t *testing.T) {
 	cfg := smallCfg()
 	cfg.FencePeriod = 1
 	env := newEnv("ASAP", nil)
-	res := Run(env, NewQueue(), cfg)
+	res := Run(env, []Benchmark{NewQueue()}, cfg)
 	if res.CheckErr != "" {
 		t.Fatalf("consistency: %s", res.CheckErr)
 	}
@@ -190,7 +190,7 @@ func TestTPCCPaymentMix(t *testing.T) {
 	tp := NewTPCC()
 	tp.PaymentPct = 40
 	cfg := smallCfg()
-	res := Run(env, tp, cfg)
+	res := Run(env, []Benchmark{tp}, cfg)
 	if res.CheckErr != "" {
 		t.Fatalf("payment mix: %s", res.CheckErr)
 	}
@@ -202,7 +202,7 @@ func TestTPCCPaymentOnly(t *testing.T) {
 	tp.PaymentPct = 100
 	cfg := smallCfg()
 	cfg.Threads, cfg.OpsPerThread = 3, 40
-	res := Run(env, tp, cfg)
+	res := Run(env, []Benchmark{tp}, cfg)
 	if res.CheckErr != "" {
 		t.Fatalf("payment only: %s", res.CheckErr)
 	}
@@ -216,7 +216,7 @@ func TestReadPctMix(t *testing.T) {
 			env := newEnv("ASAP", nil)
 			cfg := smallCfg()
 			cfg.ReadPct = readPct
-			res := Run(env, ByName(name), cfg)
+			res := Run(env, []Benchmark{ByName(name)}, cfg)
 			if res.CheckErr != "" {
 				t.Fatalf("%s readPct=%d: %s", name, readPct, res.CheckErr)
 			}
@@ -235,7 +235,7 @@ func TestZipfSkewRaisesDependenceRate(t *testing.T) {
 		env := newEnv("ASAP", nil)
 		cfg := smallCfg()
 		cfg.ZipfS = s
-		res := Run(env, NewHashMap(), cfg)
+		res := Run(env, []Benchmark{NewHashMap()}, cfg)
 		if res.CheckErr != "" {
 			t.Fatalf("zipf=%v: %s", s, res.CheckErr)
 		}
@@ -245,5 +245,34 @@ func TestZipfSkewRaisesDependenceRate(t *testing.T) {
 	skewed := rate(1.5)
 	if skewed <= uniform {
 		t.Fatalf("zipf skew should raise dependence rate: %.3f vs %.3f", skewed, uniform)
+	}
+}
+
+// brokenCheck is a benchmark whose post-run check always fails.
+type brokenCheck struct {
+	Benchmark
+	verdict string
+}
+
+func (b brokenCheck) Check(*Ctx) string { return b.verdict }
+
+// TestRunCoRunsBenchmarks: several benchmarks run on one machine as one
+// measured phase, and every benchmark's failed check lands in CheckErr.
+func TestRunCoRunsBenchmarks(t *testing.T) {
+	cfg := smallCfg()
+	res := Run(newEnv("ASAP", nil), []Benchmark{NewQueue(), NewHashMap()}, cfg)
+	if res.Stall != nil || res.CheckErr != "" {
+		t.Fatalf("co-run failed: stall %v, check %q", res.Stall, res.CheckErr)
+	}
+	if want := int64(2 * cfg.Threads * cfg.OpsPerThread); res.Ops != want || res.Stats[stats.Ops] != want {
+		t.Fatalf("ops = %d (counter %d), want %d", res.Ops, res.Stats[stats.Ops], want)
+	}
+	if res.Benchmark != "Q+HM" {
+		t.Fatalf("benchmark = %q, want Q+HM", res.Benchmark)
+	}
+
+	res = Run(newEnv("NP", nil), []Benchmark{brokenCheck{NewQueue(), "q bad"}, NewEcho(), brokenCheck{NewHashMap(), "hm bad"}}, cfg)
+	if res.CheckErr != "q bad; hm bad" {
+		t.Fatalf("check verdicts = %q, want both failures joined", res.CheckErr)
 	}
 }
