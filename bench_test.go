@@ -30,7 +30,7 @@ func benchScale() experiment.Scale {
 // (paper geomeans: DPO-only 0.58x NP, LPO&DPO 0.31x NP).
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiment.Fig1(benchScale())
+		t := experiment.Sweep{Scale: benchScale()}.Fig1()
 		b.ReportMetric(t.Col("GeoMean", "DPO Only"), "DPOOnly/NP")
 		b.ReportMetric(t.Col("GeoMean", "LPO & DPO"), "LPO&DPO/NP")
 	}
@@ -40,7 +40,7 @@ func BenchmarkFig1(b *testing.B) {
 // over SW: HWRedo 1.49x, HWUndo 1.60x, ASAP 2.25x, NP 2.34x).
 func BenchmarkFig7_64B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiment.Fig7(benchScale(), 64)
+		t := experiment.Sweep{Scale: benchScale()}.Fig7(64)
 		b.ReportMetric(t.Col("GeoMean", "HWRedo"), "HWRedo_x")
 		b.ReportMetric(t.Col("GeoMean", "HWUndo"), "HWUndo_x")
 		b.ReportMetric(t.Col("GeoMean", "ASAP"), "ASAP_x")
@@ -53,7 +53,7 @@ func BenchmarkFig7_2KB(b *testing.B) {
 	scale := benchScale()
 	scale.OpsPerThread = 60 // 32 lines per region: keep runtime bounded
 	for i := 0; i < b.N; i++ {
-		t := experiment.Fig7(scale, 2048)
+		t := experiment.Sweep{Scale: scale}.Fig7(2048)
 		b.ReportMetric(t.Col("GeoMean", "ASAP"), "ASAP_x")
 		b.ReportMetric(t.Col("GeoMean", "NP"), "NP_x")
 	}
@@ -63,7 +63,7 @@ func BenchmarkFig7_2KB(b *testing.B) {
 // to NP (paper: HWRedo 1.69x, HWUndo 1.61x, ASAP 1.08x).
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiment.Fig8(benchScale(), 64)
+		t := experiment.Sweep{Scale: benchScale()}.Fig8(64)
 		b.ReportMetric(t.Col("GeoMean", "HWRedo"), "HWRedo_x")
 		b.ReportMetric(t.Col("GeoMean", "HWUndo"), "HWUndo_x")
 		b.ReportMetric(t.Col("GeoMean", "ASAP"), "ASAP_x")
@@ -74,7 +74,7 @@ func BenchmarkFig8(b *testing.B) {
 // normalized to full ASAP (paper: No-Opt ~2.2x, +C ~2x, +C+LP ~1.45x).
 func BenchmarkFig9a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiment.Fig9a(benchScale())
+		t := experiment.Sweep{Scale: benchScale()}.Fig9a()
 		b.ReportMetric(t.Col("GeoMean", "ASAP-No-Opt"), "NoOpt_x")
 		b.ReportMetric(t.Col("GeoMean", "ASAP+C"), "C_x")
 		b.ReportMetric(t.Col("GeoMean", "ASAP+C+LP"), "CLP_x")
@@ -85,7 +85,7 @@ func BenchmarkFig9a(b *testing.B) {
 // ASAP (paper: SW 2.56x, HWUndo 1.92x, HWRedo 1.61x of ASAP).
 func BenchmarkFig9b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiment.Fig9b(benchScale())
+		t := experiment.Sweep{Scale: benchScale()}.Fig9b()
 		b.ReportMetric(t.Col("GeoMean", "SW"), "SW_x")
 		b.ReportMetric(t.Col("GeoMean", "HWUndo"), "HWUndo_x")
 		b.ReportMetric(t.Col("GeoMean", "HWRedo"), "HWRedo_x")
@@ -99,7 +99,7 @@ func BenchmarkFig10(b *testing.B) {
 	scale := benchScale()
 	scale.Benchmarks = []string{"Q"}
 	for i := 0; i < b.N; i++ {
-		t := experiment.Fig10(scale)[0]
+		t := experiment.Sweep{Scale: scale}.Fig10()[0]
 		b.ReportMetric(t.Col("ASAP", "16x"), "ASAP@16x")
 		b.ReportMetric(t.Col("HWUndo", "16x"), "HWUndo@16x")
 		b.ReportMetric(t.Col("HWRedo", "16x"), "HWRedo@16x")
@@ -112,7 +112,7 @@ func BenchmarkSec74(b *testing.B) {
 	scale := benchScale()
 	scale.Benchmarks = []string{"BN", "Q", "HM"}
 	for i := 0; i < b.N; i++ {
-		t := experiment.Sec74(scale)
+		t := experiment.Sweep{Scale: scale}.Sec74()
 		b.ReportMetric(t.Col("GeoMean", "ASAP@16")/t.Col("GeoMean", "ASAP@128"), "16v128")
 	}
 }
@@ -132,7 +132,7 @@ func BenchmarkSec62Area(b *testing.B) {
 func BenchmarkAblationCoalesce(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		t := experiment.AblationCoalesce(scale, "Q")
+		t := experiment.Sweep{Scale: scale}.AblationCoalesce("Q")
 		b.ReportMetric(t.Col("dist=1", "pm.writes"), "d1_traffic_x")
 		b.ReportMetric(t.Col("dist=16", "pm.writes"), "d16_traffic_x")
 	}
@@ -142,7 +142,7 @@ func BenchmarkAblationCoalesce(b *testing.B) {
 func BenchmarkAblationStructures(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		t := experiment.AblationStructures(scale, "Q")
+		t := experiment.Sweep{Scale: scale}.AblationStructures("Q")
 		b.ReportMetric(t.Col("CL2x4,Dep2", "cycles"), "half_cycles_x")
 	}
 }
@@ -151,7 +151,7 @@ func BenchmarkAblationStructures(b *testing.B) {
 func BenchmarkCoRunning(b *testing.B) {
 	scale := experiment.Scale{Threads: 2, OpsPerThread: 100, InitialItems: 128}
 	for i := 0; i < b.N; i++ {
-		t := experiment.CoRunning(scale)
+		t := experiment.Sweep{Scale: scale}.CoRunning()
 		b.ReportMetric(t.Col("ASAP", "ops/kcycle"), "ASAP_opskc")
 		b.ReportMetric(t.Col("SW", "ops/kcycle"), "SW_opskc")
 	}
@@ -162,7 +162,7 @@ func BenchmarkLifetime(b *testing.B) {
 	scale := benchScale()
 	scale.Benchmarks = []string{"BN", "Q", "HM"}
 	for i := 0; i < b.N; i++ {
-		t := experiment.Lifetime(scale)
+		t := experiment.Sweep{Scale: scale}.Lifetime()
 		b.ReportMetric(t.Col("GeoMean", "ASAP"), "ASAP_life_x")
 	}
 }
@@ -173,7 +173,7 @@ func BenchmarkDesignChoice(b *testing.B) {
 	scale := benchScale()
 	scale.Benchmarks = []string{"BN", "Q", "HM"}
 	for i := 0; i < b.N; i++ {
-		t := experiment.DesignChoice(scale)
+		t := experiment.Sweep{Scale: scale}.DesignChoice()
 		b.ReportMetric(t.Col("GeoMean", "ASAP xSW"), "undo_xSW")
 		b.ReportMetric(t.Col("GeoMean", "ASAP-Redo xSW"), "redo_xSW")
 	}
@@ -184,7 +184,7 @@ func BenchmarkDesignChoice(b *testing.B) {
 func BenchmarkNUMA(b *testing.B) {
 	scale := experiment.Scale{Threads: 3, OpsPerThread: 100, InitialItems: 128}
 	for i := 0; i < b.N; i++ {
-		t := experiment.NUMA(scale)
+		t := experiment.Sweep{Scale: scale}.NUMA()
 		b.ReportMetric(t.Col("ASAP", "remote+800"), "ASAP@+800")
 		b.ReportMetric(t.Col("HWUndo", "remote+800"), "HWUndo@+800")
 	}
@@ -195,7 +195,7 @@ func BenchmarkNUMA(b *testing.B) {
 func BenchmarkTailLatency(b *testing.B) {
 	scale := experiment.Scale{Threads: 4, OpsPerThread: 120, InitialItems: 128}
 	for i := 0; i < b.N; i++ {
-		t := experiment.TailLatency(scale)
+		t := experiment.Sweep{Scale: scale}.TailLatency()
 		b.ReportMetric(t.Col("ASAP", "p99"), "ASAP_p99")
 		b.ReportMetric(t.Col("HWUndo", "p99"), "HWUndo_p99")
 		b.ReportMetric(t.Col("NP", "p99"), "NP_p99")
@@ -207,7 +207,7 @@ func BenchmarkTailLatency(b *testing.B) {
 func BenchmarkScaling(b *testing.B) {
 	scale := experiment.Scale{Threads: 4, OpsPerThread: 100, InitialItems: 128}
 	for i := 0; i < b.N; i++ {
-		t := experiment.Scaling(scale)
+		t := experiment.Sweep{Scale: scale}.Scaling()
 		b.ReportMetric(t.Col("ASAP", "8"), "ASAP@8")
 		b.ReportMetric(t.Col("HWUndo", "8"), "HWUndo@8")
 	}

@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"asap/internal/experiment"
 	"asap/internal/obs"
 	"asap/internal/report"
 	"asap/internal/resultcache"
@@ -47,13 +46,6 @@ import (
 )
 
 func main() { os.Exit(run()) }
-
-// experimentTiming is one experiment's entry in the -json artifact.
-type experimentTiming struct {
-	Name   string `json:"name"`
-	WallNS int64  `json:"wall_ns"`
-	Error  string `json:"error,omitempty"`
-}
 
 // timingReport is the -json artifact: per-experiment and per-job wall
 // times plus the simulated metrics, for CI trend tracking and speedup
@@ -67,7 +59,7 @@ type timingReport struct {
 	CacheMisses    int64              `json:"cache_misses"`
 	WallNS         int64              `json:"wall_ns"`
 	TotalJobWallNS int64              `json:"total_job_wall_ns"`
-	Experiments    []experimentTiming `json:"experiments"`
+	Experiments    []sweep.ExpResult  `json:"experiments"`
 	Jobs           []stats.JobMetrics `json:"jobs"`
 }
 
@@ -126,7 +118,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "asapbench: %v\n", err)
 		return 1
 	}
-	experiment.SetCheckpointEvery(*checkpointEvery)
 
 	scaleName := "quick"
 	if *full {
@@ -147,9 +138,10 @@ func run() int {
 	failures := 0
 	start := time.Now()
 	results, execErr := sweep.Execute(ctx, spec, os.Stdout, sweep.Options{
-		Pool:        pool,
-		Cache:       cache,
-		CodeVersion: codeVersion,
+		Pool:            pool,
+		Cache:           cache,
+		CodeVersion:     codeVersion,
+		CheckpointEvery: *checkpointEvery,
 		OnExperiment: func(name string, wall time.Duration, err error) {
 			if err != nil {
 				failures++
@@ -160,9 +152,7 @@ func run() int {
 	rep.WallNS = time.Since(start).Nanoseconds()
 	rep.TotalJobWallNS = jobLog.TotalWall().Nanoseconds()
 	rep.Jobs = jobLog.Snapshot()
-	for _, r := range results {
-		rep.Experiments = append(rep.Experiments, experimentTiming(r))
-	}
+	rep.Experiments = results
 	if prog != nil {
 		prog.Finish()
 	}
@@ -182,8 +172,9 @@ func run() int {
 		}
 	}
 	if interrupted {
+		names, _ := spec.Expand()
 		fmt.Fprintf(os.Stderr, "asapbench: interrupted after %d of %d experiments; partial report flushed\n",
-			len(results), len(expandedNames(spec)))
+			len(results), len(names))
 		return 130
 	}
 	if execErr != nil {
@@ -195,16 +186,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// expandedNames reports how many experiments the spec would run.
-func expandedNames(spec sweep.Spec) []string {
-	for _, n := range spec.Experiments {
-		if n == "all" {
-			return sweep.AllNames()
-		}
-	}
-	return spec.Experiments
 }
 
 // writeJSON writes the timing artifact with a trailing newline.

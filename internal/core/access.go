@@ -84,7 +84,7 @@ func (e *Engine) initiateLPO(t *sim.Thread, ts *threadState, r *regionState, lin
 			*e.m.Cells.LHWPQStalls++
 			e.prof.Wait(t, obs.LHWPQFull, func() bool { return lh.HasSpaceFor(r.rid) })
 		}
-		header, end := e.m.AllocRecord(t, e.prof, ts.log, e.opt.OverflowPenalty)
+		header, end := e.m.AllocRecord(t, e.prof, ts.log)
 		r.rec = &record{header: header, h: lh.Open(r.rid, header)}
 		r.logEnd = end
 	}

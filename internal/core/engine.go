@@ -18,6 +18,13 @@ import (
 	"asap/internal/wal"
 )
 
+// beginCost and endCost are the core-visible costs of asap_begin and
+// asap_end bookkeeping, in cycles.
+const (
+	beginCost = 4
+	endCost   = 4
+)
+
 // record tracks one in-flight log record (Figure 5a) while its entries are
 // allocated and accepted. h is the record's LH-WPQ header, which
 // accumulates the accepted entries.
@@ -214,7 +221,7 @@ func (e *Engine) Begin(t *sim.Thread) {
 	ts.beginAt = t.Now()
 	*e.m.Cells.RegionsBegun++
 	e.emit(trace.RegionBegin, rid, 0, 0)
-	t.Advance(e.opt.BeginCost)
+	t.Advance(beginCost)
 }
 
 // End implements asap_end (§4.7): mark the region Done at the L1 and let
@@ -238,7 +245,7 @@ func (e *Engine) End(t *sim.Thread) {
 	if len(r.cl.Slots) == 0 {
 		e.l1Done(r)
 	}
-	t.Advance(e.opt.EndCost)
+	t.Advance(endCost)
 	r.endedAt = t.Now()
 	if e.opt.UnsafeEarlyLogFree {
 		// Seeded negative control: frees the undo log before the region's

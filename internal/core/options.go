@@ -25,11 +25,6 @@ type Options struct {
 	LogBufferBytes uint64
 	// BloomBits sizes the per-engine Bloom filter (Table 2: 1 KB/channel).
 	BloomBits int
-	// BeginCost/EndCost are the core-visible costs of asap_begin/asap_end
-	// bookkeeping, in cycles.
-	BeginCost, EndCost uint64
-	// OverflowPenalty is the log-overflow exception cost in cycles.
-	OverflowPenalty uint64
 	// UnsafeEarlyLogFree deliberately breaks the §4.7 commit rule by
 	// freeing a region's undo log at asap_end instead of at commit. It
 	// exists solely as the crash harness's torture negative control: the
@@ -52,8 +47,5 @@ func DefaultOptions() Options {
 		DPODropping:      true,
 		LogBufferBytes:   256 << 10,
 		BloomBits:        4 * 8192, // 1 KB/channel x 4 channels
-		BeginCost:        4,
-		EndCost:          4,
-		OverflowPenalty:  2000,
 	}
 }

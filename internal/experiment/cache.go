@@ -6,33 +6,6 @@ import (
 	"asap/internal/resultcache"
 )
 
-// cellCache, when non-nil, memoizes experiment cells: runAll consults it
-// before dispatching a run and stores the result on completion. Like the
-// pool and context it is package state, installed under sweep.Execute's
-// lock (or by a CLI before any figure runs).
-var cellCache *resultcache.Store
-
-// cacheCodeVersion is folded into every cell key so results computed by
-// different code never collide. Callers resolve it (and decide whether
-// caching is safe at all) via resultcache.CodeVersion.
-var cacheCodeVersion string
-
-// SetCache installs the cell cache used by all figure runners; nil
-// disables caching (the default, and the -no-cache path). codeVersion
-// must identify the running code — pass resultcache.CodeVersion()'s
-// value. Not safe to call while figures run.
-func SetCache(c *resultcache.Store, codeVersion string) {
-	if c != nil && codeVersion == "" {
-		// No way to invalidate across code changes: refuse to cache.
-		c = nil
-	}
-	cellCache = c
-	cacheCodeVersion = codeVersion
-}
-
-// Cache returns the currently installed cell cache (nil when disabled).
-func Cache() *resultcache.Store { return cellCache }
-
 // key returns the cell's cache key before the code version is folded in,
 // or nil when the cell is uncacheable: an attached trace or observability
 // session makes the run's side effects part of its value, so it must
@@ -63,4 +36,14 @@ func (s runSpec) key() *resultcache.Key {
 		k.Field("asapopts", string(blob))
 	}
 	return k
+}
+
+// customKey starts a custom cell's cache key: its kind and the sweep's
+// scale. The caller adds every other input the cell's recipe bakes in.
+func (sw Sweep) customKey(kind string) *resultcache.Key {
+	return resultcache.NewKey().
+		Field("kind", kind).
+		Fieldf("threads", "%d", sw.Scale.Threads).
+		Fieldf("ops", "%d", sw.Scale.OpsPerThread).
+		Fieldf("items", "%d", sw.Scale.InitialItems)
 }

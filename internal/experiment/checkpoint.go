@@ -16,16 +16,6 @@ import (
 	"asap/internal/workload"
 )
 
-// checkpointEvery, when non-zero, attaches an audit-mode checkpointer to
-// every Run: boundary digests are taken and recorded but never acted on,
-// so output is unchanged. Set it once before any sweep starts (asapbench
-// -checkpoint-every does), not concurrently with runs.
-var checkpointEvery uint64
-
-// SetCheckpointEvery arms (n > 0) or disarms (0) audit-mode checkpointing
-// for subsequent Runs.
-func SetCheckpointEvery(n uint64) { checkpointEvery = n }
-
 // identity names a cell for snapshot stamping: the canonical cache-key
 // encoding of a standard cell, a best-effort scheme/label tag otherwise
 // (custom cells and trace- or obs-attached variants).

@@ -23,26 +23,17 @@ func smallScale() Scale {
 // a narrowed memory system, co-running benchmarks) are audited too, and
 // their tables must not move either.
 func TestCheckpointingIsOutputNeutral(t *testing.T) {
-	defer SetCheckpointEvery(0)
 	for _, scheme := range []string{"ASAP", "SW", "HWUndo"} {
 		v := Variant{Scheme: scheme}
 		plain := Run(v, "HM", smallScale(), 64)
-
-		SetCheckpointEvery(5000)
-		checked := Run(v, "HM", smallScale(), 64)
-		SetCheckpointEvery(0)
-
+		checked, _ := RunCheckpointed(v, "HM", smallScale(), 64, 5000)
 		if !reflect.DeepEqual(plain, checked) {
 			t.Errorf("%s: checkpointing changed the result:\nplain:   %+v\nchecked: %+v", scheme, plain, checked)
 		}
 	}
-	for name, table := range map[string]func(Scale) *Table{"fences": FenceSweep, "corun": CoRunning} {
-		plain := table(smallScale())
-
-		SetCheckpointEvery(20000)
-		checked := table(smallScale())
-		SetCheckpointEvery(0)
-
+	for name, table := range map[string]func(Sweep) *Table{"fences": Sweep.FenceSweep, "corun": Sweep.CoRunning} {
+		plain := table(Sweep{Scale: smallScale()})
+		checked := table(Sweep{Scale: smallScale(), CheckpointEvery: 20000})
 		if !reflect.DeepEqual(plain, checked) {
 			t.Errorf("%s: checkpointing changed the table:\nplain:\n%s\nchecked:\n%s", name, plain, checked)
 		}

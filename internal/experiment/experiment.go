@@ -3,6 +3,13 @@
 // benchmarks under the relevant schemes, and reduces the counters to the
 // series the paper plots. Output tables mirror the paper's axes so shapes
 // can be compared directly; EXPERIMENTS.md records paper-vs-measured.
+//
+// Every figure is a method on a Sweep, which holds the scale and
+// everything the cells run with: pool, context, cell cache and audit
+// cadence. A figure lays its cells out as one rows × columns grid, runs
+// it on the sweep's pool and reduces the results row by row. The package
+// keeps no run state of its own, so sweeps with different settings may
+// run at once.
 package experiment
 
 import (
@@ -71,12 +78,9 @@ func (v Variant) seed() int64 {
 }
 
 // Run executes one benchmark under one variant at the given scale and
-// value size, on a fresh machine. When SetCheckpointEvery has armed audit
-// mode, the run carries a checkpointer whose boundary digests are recorded
-// and discarded — scheduling-neutral, so output is unchanged (enforced by
-// TestCheckpointingIsOutputNeutral).
+// value size, on a fresh machine.
 func Run(v Variant, bench string, scale Scale, valueBytes int) workload.Result {
-	res, _ := runSpec{v: v, bench: bench, scale: scale, valueBytes: valueBytes}.run(checkpointEvery, nil)
+	res, _ := runSpec{v: v, bench: bench, scale: scale, valueBytes: valueBytes}.run(0, nil)
 	return res
 }
 

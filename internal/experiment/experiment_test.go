@@ -15,7 +15,7 @@ func tinyScale(benches ...string) Scale {
 }
 
 func TestFig1Shape(t *testing.T) {
-	tab := Fig1(tinyScale("BN", "HM", "Q"))
+	tab := Sweep{Scale: tinyScale("BN", "HM", "Q")}.Fig1()
 	for _, r := range tab.Rows {
 		np, dpo, sw := r.Values[0], r.Values[1], r.Values[2]
 		if np != 1 {
@@ -28,7 +28,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tab := Fig7(tinyScale(), 64)
+	tab := Sweep{Scale: tinyScale()}.Fig7(64)
 	g := func(col string) float64 { return tab.Col("GeoMean", col) }
 	if !(g("ASAP") > g("HWUndo") && g("ASAP") > g("HWRedo")) {
 		t.Fatalf("ASAP must beat both HW baselines:\n%s", tab)
@@ -46,7 +46,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tab := Fig8(tinyScale(), 64)
+	tab := Sweep{Scale: tinyScale()}.Fig8(64)
 	g := func(col string) float64 { return tab.Col("GeoMean", col) }
 	if !(g("ASAP") < g("HWUndo") && g("ASAP") < g("HWRedo") && g("ASAP") < g("SW")) {
 		t.Fatalf("ASAP must have the lowest region latency overhead:\n%s", tab)
@@ -57,7 +57,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9aMonotone(t *testing.T) {
-	tab := Fig9a(tinyScale("BN", "Q"))
+	tab := Sweep{Scale: tinyScale("BN", "Q")}.Fig9a()
 	for _, r := range tab.Rows {
 		for i := 1; i < len(r.Values); i++ {
 			if r.Values[i] > r.Values[i-1]+1e-9 {
@@ -71,7 +71,7 @@ func TestFig9aMonotone(t *testing.T) {
 }
 
 func TestFig9bShape(t *testing.T) {
-	tab := Fig9b(tinyScale("BN", "Q", "HM"))
+	tab := Sweep{Scale: tinyScale("BN", "Q", "HM")}.Fig9b()
 	g := func(col string) float64 { return tab.Col("GeoMean", col) }
 	if !(g("SW") > g("HWUndo") && g("SW") > g("HWRedo")) {
 		t.Fatalf("SW must generate the most traffic:\n%s", tab)
@@ -82,7 +82,7 @@ func TestFig9bShape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	tabs := Fig10(tinyScale("Q"))
+	tabs := Sweep{Scale: tinyScale("Q")}.Fig10()
 	if len(tabs) != 1 {
 		t.Fatalf("tables = %d", len(tabs))
 	}
@@ -99,7 +99,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestSec74Shape(t *testing.T) {
-	tab := Sec74(tinyScale("BN", "Q"))
+	tab := Sweep{Scale: tinyScale("BN", "Q")}.Sec74()
 	g := func(col string) float64 { return tab.Col("GeoMean", col) }
 	if g("ASAP@16") > g("ASAP@128")+1e-9 {
 		t.Fatalf("shrinking the LH-WPQ cannot speed ASAP up:\n%s", tab)

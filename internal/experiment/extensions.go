@@ -6,7 +6,6 @@ import (
 
 	"asap/internal/core"
 	"asap/internal/machine"
-	"asap/internal/resultcache"
 	"asap/internal/stats"
 	"asap/internal/workload"
 )
@@ -15,46 +14,31 @@ import (
 // ASAP's design constants (the choices §4.6.2 and Table 2 fix
 // empirically), the co-running throughput claim of §1, the asap_fence
 // degeneration noted in §6.4, and the PM-lifetime framing of §5.1.
-// Like the figures, each fans its run matrix across the package pool.
+// Like the figures, each runs its cells as one grid on the sweep's pool.
 
 // AblationCoalesce sweeps the DPO coalescing distance. The paper picks 4:
 // "no benefit has been observed [at] a distance larger than four"
 // (§4.6.2). Values are PM writes and cycles normalized to distance 4.
-func AblationCoalesce(scale Scale, bench string) *Table {
+func (sw Sweep) AblationCoalesce(bench string) *Table {
 	distances := []int{1, 2, 4, 8, 16}
 	t := &Table{
 		Title:   "Ablation: DPO coalescing distance on " + bench,
 		Note:    "normalized to the paper's distance 4; §4.6.2 predicts a knee at 4",
 		Columns: []string{"pm.writes", "cycles", "dpo.coalesced"},
 	}
-	var specs []runSpec
-	for _, d := range distances {
+	res := sw.grid("ablation-coalesce", len(distances), 1, func(r, _ int) runSpec {
 		opt := core.DefaultOptions()
-		opt.CoalesceDistance = d
-		specs = append(specs, runSpec{
-			v: Variant{Scheme: "ASAP", ASAPOpts: &opt}, bench: bench, scale: scale,
-			valueBytes: 64, label: fmt.Sprintf("%s/dist=%d", bench, d),
-		})
-	}
-	res := runAll("ablation-coalesce", specs)
-	type point struct{ writes, cycles, coal float64 }
-	pts := map[int]point{}
-	for i, d := range distances {
-		r := res[i]
-		pts[d] = point{
-			writes: float64(r.Stats[stats.PMWrites]),
-			cycles: float64(r.Cycles),
-			coal:   float64(r.Stats[stats.DPOsCoalesce]),
+		opt.CoalesceDistance = distances[r]
+		return sw.cell(Variant{Scheme: "ASAP", ASAPOpts: &opt}, bench, fmt.Sprintf("%s/dist=%d", bench, distances[r]))
+	})
+	base := res[2][0] // distances[2] == 4
+	for r, d := range distances {
+		x := res[r][0]
+		coal := float64(x.Stats[stats.DPOsCoalesce])
+		if b := base.Stats[stats.DPOsCoalesce]; b > 0 {
+			coal /= float64(b)
 		}
-	}
-	base := pts[4]
-	for _, d := range distances {
-		p := pts[d]
-		coal := p.coal
-		if base.coal > 0 {
-			coal = p.coal / base.coal
-		}
-		t.AddRow(fmt.Sprintf("dist=%d", d), p.writes/base.writes, p.cycles/base.cycles, coal)
+		t.AddRow(fmt.Sprintf("dist=%d", d), pmWrites(x)/pmWrites(base), cycles(x)/cycles(base), coal)
 	}
 	return t
 }
@@ -62,7 +46,7 @@ func AblationCoalesce(scale Scale, bench string) *Table {
 // AblationStructures sweeps the CL List and Dep slot sizing (Table 2 fixes
 // 4 entries x 8 CLPtrs and 4 Dep slots) and reports the stall counts and
 // run time each choice produces.
-func AblationStructures(scale Scale, bench string) *Table {
+func (sw Sweep) AblationStructures(bench string) *Table {
 	t := &Table{
 		Title:   "Ablation: hardware structure sizing on " + bench,
 		Note:    "cycles normalized to the Table 2 configuration; stalls are absolute counts",
@@ -77,30 +61,19 @@ func AblationStructures(scale Scale, bench string) *Table {
 		{"CL4x8,Dep4", 4, 8, 4}, // Table 2
 		{"CL8x16,Dep8", 8, 16, 8},
 	}
-	var specs []runSpec
-	for _, c := range configs {
+	res := sw.grid("ablation-structs", len(configs), 1, func(r, _ int) runSpec {
+		c := configs[r]
 		opt := core.DefaultOptions()
 		opt.CLListEntries, opt.CLPtrSlots, opt.DepSlots = c.clEntries, c.slots, c.depSlots
-		specs = append(specs, runSpec{
-			v: Variant{Scheme: "ASAP", ASAPOpts: &opt}, bench: bench, scale: scale,
-			valueBytes: 64, label: bench + "/" + c.name,
-		})
-	}
-	res := runAll("ablation-structs", specs)
-	var base float64
-	for i, c := range configs {
-		r := res[i]
-		if c.name == "CL4x8,Dep4" {
-			base = float64(r.Cycles)
-		}
-		t.AddRow(c.name, float64(r.Cycles),
-			float64(r.Stats[stats.CLStalls]),
-			float64(r.Stats[stats.DepStalls]),
-			float64(r.Stats[stats.LHWPQStalls]))
-	}
-	// Normalize the cycles column after the base is known.
-	for i := range t.Rows {
-		t.Rows[i].Values[0] /= base
+		return sw.cell(Variant{Scheme: "ASAP", ASAPOpts: &opt}, bench, bench+"/"+c.name)
+	})
+	base := res[1][0] // configs[1] is Table 2's
+	for r, c := range configs {
+		x := res[r][0]
+		t.AddRow(c.name, cycles(x)/cycles(base),
+			float64(x.Stats[stats.CLStalls]),
+			float64(x.Stats[stats.DepStalls]),
+			float64(x.Stats[stats.LHWPQStalls]))
 	}
 	return t
 }
@@ -108,7 +81,7 @@ func AblationStructures(scale Scale, bench string) *Table {
 // CoRunning measures combined throughput when several memory-intensive
 // benchmarks share the machine — where §1 argues ASAP's traffic reduction
 // pays off. Values are combined ops/kcycle.
-func CoRunning(scale Scale) *Table {
+func (sw Sweep) CoRunning() *Table {
 	mix := []string{"Q", "HM", "SS"}
 	t := &Table{
 		Title:   "Extension: co-running throughput (Q + HM + SS sharing the machine)",
@@ -128,26 +101,19 @@ func CoRunning(scale Scale) *Table {
 		{"ASAP", Variant{Scheme: "ASAP"}},
 		{"NP", Variant{Scheme: "NP"}},
 	}
-	var specs []runSpec
-	for _, v := range variants {
-		var benches []workload.Benchmark
+	res := sw.grid("corun", len(variants), 1, func(r, _ int) runSpec {
+		s := sw.cell(variants[r].v, "", variants[r].name)
 		for _, name := range mix {
-			benches = append(benches, workload.ByName(name))
+			s.benches = append(s.benches, workload.ByName(name))
 		}
-		specs = append(specs, runSpec{
-			v: v.v, benches: benches, scale: scale, valueBytes: 64, label: v.name,
-			cacheKey: resultcache.NewKey().
-				Field("kind", "corun.v2").
-				Field("variant", v.name).
-				Field("mix", strings.Join(mix, ",")).
-				Fieldf("threads", "%d", scale.Threads).
-				Fieldf("ops", "%d", scale.OpsPerThread).
-				Fieldf("items", "%d", scale.InitialItems),
-		})
-	}
-	res := runAll("corun", specs)
-	for i, v := range variants {
-		t.AddRow(v.name, res[i].Throughput(), float64(res[i].Stats[stats.PMWrites]))
+		s.cacheKey = sw.customKey("corun.v2").
+			Field("variant", variants[r].name).
+			Field("mix", strings.Join(mix, ","))
+		return s
+	})
+	for r, v := range variants {
+		x := res[r][0]
+		t.AddRow(v.name, x.Throughput(), pmWrites(x))
 	}
 	return t
 }
@@ -159,49 +125,41 @@ func CoRunning(scale Scale) *Table {
 // next fence arrives, so the throughput cost only materializes when the
 // memory system is pressured — the wait column shows the latency that
 // fences do absorb.
-func FenceSweep(scale Scale) *Table {
+func (sw Sweep) FenceSweep() *Table {
 	t := &Table{
 		Title:   "Extension: asap_fence frequency on Q",
 		Note:    "§6.4: 'if asap_fence is used, then ASAP degenerates to HWUndo'",
 		Columns: []string{"ops/kcycle", "wait/fence"},
 	}
 	periods := []int{0, 16, 4, 1}
-	var specs []runSpec
-	for _, p := range periods {
-		specs = append(specs, runSpec{
-			// Moderate PM pressure (4x) so commits lag region ends and a fence
-			// genuinely waits, without saturating the WPQ outright. (Under a
-			// fully saturated WPQ fencing can even help, by pacing submissions
-			// so the §5.1 drops keep firing — an emergent effect worth knowing
-			// about, but not this table's.)
-			v: Variant{Scheme: "ASAP", PMMult: 4}, bench: "Q", scale: scale, valueBytes: 64,
-			label: fmt.Sprintf("Q/period=%d", p),
-			// The cell's only inputs beyond the fixed fences.v1 recipe
-			// are the fence period, the scale, and the seed.
-			cacheKey: resultcache.NewKey().
-				Field("kind", "fences.v1").
-				Fieldf("period", "%d", p).
-				Fieldf("threads", "%d", scale.Threads).
-				Fieldf("ops", "%d", scale.OpsPerThread).
-				Fieldf("items", "%d", scale.InitialItems),
-			edit: func(mc *machine.Config, cfg *workload.Config) {
-				mc.Mem.Controllers, mc.Mem.ChannelsPerMC = 1, 2
-				cfg.FencePeriod = p
-			},
-		})
-	}
-	res := runAll("fences", specs)
-	for i, p := range periods {
-		r := res[i]
+	res := sw.grid("fences", len(periods), 1, func(r, _ int) runSpec {
+		p := periods[r]
+		// Moderate PM pressure (4x) so commits lag region ends and a fence
+		// genuinely waits, without saturating the WPQ outright. (Under a
+		// fully saturated WPQ fencing can even help, by pacing submissions
+		// so the §5.1 drops keep firing — an emergent effect worth knowing
+		// about, but not this table's.)
+		s := sw.cell(Variant{Scheme: "ASAP", PMMult: 4}, "Q", fmt.Sprintf("Q/period=%d", p))
+		// The cell's only inputs beyond the fixed fences.v1 recipe are
+		// the fence period, the scale, and the seed.
+		s.cacheKey = sw.customKey("fences.v1").Fieldf("period", "%d", p)
+		s.edit = func(mc *machine.Config, cfg *workload.Config) {
+			mc.Mem.Controllers, mc.Mem.ChannelsPerMC = 1, 2
+			cfg.FencePeriod = p
+		}
+		return s
+	})
+	for r, p := range periods {
+		x := res[r][0]
 		name := "no fence"
 		if p > 0 {
 			name = fmt.Sprintf("every %d", p)
 		}
 		wait := 0.0
-		if n := r.Stats[stats.Fences]; n > 0 {
-			wait = float64(r.Stats[stats.FenceCycles]) / float64(n)
+		if n := x.Stats[stats.Fences]; n > 0 {
+			wait = float64(x.Stats[stats.FenceCycles]) / float64(n)
 		}
-		t.AddRow(name, r.Throughput(), wait)
+		t.AddRow(name, x.Throughput(), wait)
 	}
 	return t
 }
@@ -210,29 +168,16 @@ func FenceSweep(scale Scale) *Table {
 // weighs in §3: undo-based ASAP (chosen — more eager DPOs, no read
 // redirection) against redo-based ASAP-Redo (sketched in Figure 2c).
 // Values are speedup over SW and PM write traffic normalized to ASAP.
-func DesignChoice(scale Scale) *Table {
+func (sw Sweep) DesignChoice() *Table {
 	t := &Table{
 		Title:   "Extension: undo vs redo asynchronous commit (the §3 design choice)",
 		Note:    "ASAP (undo) chosen by the paper for eager DPOs and direct reads",
 		Columns: []string{"ASAP xSW", "ASAP-Redo xSW", "ASAP traffic", "ASAP-Redo traffic"},
 	}
-	order := []string{"SW", "ASAP", "ASAP-Redo"}
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
-		for _, s := range order {
-			specs = append(specs, runSpec{v: Variant{Scheme: s}, bench: b, scale: scale, valueBytes: 64})
-		}
-	}
-	res := runAll("design", specs)
-	ns := len(order)
-	for i, b := range scale.Benchmarks {
-		sw, undo, redo := res[i*ns], res[i*ns+1], res[i*ns+2]
-		ut := float64(undo.Stats[stats.PMWrites])
-		t.AddRow(b,
-			float64(sw.Cycles)/float64(undo.Cycles),
-			float64(sw.Cycles)/float64(redo.Cycles),
-			1,
-			float64(redo.Stats[stats.PMWrites])/ut)
+	benches := sw.Scale.Benchmarks
+	for r, row := range sw.schemeGrid("design", benches, []string{"SW", "ASAP", "ASAP-Redo"}, 64) {
+		async := row[1:] // ASAP, ASAP-Redo
+		t.AddRow(benches[r], append(inv(async, row[0], cycles), norm(async, async[0], pmWrites)...)...)
 	}
 	t.AddGeoMean()
 	return t
@@ -241,27 +186,16 @@ func DesignChoice(scale Scale) *Table {
 // Lifetime derives the §5.1 framing: PM endurance improves in proportion
 // to the write-traffic reduction. Values are the projected lifetime factor
 // relative to SW for one run of every benchmark.
-func Lifetime(scale Scale) *Table {
+func (sw Sweep) Lifetime() *Table {
+	order := []string{"SW", "HWRedo", "HWUndo", "ASAP"}
 	t := &Table{
 		Title:   "Extension: projected PM lifetime factor (writes relative to SW, inverted)",
 		Note:    "wear-leveled endurance scales with 1/write-traffic (§5.1, §1)",
-		Columns: []string{"SW", "HWRedo", "HWUndo", "ASAP"},
+		Columns: order,
 	}
-	order := []string{"SW", "HWRedo", "HWUndo", "ASAP"}
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
-		for _, s := range order {
-			specs = append(specs, runSpec{v: Variant{Scheme: s}, bench: b, scale: scale, valueBytes: 64})
-		}
-	}
-	res := runAll("lifetime", specs)
-	ns := len(order)
-	for i, b := range scale.Benchmarks {
-		sw := float64(res[i*ns].Stats[stats.PMWrites])
-		redo := float64(res[i*ns+1].Stats[stats.PMWrites])
-		undo := float64(res[i*ns+2].Stats[stats.PMWrites])
-		asap := float64(res[i*ns+3].Stats[stats.PMWrites])
-		t.AddRow(b, 1, sw/redo, sw/undo, sw/asap)
+	benches := sw.Scale.Benchmarks
+	for r, row := range sw.schemeGrid("lifetime", benches, order, 64) {
+		t.AddRow(benches[r], inv(row, row[0], pmWrites)...) // order[0] == "SW"
 	}
 	t.AddGeoMean()
 	return t
@@ -272,21 +206,17 @@ func Lifetime(scale Scale) *Table {
 // synchronous commit puts every persist wait on some region's critical
 // path, and the occasional slow one lands in the tail. Values are cycles
 // (power-of-two bucket upper bounds).
-func TailLatency(scale Scale) *Table {
+func (sw Sweep) TailLatency() *Table {
 	t := &Table{
 		Title:   "Extension: atomic-region latency percentiles on Q (cycles)",
 		Note:    "§1: tail latency motivates asynchronous commit; ASAP's tail tracks NP's",
 		Columns: []string{"p50", "p95", "p99"},
 	}
 	order := []string{"NP", "ASAP", "HWUndo", "HWRedo", "SW"}
-	var specs []runSpec
-	for _, s := range order {
-		specs = append(specs, runSpec{v: Variant{Scheme: s}, bench: "Q", scale: scale, valueBytes: 64})
-	}
-	res := runAll("tail", specs)
-	for i, s := range order {
-		r := res[i]
-		t.AddRow(s, float64(r.RegionP50), float64(r.RegionP95), float64(r.RegionP99))
+	row := sw.schemeGrid("tail", []string{"Q"}, order, 64)[0]
+	for c, s := range order {
+		x := row[c]
+		t.AddRow(s, float64(x.RegionP50), float64(x.RegionP95), float64(x.RegionP99))
 	}
 	return t
 }
@@ -296,7 +226,7 @@ func TailLatency(scale Scale) *Table {
 // controller costs an interconnect hop. Values are throughput on Q,
 // normalized per scheme to its own UMA run — lower means the scheme pays
 // for the remote channels.
-func NUMA(scale Scale) *Table {
+func (sw Sweep) NUMA() *Table {
 	t := &Table{
 		Title:   "Extension: NUMA sensitivity on Q (throughput vs own UMA run)",
 		Note:    "§7.3: ASAP's persist latency is off the critical path, so remote channels barely hurt",
@@ -304,32 +234,17 @@ func NUMA(scale Scale) *Table {
 	}
 	order := []string{"NP", "ASAP", "HWUndo", "HWRedo"}
 	penalties := []uint64{0, 200, 800}
-	var specs []runSpec
-	for _, s := range order {
-		for _, penalty := range penalties {
-			specs = append(specs, runSpec{
-				v: Variant{Scheme: s}, bench: "Q", scale: scale, valueBytes: 64,
-				label: fmt.Sprintf("Q/%s+%d", s, penalty),
-				cacheKey: resultcache.NewKey().
-					Field("kind", "numa.v1").
-					Field("scheme", s).
-					Fieldf("penalty", "%d", penalty).
-					Fieldf("threads", "%d", scale.Threads).
-					Fieldf("ops", "%d", scale.OpsPerThread).
-					Fieldf("items", "%d", scale.InitialItems),
-				edit: func(mc *machine.Config, _ *workload.Config) { mc.Mem.NUMARemotePenalty = penalty },
-			})
-		}
-	}
-	res := runAll("numa", specs)
-	np := len(penalties)
-	for i, s := range order {
-		base := res[i*np].Throughput()
-		var vals []float64
-		for j := range penalties {
-			vals = append(vals, res[i*np+j].Throughput()/base)
-		}
-		t.AddRow(s, vals...)
+	res := sw.grid("numa", len(order), len(penalties), func(r, c int) runSpec {
+		scheme, penalty := order[r], penalties[c]
+		s := sw.cell(Variant{Scheme: scheme}, "Q", fmt.Sprintf("Q/%s+%d", scheme, penalty))
+		s.cacheKey = sw.customKey("numa.v1").
+			Field("scheme", scheme).
+			Fieldf("penalty", "%d", penalty)
+		s.edit = func(mc *machine.Config, _ *workload.Config) { mc.Mem.NUMARemotePenalty = penalty }
+		return s
+	})
+	for r, row := range res {
+		t.AddRow(order[r], norm(row, row[0], workload.Result.Throughput)...) // penalties[0] is UMA
 	}
 	return t
 }
@@ -340,7 +255,7 @@ func NUMA(scale Scale) *Table {
 // sections and consequently more lock contention". Values are combined
 // ops/kcycle; the synchronous schemes' region-end waits serialize inside
 // the lock, so their curves flatten first.
-func Scaling(scale Scale) *Table {
+func (sw Sweep) Scaling() *Table {
 	threads := []int{1, 2, 4, 8}
 	t := &Table{
 		Title:   "Extension: lock-contention scaling on Q (ops/kcycle)",
@@ -348,25 +263,13 @@ func Scaling(scale Scale) *Table {
 		Columns: []string{"1", "2", "4", "8"},
 	}
 	order := []string{"NP", "ASAP", "HWUndo", "SW"}
-	var specs []runSpec
-	for _, s := range order {
-		for _, n := range threads {
-			sc := scale
-			sc.Threads = n
-			specs = append(specs, runSpec{
-				v: Variant{Scheme: s, PMMult: 4}, bench: "Q", scale: sc,
-				valueBytes: 64, label: fmt.Sprintf("Q/%s/t%d", s, n),
-			})
-		}
-	}
-	res := runAll("scaling", specs)
-	nt := len(threads)
-	for i, s := range order {
-		var vals []float64
-		for j := range threads {
-			vals = append(vals, res[i*nt+j].Throughput())
-		}
-		t.AddRow(s, vals...)
+	res := sw.grid("scaling", len(order), len(threads), func(r, c int) runSpec {
+		s := sw.cell(Variant{Scheme: order[r], PMMult: 4}, "Q", fmt.Sprintf("Q/%s/t%d", order[r], threads[c]))
+		s.scale.Threads = threads[c]
+		return s
+	})
+	for r, row := range res {
+		t.AddRow(order[r], metric(row, workload.Result.Throughput)...)
 	}
 	return t
 }

@@ -3,7 +3,7 @@ package experiment
 import "testing"
 
 func TestAblationCoalesceKnee(t *testing.T) {
-	tab := AblationCoalesce(tinyScale(), "Q")
+	tab := Sweep{Scale: tinyScale()}.AblationCoalesce("Q")
 	// Traffic at distance 4 is no worse than at distance 1, and going to
 	// 16 buys little (the paper's "no benefit beyond four").
 	d1 := tab.Col("dist=1", "pm.writes")
@@ -18,7 +18,7 @@ func TestAblationCoalesceKnee(t *testing.T) {
 }
 
 func TestAblationStructuresBiggerIsFasterOrEqual(t *testing.T) {
-	tab := AblationStructures(tinyScale(), "Q")
+	tab := Sweep{Scale: tinyScale()}.AblationStructures("Q")
 	small := tab.Col("CL2x4,Dep2", "cycles")
 	base := tab.Col("CL4x8,Dep4", "cycles")
 	big := tab.Col("CL8x16,Dep8", "cycles")
@@ -35,7 +35,7 @@ func TestAblationStructuresBiggerIsFasterOrEqual(t *testing.T) {
 
 func TestCoRunningOrdering(t *testing.T) {
 	scale := Scale{Threads: 2, OpsPerThread: 60, InitialItems: 96}
-	tab := CoRunning(scale)
+	tab := Sweep{Scale: scale}.CoRunning()
 	asap := tab.Col("ASAP", "ops/kcycle")
 	sw := tab.Col("SW", "ops/kcycle")
 	np := tab.Col("NP", "ops/kcycle")
@@ -53,7 +53,7 @@ func TestCoRunningOrdering(t *testing.T) {
 
 func TestFenceSweepWaits(t *testing.T) {
 	scale := Scale{Threads: 3, OpsPerThread: 80, InitialItems: 96}
-	tab := FenceSweep(scale)
+	tab := Sweep{Scale: scale}.FenceSweep()
 	free := tab.Col("no fence", "ops/kcycle")
 	every1 := tab.Col("every 1", "ops/kcycle")
 	if every1 > free+1e-9 {
@@ -65,7 +65,7 @@ func TestFenceSweepWaits(t *testing.T) {
 }
 
 func TestLifetimeASAPBest(t *testing.T) {
-	tab := Lifetime(tinyScale("BN", "Q"))
+	tab := Sweep{Scale: tinyScale("BN", "Q")}.Lifetime()
 	g := func(c string) float64 { return tab.Col("GeoMean", c) }
 	if !(g("ASAP") > g("HWUndo") && g("ASAP") > g("HWRedo") && g("ASAP") > 1) {
 		t.Fatalf("ASAP must project the longest lifetime:\n%s", tab)
@@ -73,7 +73,7 @@ func TestLifetimeASAPBest(t *testing.T) {
 }
 
 func TestDesignChoiceShape(t *testing.T) {
-	tab := DesignChoice(tinyScale("Q", "HM"))
+	tab := Sweep{Scale: tinyScale("Q", "HM")}.DesignChoice()
 	g := func(c string) float64 { return tab.Col("GeoMean", c) }
 	// Both asynchronous-commit designs beat SW comfortably.
 	if !(g("ASAP xSW") > 1.5 && g("ASAP-Redo xSW") > 1.5) {
@@ -83,7 +83,7 @@ func TestDesignChoiceShape(t *testing.T) {
 
 func TestNUMAShape(t *testing.T) {
 	scale := Scale{Threads: 3, OpsPerThread: 80, InitialItems: 96}
-	tab := NUMA(scale)
+	tab := Sweep{Scale: scale}.NUMA()
 	// ASAP must tolerate remote channels at least as well as HWUndo.
 	asap := tab.Col("ASAP", "remote+800")
 	undo := tab.Col("HWUndo", "remote+800")
@@ -99,7 +99,7 @@ func TestNUMAShape(t *testing.T) {
 
 func TestTailLatencyShape(t *testing.T) {
 	scale := Scale{Threads: 4, OpsPerThread: 100, InitialItems: 96}
-	tab := TailLatency(scale)
+	tab := Sweep{Scale: scale}.TailLatency()
 	// ASAP removes the fixed region-end wait: its p50/p95 track NP while
 	// the synchronous baselines sit a bucket higher across the whole
 	// distribution. (The extreme tail can show rare CL-List backpressure
@@ -120,7 +120,7 @@ func TestTailLatencyShape(t *testing.T) {
 
 func TestScalingShape(t *testing.T) {
 	scale := Scale{Threads: 4, OpsPerThread: 80, InitialItems: 96}
-	tab := Scaling(scale)
+	tab := Sweep{Scale: scale}.Scaling()
 	// At every thread count ASAP out-throughputs the synchronous schemes
 	// on the lock-bound workload.
 	for _, col := range []string{"1", "4", "8"} {

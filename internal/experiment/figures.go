@@ -4,39 +4,40 @@ import (
 	"fmt"
 
 	"asap/internal/core"
-	"asap/internal/stats"
+	"asap/internal/workload"
 )
 
-// Every figure in this file fans its (variant × benchmark) matrix across
-// the package pool with runAll and assembles rows from the ordered
-// results, so the tables are byte-identical at any pool width.
+// Every figure in this file runs its (benchmark × variant) matrix as one
+// grid on the sweep's pool and reduces the ordered results row by row, so
+// the tables are byte-identical at any pool width.
+
+// schemeGrid runs every benchmark of benches under every scheme of order,
+// standard cells with valueBytes values: one row per benchmark.
+func (sw Sweep) schemeGrid(figure string, benches, order []string, valueBytes int) [][]workload.Result {
+	return sw.grid(figure, len(benches), len(order), func(r, c int) runSpec {
+		s := sw.cell(Variant{Scheme: order[c]}, benches[r], "")
+		s.valueBytes = valueBytes
+		return s
+	})
+}
 
 // Fig1 reproduces Figure 1: throughput of the software approach with
 // DPO-only and LPO&DPO persist operations, normalized to NP, on the eight
 // non-TPCC benchmarks.
-func Fig1(scale Scale) *Table {
+func (sw Sweep) Fig1() *Table {
 	t := &Table{
 		Title:   "Figure 1: overhead of LPOs and DPOs in a software approach",
 		Note:    "normalized throughput, higher is better; paper geomeans: DPO-only 0.58x, LPO&DPO 0.31x",
 		Columns: []string{"NP", "DPO Only", "LPO & DPO"},
 	}
-	schemesOrder := []string{"NP", "SW-DPOOnly", "SW"}
 	var benches []string
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
-		if b == "TPCC" {
-			continue // Figure 1 runs the eight original benchmarks
-		}
-		benches = append(benches, b)
-		for _, s := range schemesOrder {
-			specs = append(specs, runSpec{v: Variant{Scheme: s}, bench: b, scale: scale, valueBytes: 64})
+	for _, b := range sw.Scale.Benchmarks {
+		if b != "TPCC" { // Figure 1 runs the eight original benchmarks
+			benches = append(benches, b)
 		}
 	}
-	res := runAll("fig1", specs)
-	for i, b := range benches {
-		np, dpo, sw := res[3*i], res[3*i+1], res[3*i+2]
-		base := np.Throughput()
-		t.AddRow(b, 1.0, dpo.Throughput()/base, sw.Throughput()/base)
+	for r, row := range sw.schemeGrid("fig1", benches, []string{"NP", "SW-DPOOnly", "SW"}, 64) {
+		t.AddRow(benches[r], norm(row, row[0], workload.Result.Throughput)...)
 	}
 	t.AddGeoMean()
 	return t
@@ -47,27 +48,15 @@ var fig7Schemes = []string{"SW", "HWRedo", "HWUndo", "ASAP", "NP"}
 
 // Fig7 reproduces Figure 7: speedup over SW for both 64 B and 2 KB data
 // sizes per atomic region.
-func Fig7(scale Scale, valueBytes int) *Table {
+func (sw Sweep) Fig7(valueBytes int) *Table {
 	t := &Table{
 		Title:   "Figure 7: performance comparison (speedup over SW, higher is better)",
 		Note:    "paper geomeans at both sizes: HWRedo 1.49x, HWUndo 1.60x, ASAP 2.25x, NP 2.34x",
 		Columns: fig7Schemes,
 	}
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
-		for _, s := range fig7Schemes {
-			specs = append(specs, runSpec{v: Variant{Scheme: s}, bench: b, scale: scale, valueBytes: valueBytes})
-		}
-	}
-	res := runAll(fmt.Sprintf("fig7-%dB", valueBytes), specs)
-	ns := len(fig7Schemes)
-	for i, b := range scale.Benchmarks {
-		swCycles := float64(res[i*ns].Cycles) // fig7Schemes[0] == "SW"
-		var vals []float64
-		for j := range fig7Schemes {
-			vals = append(vals, swCycles/float64(res[i*ns+j].Cycles))
-		}
-		t.AddRow(b, vals...)
+	benches := sw.Scale.Benchmarks
+	for r, row := range sw.schemeGrid(fmt.Sprintf("fig7-%dB", valueBytes), benches, fig7Schemes, valueBytes) {
+		t.AddRow(benches[r], inv(row, row[0], cycles)...) // fig7Schemes[0] == "SW"
 	}
 	t.AddGeoMean()
 	return t
@@ -75,91 +64,45 @@ func Fig7(scale Scale, valueBytes int) *Table {
 
 // Fig8 reproduces Figure 8: average cycles per atomic region normalized
 // to NP (lower is better).
-func Fig8(scale Scale, valueBytes int) *Table {
+func (sw Sweep) Fig8(valueBytes int) *Table {
 	t := &Table{
 		Title:   "Figure 8: normalized average cycles per atomic region (lower is better)",
 		Note:    "paper geomeans: HWRedo 1.69x, HWUndo 1.61x, ASAP 1.08x",
 		Columns: fig7Schemes,
 	}
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
-		for _, s := range fig7Schemes {
-			specs = append(specs, runSpec{v: Variant{Scheme: s}, bench: b, scale: scale, valueBytes: valueBytes})
-		}
-	}
-	res := runAll("fig8", specs)
-	ns := len(fig7Schemes)
-	for i, b := range scale.Benchmarks {
-		np := res[i*ns+ns-1].CyclesPerRegion() // fig7Schemes[len-1] == "NP"
-		var vals []float64
-		for j, s := range fig7Schemes {
-			if s == "NP" {
-				vals = append(vals, 1)
-				continue
-			}
-			vals = append(vals, res[i*ns+j].CyclesPerRegion()/np)
-		}
-		t.AddRow(b, vals...)
+	benches := sw.Scale.Benchmarks
+	for r, row := range sw.schemeGrid("fig8", benches, fig7Schemes, valueBytes) {
+		t.AddRow(benches[r], norm(row, row[len(row)-1], workload.Result.CyclesPerRegion)...) // the last scheme is NP
 	}
 	t.AddGeoMean()
 	return t
 }
 
-// fig9aVariants builds the incremental optimization ladder of Figure 9a.
-func fig9aVariants() []struct {
-	Name string
-	Opts core.Options
-} {
-	noOpt := core.DefaultOptions()
-	noOpt.Coalescing, noOpt.LPODropping, noOpt.DPODropping = false, false, false
-	c := noOpt
-	c.Coalescing = true
-	clp := c
-	clp.LPODropping = true
-	full := core.DefaultOptions()
-	return []struct {
-		Name string
-		Opts core.Options
-	}{
-		{"ASAP-No-Opt", noOpt},
-		{"ASAP+C", c},
-		{"ASAP+C+LP", clp},
-		{"ASAP", full},
-	}
-}
-
 // Fig9a reproduces Figure 9a: the incremental PM write-traffic effect of
 // DPO coalescing, LPO dropping and DPO dropping, normalized to full ASAP.
-func Fig9a(scale Scale) *Table {
-	variants := fig9aVariants()
+func (sw Sweep) Fig9a() *Table {
+	// The incremental optimization ladder: none, then coalescing, LPO
+	// dropping and DPO dropping switched on in turn.
+	noOpt := core.DefaultOptions()
+	noOpt.Coalescing, noOpt.LPODropping, noOpt.DPODropping = false, false, false
+	coal := noOpt
+	coal.Coalescing = true
+	coalLP := coal
+	coalLP.LPODropping = true
+	ladder := []core.Options{noOpt, coal, coalLP, core.DefaultOptions()}
+	names := []string{"ASAP-No-Opt", "ASAP+C", "ASAP+C+LP", "ASAP"}
 	t := &Table{
 		Title:   "Figure 9a: incremental improvement of ASAP's traffic optimizations (lower is better)",
 		Note:    "PM write traffic normalized to ASAP; paper: +C saves ~8%, +LP ~33%, +DP ~31%",
-		Columns: []string{variants[0].Name, variants[1].Name, variants[2].Name, variants[3].Name},
+		Columns: names,
 	}
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
-		for _, v := range variants {
-			opts := v.Opts
-			specs = append(specs, runSpec{
-				v: Variant{Scheme: "ASAP", ASAPOpts: &opts}, bench: b, scale: scale,
-				valueBytes: 64, label: b + "/" + v.Name,
-			})
-		}
-	}
-	res := runAll("fig9a", specs)
-	nv := len(variants)
-	for i, b := range scale.Benchmarks {
-		var raw []float64
-		for j := range variants {
-			raw = append(raw, float64(res[i*nv+j].Stats[stats.PMWrites]))
-		}
-		base := raw[len(raw)-1]
-		var vals []float64
-		for _, x := range raw {
-			vals = append(vals, x/base)
-		}
-		t.AddRow(b, vals...)
+	benches := sw.Scale.Benchmarks
+	res := sw.grid("fig9a", len(benches), len(ladder), func(r, c int) runSpec {
+		opts := ladder[c]
+		return sw.cell(Variant{Scheme: "ASAP", ASAPOpts: &opts}, benches[r], benches[r]+"/"+names[c])
+	})
+	for r, row := range res {
+		t.AddRow(benches[r], norm(row, row[len(row)-1], pmWrites)...)
 	}
 	t.AddGeoMean()
 	return t
@@ -167,32 +110,16 @@ func Fig9a(scale Scale) *Table {
 
 // Fig9b reproduces Figure 9b: PM write traffic of SW, HWRedo, HWUndo and
 // ASAP, normalized to ASAP.
-func Fig9b(scale Scale) *Table {
+func (sw Sweep) Fig9b() *Table {
 	order := []string{"SW", "HWRedo", "HWUndo", "ASAP"}
 	t := &Table{
 		Title:   "Figure 9b: persistent memory write traffic (normalized to ASAP, lower is better)",
 		Note:    "paper: ASAP = 0.62x HWRedo, 0.52x HWUndo, 0.39x SW; Q benefits most vs HWUndo",
 		Columns: order,
 	}
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
-		for _, s := range order {
-			specs = append(specs, runSpec{v: Variant{Scheme: s}, bench: b, scale: scale, valueBytes: 64})
-		}
-	}
-	res := runAll("fig9b", specs)
-	ns := len(order)
-	for i, b := range scale.Benchmarks {
-		var raw []float64
-		for j := range order {
-			raw = append(raw, float64(res[i*ns+j].Stats[stats.PMWrites]))
-		}
-		base := raw[len(raw)-1]
-		var vals []float64
-		for _, x := range raw {
-			vals = append(vals, x/base)
-		}
-		t.AddRow(b, vals...)
+	benches := sw.Scale.Benchmarks
+	for r, row := range sw.schemeGrid("fig9b", benches, order, 64) {
+		t.AddRow(benches[r], norm(row, row[len(row)-1], pmWrites)...)
 	}
 	t.AddGeoMean()
 	return t
@@ -201,51 +128,48 @@ func Fig9b(scale Scale) *Table {
 // Fig10 reproduces Figure 10: throughput normalized to NP at each PM
 // latency multiplier, per scheme. One table per scheme keeps the paper's
 // series readable; the returned tables are NP-relative.
-func Fig10(scale Scale) []*Table {
+func (sw Sweep) Fig10() []*Table {
 	// The sensitivity mechanism is WPQ saturation, which needs the offered
 	// load of a well-populated machine (the paper ran 18 cores): raise the
 	// worker count if the scale is small.
-	if scale.Threads < 8 {
-		scale.Threads = 8
-	}
+	sw.Scale.Threads = max(sw.Scale.Threads, 8)
 	mults := []int{1, 2, 4, 16}
-	schemesOrder := []string{"NP", "ASAP", "HWUndo", "HWRedo"}
-	ns := len(schemesOrder)
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
+	order := []string{"NP", "ASAP", "HWUndo", "HWRedo"}
+	// One grid row per (benchmark, multiplier) point, one column per scheme.
+	type point struct {
+		bench string
+		mult  int
+	}
+	var points []point
+	for _, b := range sw.Scale.Benchmarks {
 		for _, m := range mults {
-			for _, s := range schemesOrder {
-				specs = append(specs, runSpec{
-					v: Variant{Scheme: s, PMMult: m}, bench: b, scale: scale,
-					valueBytes: 64, label: fmt.Sprintf("%s/%s@%dx", b, s, m),
-				})
-			}
+			points = append(points, point{b, m})
 		}
 	}
-	res := runAll("fig10", specs)
+	res := sw.grid("fig10", len(points), len(order), func(r, c int) runSpec {
+		p := points[r]
+		return sw.cell(Variant{Scheme: order[c], PMMult: p.mult}, p.bench, fmt.Sprintf("%s/%s@%dx", p.bench, order[c], p.mult))
+	})
 	var tables []*Table
-	for i, b := range scale.Benchmarks {
+	for _, b := range sw.Scale.Benchmarks {
 		t := &Table{
 			Title:   "Figure 10 [" + b + "]: throughput vs PM latency (normalized to NP at same latency)",
 			Note:    "paper: ASAP stays near NP across 1x-16x; HWUndo degrades fastest",
 			Columns: []string{"1x", "2x", "4x", "16x"},
 		}
-		perScheme := map[string][]float64{}
-		for mi := range mults {
-			base := i*len(mults)*ns + mi*ns
-			np := res[base].Throughput() // schemesOrder[0] == "NP"
-			for j, s := range schemesOrder {
-				var v float64
-				if s == "NP" {
-					v = 1
-				} else {
-					v = res[base+j].Throughput() / np
-				}
-				perScheme[s] = append(perScheme[s], v)
-			}
+		// This benchmark's rows, one per multiplier, each normalized to its
+		// NP cell (order[0]).
+		var vsNP [][]float64
+		for _, row := range res[:len(mults)] {
+			vsNP = append(vsNP, norm(row, row[0], workload.Result.Throughput))
 		}
-		for _, s := range schemesOrder {
-			t.AddRow(s, perScheme[s]...)
+		res = res[len(mults):]
+		for c, s := range order {
+			var vals []float64
+			for _, at := range vsNP {
+				vals = append(vals, at[c])
+			}
+			t.AddRow(s, vals...)
 		}
 		tables = append(tables, t)
 	}
@@ -254,7 +178,7 @@ func Fig10(scale Scale) []*Table {
 
 // Sec74 reproduces the §7.4 sensitivity: ASAP with a 16-entry LH-WPQ
 // against ASAP/HWUndo/HWRedo at the default 128 entries.
-func Sec74(scale Scale) *Table {
+func (sw Sweep) Sec74() *Table {
 	t := &Table{
 		Title:   "Section 7.4: sensitivity to LH-WPQ size (speedup over SW)",
 		Note:    "paper: ASAP@16 runs 0.78x of ASAP@128, still 1.18x/1.10x over HWRedo/HWUndo@128",
@@ -270,23 +194,12 @@ func Sec74(scale Scale) *Table {
 		{"HWRedo@128", Variant{Scheme: "HWRedo"}},
 		{"HWUndo@128", Variant{Scheme: "HWUndo"}},
 	}
-	var specs []runSpec
-	for _, b := range scale.Benchmarks {
-		for _, v := range variants {
-			specs = append(specs, runSpec{
-				v: v.v, bench: b, scale: scale, valueBytes: 64, label: b + "/" + v.label,
-			})
-		}
-	}
-	res := runAll("sec74", specs)
-	nv := len(variants)
-	for i, b := range scale.Benchmarks {
-		sw := float64(res[i*nv].Cycles)
-		var vals []float64
-		for j := 1; j < nv; j++ {
-			vals = append(vals, sw/float64(res[i*nv+j].Cycles))
-		}
-		t.AddRow(b, vals...)
+	benches := sw.Scale.Benchmarks
+	res := sw.grid("sec74", len(benches), len(variants), func(r, c int) runSpec {
+		return sw.cell(variants[c].v, benches[r], benches[r]+"/"+variants[c].label)
+	})
+	for r, row := range res {
+		t.AddRow(benches[r], inv(row[1:], row[0], cycles)...) // variants[0] is SW
 	}
 	t.AddGeoMean()
 	return t

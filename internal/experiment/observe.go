@@ -35,17 +35,14 @@ func WireGauges(rec *obs.Recorder, m *machine.Machine, s machine.Scheme) {
 // attached and reduces the per-thread bucket charges to the percent-of-
 // cycles table: where each scheme's simulated time actually goes. Every
 // profiler is checked for the exactness invariant before reduction.
-func CycleAccounting(scale Scale, bench string, valueBytes int) string {
+func (sw Sweep) CycleAccounting(bench string, valueBytes int) string {
 	profs := make([]*obs.Profiler, len(fig7Schemes))
-	specs := make([]runSpec, len(fig7Schemes))
-	for i, sch := range fig7Schemes {
-		profs[i] = obs.NewProfiler()
-		specs[i] = runSpec{
-			v:     Variant{Scheme: sch, Obs: &obs.Session{Prof: profs[i]}},
-			bench: bench, scale: scale, valueBytes: valueBytes,
-		}
-	}
-	runAll("cycles", specs)
+	sw.grid("cycles", 1, len(fig7Schemes), func(_, c int) runSpec {
+		profs[c] = obs.NewProfiler()
+		s := sw.cell(Variant{Scheme: fig7Schemes[c], Obs: &obs.Session{Prof: profs[c]}}, bench, "")
+		s.valueBytes = valueBytes
+		return s
+	})
 
 	d := report.CycleData{
 		Title:       fmt.Sprintf("Cycle accounting: %s, %d B values (percent of all thread-cycles)", bench, valueBytes),
@@ -66,8 +63,8 @@ func CycleAccounting(scale Scale, bench string, valueBytes int) string {
 		if total == 0 {
 			continue
 		}
-		for b, cycles := range per {
-			d.Share[b][c] = float64(cycles) / float64(total)
+		for b, n := range per {
+			d.Share[b][c] = float64(n) / float64(total)
 		}
 	}
 	return report.CycleAccounting(d)

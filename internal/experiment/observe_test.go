@@ -119,7 +119,7 @@ func TestWireGaugesNonASAP(t *testing.T) {
 // TestCycleAccountingReport: the cross-scheme accounting runs end to end
 // and renders every scheme column plus the totals footer.
 func TestCycleAccountingReport(t *testing.T) {
-	out := CycleAccounting(obsScale(), "Q", 64)
+	out := Sweep{Scale: obsScale()}.CycleAccounting("Q", 64)
 	for _, want := range append(append([]string{}, fig7Schemes...), "compute", "total cycles") {
 		if !strings.Contains(out, want) {
 			t.Fatalf("accounting output missing %q:\n%s", want, out)

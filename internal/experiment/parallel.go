@@ -6,46 +6,38 @@ import (
 	"asap/internal/machine"
 	"asap/internal/resultcache"
 	"asap/internal/runner"
+	"asap/internal/stats"
 	"asap/internal/workload"
 )
 
-// pool executes every figure's (variant × benchmark) matrix. The default
-// is a serial pool, which preserves the seed behaviour exactly;
-// cmd/asapbench swaps in a wider one via SetPool. Because each Run builds
-// a fresh machine and the sim kernel is bit-deterministic, and because
-// the pool assembles results in submission order, every table is
-// byte-identical regardless of the pool width.
-var pool = runner.New(1)
-
-// SetPool installs the worker pool used by all figure runners. A nil
-// pool restores the serial default. Not safe to call while figures run.
-func SetPool(p *runner.Pool) {
-	if p == nil {
-		p = runner.New(1)
-	}
-	pool = p
-}
-
-// Pool returns the currently installed pool.
-func Pool() *runner.Pool { return pool }
-
-// runCtx gates figure fan-out: once it is cancelled, runAll stops
-// dispatching further runs. Background by default, so figures behave
-// exactly as before unless a caller opts in via SetContext.
-var runCtx = context.Background()
-
-// SetContext installs the context consulted by every figure runner. A
-// cancelled context makes the current figure stop dispatching new runs
-// and panic with the cancellation error (callers recover it the same way
-// they recover consistency failures). nil restores the background
-// context. Not safe to call while figures run; like SetPool it is
-// package state, so callers running figures from several goroutines must
-// serialize (cmd/asapbench and internal/sweep both do).
-func SetContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	runCtx = ctx
+// Sweep is everything a figure runs its cells with besides the cells
+// themselves. Every figure and extension is a method on it, so two sweeps
+// with different pools, caches or audit cadences can run side by side.
+// The zero value of each field is the plain run: serial, never cancelled,
+// uncached and unaudited.
+type Sweep struct {
+	Scale Scale
+	// Pool executes the figure's cells; nil runs them serially. Because
+	// each cell builds a fresh machine, the sim kernel is
+	// bit-deterministic and the pool assembles results in submission
+	// order, every table is byte-identical at any pool width.
+	Pool *runner.Pool
+	// Ctx, once cancelled, stops the figure dispatching further cells, and
+	// the figure panics with the cancellation error (callers recover it
+	// the same way they recover consistency failures). nil never cancels.
+	Ctx context.Context
+	// Cache memoizes cells across runs. It is used only with a non-empty
+	// CodeVersion, which is folded into every key so results computed by
+	// different code never collide (resolve it with
+	// resultcache.CodeVersion).
+	Cache       *resultcache.Store
+	CodeVersion string
+	// CheckpointEvery, when non-zero, attaches an audit-mode checkpointer
+	// to every cell: boundary digests are taken every CheckpointEvery
+	// cycles, recorded and discarded. Boundaries are scheduling-neutral,
+	// so output is unchanged (TestCheckpointingIsOutputNeutral). An
+	// audited cell always runs: it is never served from the cache.
+	CheckpointEvery uint64
 }
 
 // runSpec describes one cell: benchmark bench under variant v at the
@@ -72,15 +64,46 @@ type runSpec struct {
 // custom reports whether the cell departs from the standard recipe.
 func (s runSpec) custom() bool { return s.edit != nil || s.benches != nil }
 
-// runAll fans specs across the pool and returns results in spec order.
-// A panic inside any job (a stall, a consistency-check failure) is
+// cell is the standard cell of bench under v at the sweep's scale with
+// 64 B values, labelled label ("" labels it bench/scheme).
+func (sw Sweep) cell(v Variant, bench, label string) runSpec {
+	return runSpec{v: v, bench: bench, scale: sw.Scale, valueBytes: 64, label: label}
+}
+
+// grid runs a figure's rows × cols matrix of cells, cell(r, c) building
+// each, and returns the results by row. Cells are dispatched row by row
+// as one batch.
+func (sw Sweep) grid(figure string, rows, cols int, cell func(r, c int) runSpec) [][]workload.Result {
+	specs := make([]runSpec, 0, rows*cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			specs = append(specs, cell(r, c))
+		}
+	}
+	flat := sw.runAll(figure, specs)
+	out := make([][]workload.Result, rows)
+	for r := range out {
+		out[r], flat = flat[:cols:cols], flat[cols:]
+	}
+	return out
+}
+
+// runAll fans specs across the sweep's pool and returns results in spec
+// order. A panic inside any job (a stall, a consistency-check failure) is
 // re-raised here, preserving Run's serial semantics for callers. One
-// failing run, or a cancelled package context, stops the remaining
-// dispatches instead of running out the matrix. Cells with a key are
-// memoized in the installed cell cache; a panicking cell is never stored.
-// The JSON codec is exact for every field figures reduce (integer
-// counters, sorted map keys), which keeps warm output byte-identical.
-func runAll(figure string, specs []runSpec) []workload.Result {
+// failing run, or a cancelled context, stops the remaining dispatches
+// instead of running out the matrix. Cells with a key are memoized in the
+// sweep's cache; a panicking cell is never stored. The JSON codec is exact
+// for every field figures reduce (integer counters, sorted map keys),
+// which keeps warm output byte-identical.
+func (sw Sweep) runAll(figure string, specs []runSpec) []workload.Result {
+	pool, ctx := sw.Pool, sw.Ctx
+	if pool == nil {
+		pool = runner.New(1)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	jobs := make([]runner.Job[workload.Result], len(specs))
 	for i, s := range specs {
 		label := s.label
@@ -88,17 +111,54 @@ func runAll(figure string, specs []runSpec) []workload.Result {
 			label = s.bench + "/" + s.v.Scheme
 		}
 		jobs[i] = runner.Job[workload.Result]{Label: figure + "/" + label, Run: func() workload.Result {
-			res, _ := s.run(checkpointEvery, nil)
+			res, _ := s.run(sw.CheckpointEvery, nil)
 			return res
 		}}
-		if k := s.key(); k != nil && cellCache != nil {
-			key := k.Field("codeversion", cacheCodeVersion).Sum()
-			jobs[i].Cached, jobs[i].Store = resultcache.MemoJSON[workload.Result](cellCache, key)
+		// Without a code version there is no way to invalidate across code
+		// changes: refuse to cache.
+		if k := s.key(); k != nil && sw.Cache != nil && sw.CodeVersion != "" {
+			cached, store := resultcache.MemoJSON[workload.Result](sw.Cache, k.Field("codeversion", sw.CodeVersion).Sum())
+			jobs[i].Store = store
+			if sw.CheckpointEvery == 0 {
+				jobs[i].Cached = cached
+			}
 		}
 	}
-	out, err := runner.CollectCtx(runCtx, pool, jobs)
+	out, err := runner.CollectCtx(ctx, pool, jobs)
 	if err != nil {
 		panic(err)
 	}
 	return out
+}
+
+// cycles and pmWrites are per-cell metrics the tables reduce, beside
+// Result's Throughput and CyclesPerRegion.
+func cycles(r workload.Result) float64   { return float64(r.Cycles) }
+func pmWrites(r workload.Result) float64 { return float64(r.Stats[stats.PMWrites]) }
+
+// metric returns f of each cell in row.
+func metric(row []workload.Result, f func(workload.Result) float64) []float64 {
+	vals := make([]float64, len(row))
+	for i, r := range row {
+		vals[i] = f(r)
+	}
+	return vals
+}
+
+// norm returns f of each cell in row divided by f of base (x ÷ base).
+func norm(row []workload.Result, base workload.Result, f func(workload.Result) float64) []float64 {
+	vals, b := metric(row, f), f(base)
+	for i := range vals {
+		vals[i] /= b
+	}
+	return vals
+}
+
+// inv returns f of base divided by f of each cell in row (base ÷ x).
+func inv(row []workload.Result, base workload.Result, f func(workload.Result) float64) []float64 {
+	vals, b := metric(row, f), f(base)
+	for i := range vals {
+		vals[i] = b / vals[i]
+	}
+	return vals
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"asap/internal/resultcache"
@@ -18,14 +19,13 @@ import (
 // serial pool and a wide one, because results are assembled in
 // submission order and every run builds a private machine.
 func TestFigureOutputIdenticalAcrossPoolWidths(t *testing.T) {
-	defer SetPool(nil)
 	sc := tinyScale("BN", "Q")
 
-	SetPool(runner.New(1))
-	serial := Fig1(sc).String() + Fig9b(sc).String() + Sec74(sc).String()
+	sw := Sweep{Scale: sc, Pool: runner.New(1)}
+	serial := sw.Fig1().String() + sw.Fig9b().String() + sw.Sec74().String()
 
-	SetPool(runner.New(8))
-	wide := Fig1(sc).String() + Fig9b(sc).String() + Sec74(sc).String()
+	sw.Pool = runner.New(8)
+	wide := sw.Fig1().String() + sw.Fig9b().String() + sw.Sec74().String()
 
 	if serial != wide {
 		t.Fatalf("tables differ between pool widths:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, wide)
@@ -36,8 +36,6 @@ func TestFigureOutputIdenticalAcrossPoolWidths(t *testing.T) {
 // a job that panics inside the pool (an inconsistent benchmark, an
 // unknown scheme) must surface as a panic from runAll.
 func TestRunAllPanicPropagates(t *testing.T) {
-	defer SetPool(nil)
-	SetPool(runner.New(4))
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -47,20 +45,18 @@ func TestRunAllPanicPropagates(t *testing.T) {
 			t.Fatalf("panic lost its cause: %v", r)
 		}
 	}()
-	runAll("bad", []runSpec{{v: Variant{Scheme: "NoSuchScheme"}, bench: "Q", scale: tinyScale("Q"), valueBytes: 64}})
+	Sweep{Pool: runner.New(4)}.runAll("bad", []runSpec{{v: Variant{Scheme: "NoSuchScheme"}, bench: "Q", scale: tinyScale("Q"), valueBytes: 64}})
 }
 
 // TestPoolMetricsCarrySimulatedCycles: the job log wired through the
 // pool must see the simulator's cycle and op counts for real runs.
 func TestPoolMetricsCarrySimulatedCycles(t *testing.T) {
-	defer SetPool(nil)
 	p := runner.New(2)
 	log := &stats.JobLog{}
 	p.SetMetrics(log)
-	SetPool(p)
 
 	sc := tinyScale("Q")
-	Fig1(Scale{Threads: sc.Threads, OpsPerThread: sc.OpsPerThread, InitialItems: sc.InitialItems, Benchmarks: []string{"Q"}})
+	Sweep{Scale: Scale{Threads: sc.Threads, OpsPerThread: sc.OpsPerThread, InitialItems: sc.InitialItems, Benchmarks: []string{"Q"}}, Pool: p}.Fig1()
 
 	snap := log.Snapshot()
 	if len(snap) != 3 { // NP, SW-DPOOnly, SW on one benchmark
@@ -84,8 +80,6 @@ func TestCustomCellCheckFailurePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCache(store, "test-code-version")
-	defer SetCache(nil, "")
 	spec := runSpec{
 		v: Variant{Scheme: "ASAP"}, scale: tinyScale(), valueBytes: 64, label: "broken",
 		benches:  []workload.Benchmark{brokenCheck{workload.NewQueue()}},
@@ -101,7 +95,7 @@ func TestCustomCellCheckFailurePanics(t *testing.T) {
 				t.Fatalf("panic lost the check verdict: %v", r)
 			}
 		}()
-		runAll("custom", []runSpec{spec})
+		Sweep{Cache: store, CodeVersion: "test-code-version"}.runAll("custom", []runSpec{spec})
 	}()
 	if _, _, puts := store.Stats(); puts != 0 {
 		t.Fatalf("the failed cell was cached (%d puts)", puts)
@@ -113,18 +107,14 @@ type brokenCheck struct{ workload.Benchmark }
 
 func (brokenCheck) Check(*workload.Ctx) string { return "stub: invariant broken" }
 
-// TestCoRunningHonoursCancellation: a cancelled package context stops the
+// TestCoRunningHonoursCancellation: a cancelled sweep context stops the
 // co-running sweep before it dispatches a single cell.
 func TestCoRunningHonoursCancellation(t *testing.T) {
-	defer SetPool(nil)
 	p := runner.New(2)
 	log := &stats.JobLog{}
 	p.SetMetrics(log)
-	SetPool(p)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	SetContext(ctx)
-	defer SetContext(nil)
 
 	func() {
 		defer func() {
@@ -133,9 +123,66 @@ func TestCoRunningHonoursCancellation(t *testing.T) {
 				t.Fatalf("want a context.Canceled panic, got %v", err)
 			}
 		}()
-		CoRunning(QuickScale())
+		Sweep{Scale: QuickScale(), Pool: p, Ctx: ctx}.CoRunning()
 	}()
 	if n := len(log.Snapshot()); n != 0 {
 		t.Fatalf("%d co-run cells ran after cancellation", n)
+	}
+}
+
+// TestAuditedSweepBypassesCache: audit mode digests the state of every
+// cell, so an audited sweep over a warm store must simulate every cell
+// instead of serving it from the store, and its table must still match.
+func TestAuditedSweepBypassesCache(t *testing.T) {
+	store, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := Sweep{Scale: smallScale(), Cache: store, CodeVersion: "test-code-version"}
+	warm := sw.FenceSweep()
+	if hits, misses, puts := store.Stats(); hits != 0 || misses == 0 || puts != misses {
+		t.Fatalf("warm-up: hits=%d misses=%d puts=%d", hits, misses, puts)
+	}
+
+	sw.CheckpointEvery = 20000
+	audited := sw.FenceSweep()
+	if hits, _, _ := store.Stats(); hits != 0 {
+		t.Fatalf("the audited sweep served %d cells from the cache", hits)
+	}
+	if audited.String() != warm.String() {
+		t.Fatalf("audited table differs:\n%s\n%s", audited, warm)
+	}
+}
+
+// TestConcurrentSweeps: sweeps carry their own pool, cache and audit
+// cadence, so differently configured sweeps may run at once, and each
+// must still produce the serial table.
+func TestConcurrentSweeps(t *testing.T) {
+	store, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := tinyScale("BN", "Q")
+	want := Sweep{Scale: sc}.Fig9b().String()
+
+	sweeps := []Sweep{
+		{Scale: sc, Pool: runner.New(2)},
+		{Scale: sc, Cache: store, CodeVersion: "test-code-version"},
+		{Scale: sc, Pool: runner.New(2), CheckpointEvery: 20000},
+	}
+	got := make([]string, len(sweeps))
+	var wg sync.WaitGroup
+	for i, sw := range sweeps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = sw.Fig9b().String()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("sweep %d differs from the serial table:\n%s\nwant:\n%s", i, g, want)
+		}
 	}
 }

@@ -42,16 +42,19 @@ type LogEnd struct {
 	Epoch int
 }
 
+// overflowPenalty is the log-overflow exception cost in cycles.
+const overflowPenalty = 2000
+
 // AllocRecord reserves one record in t's log. A full log raises the
-// log-overflow exception (§4.4): it is counted, t stalls for penalty
-// cycles charged to obs.LogOverflow, and the log grows. t is nil in event
-// context, where nothing stalls.
-func (m *Machine) AllocRecord(t *sim.Thread, prof *obs.Profiler, log *wal.ThreadLog, penalty uint64) (arch.LineAddr, LogEnd) {
+// log-overflow exception (§4.4): it is counted, t stalls for
+// overflowPenalty cycles charged to obs.LogOverflow, and the log grows. t
+// is nil in event context, where nothing stalls.
+func (m *Machine) AllocRecord(t *sim.Thread, prof *obs.Profiler, log *wal.ThreadLog) (arch.LineAddr, LogEnd) {
 	header, end, ok := log.AllocRecord()
 	if !ok {
 		*m.Cells.LogOverflows++
 		if t != nil {
-			prof.Stall(t, obs.LogOverflow, penalty)
+			prof.Stall(t, obs.LogOverflow, overflowPenalty)
 		}
 		log.Grow()
 		if header, end, ok = log.AllocRecord(); !ok {

@@ -56,9 +56,9 @@ func TestAllocRecordOverflow(t *testing.T) {
 	m := New(DefaultConfig())
 	log := wal.NewThreadLog(m.Heap, wal.RecordBytes)
 	m.K.Spawn("w", func(th *sim.Thread) {
-		_, first := m.AllocRecord(th, nil, log, 2000)
+		_, first := m.AllocRecord(th, nil, log)
 		before := th.Now()
-		_, second := m.AllocRecord(th, nil, log, 2000)
+		_, second := m.AllocRecord(th, nil, log)
 		if th.Now()-before != 2000 {
 			t.Errorf("overflow stalled %d cycles, want 2000", th.Now()-before)
 		}

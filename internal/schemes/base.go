@@ -44,8 +44,6 @@ const (
 	// swInstrOverhead models the extra instructions of software logging
 	// per persist operation (bookkeeping, address computation).
 	swInstrOverhead = 12
-	// overflowPenalty is the log-overflow exception cost in cycles.
-	overflowPenalty = 2000
 	// logBytes is the initial per-thread log buffer size.
 	logBytes = 256 << 10
 )
@@ -171,7 +169,7 @@ type logCursor struct {
 
 // openRecord allocates a fresh record; t is nil in event context.
 func (b *base) openRecord(t *sim.Thread, c *logCursor) {
-	c.rec, c.logEnd = b.m.AllocRecord(t, b.prof, c.log, overflowPenalty)
+	c.rec, c.logEnd = b.m.AllocRecord(t, b.prof, c.log)
 	c.recUsed = 0
 }
 

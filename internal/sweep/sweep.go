@@ -110,8 +110,9 @@ func (s *Spec) profileBench() string {
 	return s.ProfileBench
 }
 
-// names expands "all" and reports whether banners are printed.
-func (s *Spec) names() (names []string, banners bool) {
+// Expand returns the experiments the spec runs, with "all" expanded, and
+// reports whether banners are printed.
+func (s *Spec) Expand() (names []string, banners bool) {
 	for _, n := range s.Experiments {
 		if n == "all" {
 			return AllNames(), true
@@ -123,7 +124,7 @@ func (s *Spec) names() (names []string, banners bool) {
 // env is what one registry entry gets to work with.
 type env struct {
 	w            io.Writer
-	scale        experiment.Scale
+	sweep        experiment.Sweep
 	chart        bool
 	profileBench string
 }
@@ -140,40 +141,40 @@ func (e *env) show(t *experiment.Table) {
 // registry maps experiment names to runners. It mirrors (and replaces)
 // the map that lived in cmd/asapbench.
 var registry = map[string]func(e *env){
-	"fig1": func(e *env) { e.show(experiment.Fig1(e.scale)) },
+	"fig1": func(e *env) { e.show(e.sweep.Fig1()) },
 	"fig7": func(e *env) {
-		e.show(experiment.Fig7(e.scale, 64))
-		e.show(experiment.Fig7(e.scale, 2048))
+		e.show(e.sweep.Fig7(64))
+		e.show(e.sweep.Fig7(2048))
 	},
-	"fig8":  func(e *env) { e.show(experiment.Fig8(e.scale, 64)) },
-	"fig9a": func(e *env) { e.show(experiment.Fig9a(e.scale)) },
-	"fig9b": func(e *env) { e.show(experiment.Fig9b(e.scale)) },
+	"fig8":  func(e *env) { e.show(e.sweep.Fig8(64)) },
+	"fig9a": func(e *env) { e.show(e.sweep.Fig9a()) },
+	"fig9b": func(e *env) { e.show(e.sweep.Fig9b()) },
 	"fig10": func(e *env) {
-		for _, t := range experiment.Fig10(e.scale) {
+		for _, t := range e.sweep.Fig10() {
 			e.show(t)
 		}
 	},
-	"lhwpq":  func(e *env) { e.show(experiment.Sec74(e.scale)) },
+	"lhwpq":  func(e *env) { e.show(e.sweep.Sec74()) },
 	"area":   func(e *env) { fmt.Fprintln(e.w, area.Report(area.Default())) },
 	"config": func(e *env) { printConfig(e.w) },
 	"ablation-coalesce": func(e *env) {
-		e.show(experiment.AblationCoalesce(e.scale, "Q"))
+		e.show(e.sweep.AblationCoalesce("Q"))
 	},
 	"ablation-structs": func(e *env) {
-		e.show(experiment.AblationStructures(e.scale, "Q"))
+		e.show(e.sweep.AblationStructures("Q"))
 	},
-	"corun": func(e *env) { e.show(experiment.CoRunning(e.scale)) },
+	"corun": func(e *env) { e.show(e.sweep.CoRunning()) },
 	// profile is intentionally not in "all": the -experiment all output
 	// is gated byte-identical with observability off.
 	"profile": func(e *env) {
-		fmt.Fprintln(e.w, experiment.CycleAccounting(e.scale, e.profileBench, 64))
+		fmt.Fprintln(e.w, e.sweep.CycleAccounting(e.profileBench, 64))
 	},
-	"design":   func(e *env) { e.show(experiment.DesignChoice(e.scale)) },
-	"fences":   func(e *env) { e.show(experiment.FenceSweep(e.scale)) },
-	"lifetime": func(e *env) { e.show(experiment.Lifetime(e.scale)) },
-	"numa":     func(e *env) { e.show(experiment.NUMA(e.scale)) },
-	"tail":     func(e *env) { e.show(experiment.TailLatency(e.scale)) },
-	"scaling":  func(e *env) { e.show(experiment.Scaling(e.scale)) },
+	"design":   func(e *env) { e.show(e.sweep.DesignChoice()) },
+	"fences":   func(e *env) { e.show(e.sweep.FenceSweep()) },
+	"lifetime": func(e *env) { e.show(e.sweep.Lifetime()) },
+	"numa":     func(e *env) { e.show(e.sweep.NUMA()) },
+	"tail":     func(e *env) { e.show(e.sweep.TailLatency()) },
+	"scaling":  func(e *env) { e.show(e.sweep.Scaling()) },
 }
 
 // ExpResult is one experiment's outcome within an executed spec.
@@ -201,12 +202,18 @@ type Options struct {
 	// set (resolve it with resultcache.CodeVersion). An empty version
 	// with a non-nil Cache disables caching rather than risk stale hits.
 	CodeVersion string
+	// CheckpointEvery, when non-zero, audits every cell: machine-state
+	// digests are taken every CheckpointEvery cycles and discarded.
+	// Output is unchanged, and no audited cell is served from Cache.
+	CheckpointEvery uint64
 }
 
-// execMu serializes Execute: the experiment package's pool and context
-// are package state, so one sweep runs at a time per process. Queued
-// daemon jobs simply wait their turn here; leases must be sized for
-// that (cmd/asapd's default is generous).
+// execMu serializes Execute: a process simulates one sweep's pool of
+// cells at a time. Every concurrently simulated cell holds its own machine
+// (about 9 MB of peak RSS each), so two sweeps at once would add a second
+// pool's worth of machines to asapd's memory peak. Queued daemon jobs
+// simply wait their turn here; leases must be sized for that (cmd/asapd's
+// default is generous).
 var execMu sync.Mutex
 
 // Execute runs the spec, writing its output — byte-identical to
@@ -220,7 +227,7 @@ func Execute(ctx context.Context, spec Spec, w io.Writer, opt Options) ([]ExpRes
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	names, banners := spec.names()
+	names, banners := spec.Expand()
 
 	execMu.Lock()
 	defer execMu.Unlock()
@@ -229,16 +236,14 @@ func Execute(ctx context.Context, spec Spec, w io.Writer, opt Options) ([]ExpRes
 	if pool == nil {
 		pool = runner.New(spec.Parallel)
 	}
-	experiment.SetPool(pool)
-	experiment.SetContext(ctx)
-	experiment.SetCache(opt.Cache, opt.CodeVersion)
-	defer func() {
-		experiment.SetCache(nil, "")
-		experiment.SetContext(nil)
-		experiment.SetPool(nil)
-	}()
-
-	e := &env{w: w, scale: spec.scale(), chart: spec.Chart, profileBench: spec.profileBench()}
+	e := &env{w: w, chart: spec.Chart, profileBench: spec.profileBench(), sweep: experiment.Sweep{
+		Scale:           spec.scale(),
+		Pool:            pool,
+		Ctx:             ctx,
+		Cache:           opt.Cache,
+		CodeVersion:     opt.CodeVersion,
+		CheckpointEvery: opt.CheckpointEvery,
+	}}
 
 	var results []ExpResult
 	for _, name := range names {
