@@ -262,7 +262,7 @@ func crashMode(fs *flag.FlagSet, p *plan) func(io.Writer) error {
 	fs.IntVar(&cfg.Points, "points", 8, "crash points per (workload, mix) pair")
 	fs.Uint64Var(&cfg.CrashLo, "crash-lo", 900, "earliest crash cycle (from measurement start)")
 	fs.Uint64Var(&cfg.CrashHi, "crash-hi", 91000, "latest crash cycle")
-	workloads := fs.String("workloads", "", "comma-separated workloads (default: all of "+strings.Join(crashtest.Workloads(), ",")+")")
+	workloads := fs.String("workloads", "", "comma-separated workloads: counter, bigcounter or a Table 3 benchmark (BN,BT,CT,EO,HM,Q,RB,SS,TPCC); default "+strings.Join(crashtest.Workloads(), ","))
 	mixes := fs.String("mixes", "", "semicolon-separated fault mixes, e.g. 'none;torn=0.3;drop=0.2,flip=1' (default: built-in set)")
 	fs.BoolVar(&cfg.SkipValidation, "skip-validation", false, "recover without the integrity pass (negative control: expect failures)")
 	fs.Uint64Var(&cfg.SnapshotEvery, "snapshot-every", 0, "boundary-kill family: land every crash on the first checkpoint boundary at or after its crash point (0 = off)")

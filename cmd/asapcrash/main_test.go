@@ -20,7 +20,7 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 
 // TestCrashSweepExitsZero: a small crash-consistency sweep passes.
 func TestCrashSweepExitsZero(t *testing.T) {
-	code, out, errs := runCLI(t, "-points", "2", "-workloads", "counter,queue")
+	code, out, errs := runCLI(t, "-points", "2", "-workloads", "counter,Q")
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out, errs)
 	}
@@ -185,7 +185,7 @@ func TestSaveRecoverMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestSweepCountsMatchGateFiles pins both sweeps' full reports at their
+// TestSweepCountsMatchGateFiles pins the sweeps' full reports at their
 // documented seeds: same case counts, same verdicts, byte for byte. A
 // change that moves a count must regenerate the file and say why.
 func TestSweepCountsMatchGateFiles(t *testing.T) {
@@ -197,6 +197,7 @@ func TestSweepCountsMatchGateFiles(t *testing.T) {
 		args []string
 	}{
 		{"../../docs/crash-sweep-seed1.txt", []string{"-seed", "1", "-points", "28"}},
+		{"../../docs/crash-sweep-bench-seed1.txt", []string{"-seed", "1", "-points", "28", "-workloads", "BN,BT,CT,EO,HM,Q,RB,SS,TPCC"}},
 		{"../../docs/torture-sweep-seed1.txt", []string{"torture", "-seed", "1", "-seeds", "19"}},
 	} {
 		want, err := os.ReadFile(g.file)

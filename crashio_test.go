@@ -148,3 +148,18 @@ func TestLoadCrashStateBadLineLength(t *testing.T) {
 		}
 	}
 }
+
+// FuzzLoadCrashState: no input makes LoadCrashState, or recovery of a
+// state it accepted, panic — the promise that untrusted crash files are
+// safe to load. The seed corpus (testdata/fuzz) holds the crash state
+// "asapcrash -workloads counter -points 1 -crash-lo 8000 -crash-hi 8001
+// -mixes none -save" writes: eight uncommitted regions to roll back.
+func FuzzLoadCrashState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		cs, err := LoadCrashState(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		_, _ = cs.RecoverWithOptions(RecoverOptions{})
+	})
+}

@@ -6,9 +6,9 @@
 // state, LoadCrashState, Recover — and checks the recovered image.
 //
 // A case comes in one of two kinds. A workload case (Case.Workload) runs
-// one of the toy structures in workloads.go through the public workload
-// path, verifies the structure's invariants on the recovered image and
-// then reboots on it with NewSystemFromCrash. A torture case
+// a striped counter (workloads.go) or a Table 3 benchmark through the
+// public workload path, runs the structure's own Benchmark.Check on the
+// recovered image and then reboots on it with NewSystemFromCrash. A torture case
 // (Case.Preset) runs a seeded schedule of atomic-region operations on a
 // machine whose ASAP structures are squeezed to their minimum sizes, with
 // the invariant engine attached and the forward-progress watchdog armed

@@ -53,6 +53,8 @@ func TestFaultyCasesNeverViolate(t *testing.T) {
 // TestBrokenRecoveryIsCaught is the negative control the acceptance
 // criteria demand: disable the recovery validation pass and the checker
 // must observe invariant violations — proof it can see real corruption.
+// That holds for the striped counter and for every Table 3 benchmark,
+// each checked by its own Check over the recovered image.
 func TestBrokenRecoveryIsCaught(t *testing.T) {
 	mix := faults.Mix{TornPct: 0.6, DropPct: 0.3}
 	violations := 0
@@ -72,6 +74,30 @@ func TestBrokenRecoveryIsCaught(t *testing.T) {
 		t.Fatal("validation disabled yet zero violations: the checker is blind")
 	}
 	t.Logf("%d/10 unvalidated recoveries caught violating invariants", violations)
+
+	benches := []string{"BN", "BT", "CT", "EO", "HM", "Q", "RB", "SS", "TPCC"}
+	cases, err := CrashCases(CrashConfig{Workloads: benches, Seed: 1, Points: 4, SkipValidation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := Sweep(cases, SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Error verdicts are tolerated here: a reboot on an unvalidated image
+	// may touch unmapped memory, which is not what this control measures.
+	caught := map[string]int{}
+	for _, o := range sum.Outcomes {
+		if o.Verdict == VerdictViolation {
+			caught[o.Case.Workload]++
+		}
+	}
+	for _, b := range benches {
+		if caught[b] == 0 {
+			t.Errorf("%s: validation disabled yet zero violations: its Check is blind", b)
+		}
+	}
+	t.Logf("violations per benchmark: %v", caught)
 }
 
 // TestDroppedLogHeaderIsDetected is the LH-WPQ fault regression test: when
@@ -125,7 +151,7 @@ func TestDroppedLogHeaderIsDetected(t *testing.T) {
 // events must land on the same verdict — the property shrinking needs.
 func TestReplayReproducesOutcome(t *testing.T) {
 	c := Case{
-		Workload: "queue", CrashAt: 4_000, Seed: 7,
+		Workload: "Q", CrashAt: 4_000, Seed: 7,
 		Mix: faults.Mix{TornPct: 0.3, DropPct: 0.3},
 	}
 	first := RunCase(c)
@@ -266,7 +292,7 @@ func TestSweepSmall(t *testing.T) {
 			name: "crash",
 			cases: func() ([]Case, error) {
 				return CrashCases(CrashConfig{
-					Workloads: []string{"counter", "queue"},
+					Workloads: []string{"counter", "Q"},
 					Mixes:     []faults.Mix{{}, {TornPct: 0.3, DropPct: 0.2}},
 					Seed:      3, Points: 3, CrashLo: 1_500, CrashHi: 40_000,
 				})
@@ -343,7 +369,7 @@ func TestOutcomeJSONRoundTrips(t *testing.T) {
 		c    Case
 	}{
 		{"crash", Case{
-			Workload: "queue", CrashAt: 4_000, Seed: 7,
+			Workload: "Q", CrashAt: 4_000, Seed: 7,
 			Mix: faults.Mix{TornPct: 0.3, DropPct: 0.3},
 		}},
 		{"torture", Case{
@@ -442,7 +468,7 @@ func TestSnapshotBoundaryKillsAreConsistent(t *testing.T) {
 	}
 	mix := faults.Mix{TornPct: 0.2, DropPct: 0.2, BitFlips: 1}
 	for i := int64(0); i < 4; i++ {
-		c := Case{Workload: "queue", CrashAt: 2_500 + uint64(i)*1_700, Seed: i, Mix: mix, SnapshotEvery: 1_000}
+		c := Case{Workload: "Q", CrashAt: 2_500 + uint64(i)*1_700, Seed: i, Mix: mix, SnapshotEvery: 1_000}
 		o := RunCase(c)
 		if o.Verdict == VerdictViolation || o.Verdict == VerdictError {
 			t.Errorf("%s: %s: %s (faults: %v)", c, o.Verdict, o.Detail, o.Faults)

@@ -56,7 +56,7 @@ func CrashCases(cfg CrashConfig) ([]Case, error) {
 		workloads = Workloads()
 	}
 	for _, w := range workloads {
-		if _, err := newWorkloadRun(w); err != nil {
+		if _, err := newWorkload(w); err != nil {
 			return nil, err
 		}
 	}

@@ -39,15 +39,16 @@ func workloadConfig(seed int64, crashed func(start uint64)) workload.Config {
 }
 
 // runWorkload runs a workload case: the pre-crash run, then the shared
-// post-crash step with the structure's verify check, then a reboot on the
-// recovered image that must let the workload continue.
+// post-crash step with the structure's own Check on the recovered image,
+// then a reboot on the recovered image that must let the workload
+// continue.
 func runWorkload(c Case, out *Outcome) {
-	run, pf, err := crashWorkload(c)
+	b, pf, err := crashWorkload(c)
 	if err != nil {
 		out.Verdict, out.Detail = VerdictError, err.Error()
 		return
 	}
-	pub := pf.recoverAndCheck(out, run.verify)
+	pub := pf.recoverAndCheck(out, b.Check)
 	if pub == nil {
 		return
 	}
@@ -61,7 +62,22 @@ func runWorkload(c Case, out *Outcome) {
 		out.Verdict, out.Detail = VerdictError, "reboot: "+err.Error()
 		return
 	}
-	if problem := run.post(sys2, c.Seed+1); problem != "" {
+	// The crashed run may have died holding the structure's lock, so
+	// the rebooted machine re-checks it through Check, which takes none.
+	// A striped counter first runs fresh operations on a value copy with
+	// a fresh mutex.
+	problem := runPost(sys2, c.Seed+1, func(ctx *Ctx) string {
+		check := b
+		if sc, ok := b.(*stripeCounter); ok {
+			reborn := &stripeCounter{name: sc.name, lanes: sc.lanes, slots: sc.slots, total: sc.total}
+			for i := 0; i < 6; i++ {
+				reborn.Op(ctx, i)
+			}
+			check = reborn
+		}
+		return check.Check(ctx.LoadU64)
+	})
+	if problem != "" {
 		out.Verdict, out.Detail = VerdictViolation, "after reboot: "+problem
 		return
 	}
@@ -84,9 +100,10 @@ func SaveCrash(c Case, w io.Writer) ([]faults.Event, error) {
 
 // crashWorkload is a workload case's pre-crash run: the named structure
 // through the public workload path, with the power failure armed at the
-// case's crash point.
-func crashWorkload(c Case) (workloadRun, *powerFailure, error) {
-	run, err := newWorkloadRun(c.Workload)
+// case's crash point. The same instance serves the image check and the
+// reboot afterwards, because the structure's cell addresses live in it.
+func crashWorkload(c Case) (workload.Benchmark, *powerFailure, error) {
+	b, err := newWorkload(c.Workload)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,31 +143,20 @@ func crashWorkload(c Case) (workloadRun, *powerFailure, error) {
 	}
 	func() {
 		defer func() { _ = recover() }() // a halt mid-run may strand the driver
-		workload.Run(env, []workload.Benchmark{run.bench()}, wcfg)
+		workload.Run(env, []workload.Benchmark{b}, wcfg)
 	}()
-	return run, pf, nil
+	return b, pf, nil
 }
 
-// workloadRun binds one case's benchmark instance to the invariant checks
-// that run against its recovered state. The same instance must serve all
-// three phases — pre-crash execution, image verification, post-recovery
-// reboot — because the structure's cell addresses live in it.
-type workloadRun interface {
-	// bench returns the Benchmark driven before the crash.
-	bench() workload.Benchmark
-	// verify walks the recovered image through read and returns a problem
-	// description, or "" when every invariant holds.
-	verify(read func(addr uint64) uint64) string
-	// post reboots onto the recovered image: it runs fresh operations on
-	// sys (a NewSystemFromCrash machine) and re-checks the live structure.
-	post(sys *asap.System, seed int64) string
-}
+// Workloads lists the default crash-consistency workloads by name: the two
+// striped counters and the paper's Q benchmark (the highest cross-region
+// dependence rate of Table 3). Every Table 3 benchmark name is accepted
+// too.
+func Workloads() []string { return []string{"counter", "bigcounter", "Q"} }
 
-// Workloads lists the crash-consistency workloads by name.
-func Workloads() []string { return []string{"counter", "bigcounter", "queue"} }
-
-// newWorkloadRun builds a fresh instance of the named workload.
-func newWorkloadRun(name string) (workloadRun, error) {
+// newWorkload builds a fresh instance of the named workload: a striped
+// counter, or a Table 3 benchmark by its paper abbreviation.
+func newWorkload(name string) (workload.Benchmark, error) {
 	switch name {
 	case "counter":
 		return &stripeCounter{name: "counter", lanes: 1}, nil
@@ -159,11 +165,11 @@ func newWorkloadRun(name string) (workloadRun, error) {
 		// every region closes a 7-entry log record, exercising the
 		// checked-header path that open records never reach.
 		return &stripeCounter{name: "bigcounter", lanes: 8}, nil
-	case "queue":
-		return &queueRun{q: workload.NewQueue()}, nil
-	default:
-		return nil, fmt.Errorf("crashtest: unknown workload %q (have %v)", name, Workloads())
 	}
+	if b := workload.ByName(name); b != nil {
+		return b, nil
+	}
+	return nil, fmt.Errorf("crashtest: unknown workload %q (have counter, bigcounter and the Table 3 benchmarks)", name)
 }
 
 // stripeCounter is a striped counter with a reconciliation total: each
@@ -179,8 +185,6 @@ type stripeCounter struct {
 	slots []uint64 // lane-0 address of each slot; lane i at +64*i
 	total uint64
 }
-
-func (sc *stripeCounter) bench() workload.Benchmark { return sc }
 
 // Name implements workload.Benchmark.
 func (sc *stripeCounter) Name() string { return sc.name }
@@ -217,11 +221,7 @@ func (sc *stripeCounter) Op(c *Ctx, i int) {
 }
 
 // Check implements workload.Benchmark.
-func (sc *stripeCounter) Check(c *Ctx) string {
-	return sc.verify(c.LoadU64)
-}
-
-func (sc *stripeCounter) verify(read func(uint64) uint64) string {
+func (sc *stripeCounter) Check(read func(uint64) uint64) string {
 	sum := uint64(0)
 	for i, slot := range sc.slots {
 		v := read(slot)
@@ -236,60 +236,6 @@ func (sc *stripeCounter) verify(read func(uint64) uint64) string {
 		return fmt.Sprintf("%s: slot sum %d != total %d (non-prefix state)", sc.name, sum, total)
 	}
 	return ""
-}
-
-func (sc *stripeCounter) post(sys *asap.System, seed int64) string {
-	// A value copy with a fresh mutex: the crashed run may have died
-	// holding sc.mu, and the new machine's threads must not inherit that.
-	reborn := &stripeCounter{name: sc.name, lanes: sc.lanes, slots: sc.slots, total: sc.total}
-	return runPost(sys, seed, func(c *Ctx) string {
-		for i := 0; i < 6; i++ {
-			reborn.Op(c, i)
-		}
-		return reborn.Check(c)
-	})
-}
-
-// queueRun adapts the paper's Q benchmark (the highest cross-region
-// dependence rate of Table 3) to the checker.
-type queueRun struct {
-	q *workload.Queue
-}
-
-func (qr *queueRun) bench() workload.Benchmark { return qr.q }
-
-func (qr *queueRun) verify(read func(uint64) uint64) string {
-	head := read(qr.q.HeadCellAddr())
-	count := read(qr.q.CountCellAddr())
-	enq := read(qr.q.EnqCellAddr())
-	deq := read(qr.q.DeqCellAddr())
-	tail := read(qr.q.TailCellAddr())
-
-	n := uint64(0)
-	last := uint64(0)
-	for cur := head; cur != 0; cur = read(cur) {
-		last = cur
-		n++
-		if n > 1<<20 {
-			return "queue: cycle in persisted chain"
-		}
-	}
-	if n != count {
-		return fmt.Sprintf("queue: chain length %d != count cell %d", n, count)
-	}
-	if tail != last {
-		return fmt.Sprintf("queue: tail %#x != last node %#x", tail, last)
-	}
-	if enq-deq != n {
-		return fmt.Sprintf("queue: enq %d - deq %d != length %d", enq, deq, n)
-	}
-	return ""
-}
-
-func (qr *queueRun) post(sys *asap.System, seed int64) string {
-	// Q's own mutex may be stuck from the crashed run, so reboot checks
-	// are read-only: Check takes no locks.
-	return runPost(sys, seed, qr.q.Check)
 }
 
 // Ctx aliases the workload context so the benchmark implementations above

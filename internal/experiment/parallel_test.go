@@ -105,7 +105,7 @@ func TestCustomCellCheckFailurePanics(t *testing.T) {
 // brokenCheck wraps a benchmark with a post-run check that always fails.
 type brokenCheck struct{ workload.Benchmark }
 
-func (brokenCheck) Check(*workload.Ctx) string { return "stub: invariant broken" }
+func (brokenCheck) Check(func(uint64) uint64) string { return "stub: invariant broken" }
 
 // TestCoRunningHonoursCancellation: a cancelled sweep context stops the
 // co-running sweep before it dispatches a single cell.

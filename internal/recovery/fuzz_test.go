@@ -53,36 +53,14 @@ func readU64(img *memdev.Image, addr uint64) uint64 {
 	return binary.LittleEndian.Uint64(line[off : off+8])
 }
 
-// checkPersistedQueue walks the Q benchmark's structure in the recovered
-// image and validates the same invariants its live Check does: chain
-// length equals the count cell, the tail points at the last node, and the
-// enqueue/dequeue totals reconcile. Every Q operation updates all these
-// cells in one atomic region, so any torn region shows up here.
-func checkPersistedQueue(t *testing.T, img *memdev.Image, q *workload.Queue) {
+// checkImage runs the benchmark's own structural check over the
+// recovered image: the invariants its crash-free run is held to. Every
+// operation updates its cells in one atomic region, so any torn region
+// shows up here.
+func checkImage(t *testing.T, img *memdev.Image, b workload.Benchmark) {
 	t.Helper()
-	head := readU64(img, q.HeadCellAddr())
-	count := readU64(img, q.CountCellAddr())
-	enq := readU64(img, q.EnqCellAddr())
-	deq := readU64(img, q.DeqCellAddr())
-	tail := readU64(img, q.TailCellAddr())
-
-	n := uint64(0)
-	last := uint64(0)
-	for cur := head; cur != 0; cur = readU64(img, cur) {
-		last = cur
-		n++
-		if n > 1<<20 {
-			t.Fatal("cycle in persisted queue")
-		}
-	}
-	if n != count {
-		t.Fatalf("persisted chain length %d != count cell %d", n, count)
-	}
-	if tail != last {
-		t.Fatalf("persisted tail %#x != last node %#x", tail, last)
-	}
-	if enq-deq != n {
-		t.Fatalf("persisted enq %d - deq %d != %d", enq, deq, n)
+	if msg := b.Check(func(addr uint64) uint64 { return readU64(img, addr) }); msg != "" {
+		t.Fatalf("persisted image: %s", msg)
 	}
 }
 
@@ -134,7 +112,7 @@ func TestCrashRecoveryFuzzQueue(t *testing.T) {
 			t.Fatalf("seed %d crash@%d: recovery failed: %v", seed, at, err)
 		}
 		t.Logf("seed %d crash@%d", seed, at)
-		checkPersistedQueue(t, cs.Image, q)
+		checkImage(t, cs.Image, q)
 	}
 	if caught < 3 {
 		t.Fatalf("seed %d: only %d/%d crash points caught in-flight regions; fuzz too weak", seed, caught, len(crashPoints))
@@ -173,33 +151,7 @@ func TestCrashRecoveryFuzzHashMap(t *testing.T) {
 			t.Fatalf("seed %d crash@%d: %v", seed, at, err)
 		}
 		t.Logf("seed %d crash@%d", seed, at)
-		checkPersistedHashMap(t, cs.Image, h)
-	}
-}
-
-func checkPersistedHashMap(t *testing.T, img *memdev.Image, h *workload.HashMap) {
-	t.Helper()
-	reachable := uint64(0)
-	for b := uint64(0); b < h.BucketCount(); b++ {
-		seen := map[uint64]bool{}
-		for cur := readU64(img, h.BucketHeadAddr(b)); cur != 0; cur = readU64(img, cur+8) {
-			key := readU64(img, cur)
-			if key%h.BucketCount() != b {
-				t.Fatalf("persisted key %d in wrong bucket %d", key, b)
-			}
-			if seen[key] {
-				t.Fatalf("persisted duplicate key %d in bucket %d", key, b)
-			}
-			seen[key] = true
-			reachable++
-		}
-	}
-	var counted uint64
-	for s := 0; s < h.StripeCount(); s++ {
-		counted += readU64(img, h.CountCellAddr(s))
-	}
-	if counted != reachable {
-		t.Fatalf("persisted counters %d != reachable nodes %d", counted, reachable)
+		checkImage(t, cs.Image, h)
 	}
 }
 

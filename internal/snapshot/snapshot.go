@@ -43,24 +43,36 @@ type Enc struct {
 	h        hash.Hash
 	name     string
 	sections []Section
-	scratch  [8]byte
+	// buf batches the fixed-width writes into few hash writes: one
+	// sha256 Write per 8-byte value dominated audited runs. It is flushed
+	// before every variable-length payload and at section close, so the
+	// hashed byte stream, and every digest, is unchanged.
+	buf []byte
 }
 
 // NewEnc returns an encoder with no open section. Callers must open a
 // Section before writing values.
-func NewEnc() *Enc { return &Enc{} }
+func NewEnc() *Enc { return &Enc{buf: make([]byte, 0, 4096)} }
 
 // Section closes the current section (if any) and opens a new one.
 func (e *Enc) Section(name string) {
 	e.closeSection()
 	e.name = name
 	e.h = sha256.New()
+	e.buf = e.buf[:0]
+}
+
+// flush hashes the batched fixed-width writes.
+func (e *Enc) flush() {
+	e.h.Write(e.buf)
+	e.buf = e.buf[:0]
 }
 
 func (e *Enc) closeSection() {
 	if e.h == nil {
 		return
 	}
+	e.flush()
 	e.sections = append(e.sections, Section{
 		Name:   e.name,
 		SHA256: hex.EncodeToString(e.h.Sum(nil)),
@@ -70,8 +82,10 @@ func (e *Enc) closeSection() {
 
 // U64 appends a fixed-width unsigned integer.
 func (e *Enc) U64(v uint64) {
-	binary.LittleEndian.PutUint64(e.scratch[:], v)
-	e.h.Write(e.scratch[:])
+	if len(e.buf)+8 > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
 // I64 appends a fixed-width signed integer.
@@ -89,12 +103,14 @@ func (e *Enc) Bool(v bool) {
 // Bytes appends length-prefixed raw bytes.
 func (e *Enc) Bytes(b []byte) {
 	e.U64(uint64(len(b)))
+	e.flush()
 	e.h.Write(b)
 }
 
 // Str appends a length-prefixed string.
 func (e *Enc) Str(s string) {
 	e.U64(uint64(len(s)))
+	e.flush()
 	e.h.Write([]byte(s))
 }
 

@@ -107,7 +107,7 @@ func (b *BinaryTree) Op(c *Ctx, i int) {
 
 // Check implements Benchmark: the counted size must equal the number of
 // reachable nodes and the BST order must hold.
-func (b *BinaryTree) Check(c *Ctx) string {
+func (b *BinaryTree) Check(read func(uint64) uint64) string {
 	count := 0
 	var walk func(n uint64, lo, hi uint64) string
 	walk = func(n uint64, lo, hi uint64) string {
@@ -115,19 +115,19 @@ func (b *BinaryTree) Check(c *Ctx) string {
 			return ""
 		}
 		count++
-		k := c.LoadU64(n)
+		k := read(n)
 		if k < lo || k >= hi {
 			return fmt.Sprintf("BN: key %d out of range [%d,%d)", k, lo, hi)
 		}
-		if msg := walk(c.LoadU64(n+8), lo, k); msg != "" {
+		if msg := walk(read(n+8), lo, k); msg != "" {
 			return msg
 		}
-		return walk(c.LoadU64(n+16), k+1, hi)
+		return walk(read(n+16), k+1, hi)
 	}
-	if msg := walk(c.LoadU64(b.rootCell), 0, ^uint64(0)); msg != "" {
+	if msg := walk(read(b.rootCell), 0, ^uint64(0)); msg != "" {
 		return msg
 	}
-	if got := c.LoadU64(b.cntCell); got != uint64(count) {
+	if got := read(b.cntCell); got != uint64(count) {
 		return fmt.Sprintf("BN: count cell %d != reachable nodes %d", got, count)
 	}
 	return ""

@@ -187,11 +187,12 @@ func (b *BTree) Op(c *Ctx, i int) {
 }
 
 // Check implements Benchmark: key count, ordering and node-fill invariants.
-func (b *BTree) Check(c *Ctx) string {
+func (b *BTree) Check(read func(uint64) uint64) string {
+	key := func(n uint64, i int) uint64 { return read(n + btOffKeys + 8*uint64(i)) }
 	total := 0
 	var walk func(n uint64, lo, hi uint64, root bool) string
 	walk = func(n uint64, lo, hi uint64, root bool) string {
-		cnt := b.count(c, n)
+		cnt := int(read(n + btOffN))
 		if !root && cnt < btDegree-1 {
 			return fmt.Sprintf("BT: underfull node (%d keys)", cnt)
 		}
@@ -201,34 +202,34 @@ func (b *BTree) Check(c *Ctx) string {
 		total += cnt
 		prev := lo
 		for i := 0; i < cnt; i++ {
-			k := b.key(c, n, i)
+			k := key(n, i)
 			if k < prev || k >= hi {
 				return fmt.Sprintf("BT: key %d violates order in [%d,%d)", k, lo, hi)
 			}
 			prev = k + 1
 		}
-		if b.isLeaf(c, n) {
+		if read(n+btOffLeaf) != 0 {
 			return ""
 		}
 		lows := lo
 		for i := 0; i <= cnt; i++ {
 			high := hi
 			if i < cnt {
-				high = b.key(c, n, i)
+				high = key(n, i)
 			}
-			if msg := walk(b.kid(c, n, i), lows, high, false); msg != "" {
+			if msg := walk(read(n+btOffKids+8*uint64(i)), lows, high, false); msg != "" {
 				return msg
 			}
 			if i < cnt {
-				lows = b.key(c, n, i) + 1
+				lows = key(n, i) + 1
 			}
 		}
 		return ""
 	}
-	if msg := walk(c.LoadU64(b.rootCell), 0, ^uint64(0), true); msg != "" {
+	if msg := walk(read(b.rootCell), 0, ^uint64(0), true); msg != "" {
 		return msg
 	}
-	if got := c.LoadU64(b.cntCell); got != uint64(total) {
+	if got := read(b.cntCell); got != uint64(total) {
 		return fmt.Sprintf("BT: count cell %d != keys %d", got, total)
 	}
 	return ""

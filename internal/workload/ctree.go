@@ -144,7 +144,7 @@ func (ct *CTree) Op(c *Ctx, i int) {
 
 // Check implements Benchmark: leaf count matches the counter, keys are
 // unique, and every node's bit outranks its children's bits.
-func (ct *CTree) Check(c *Ctx) string {
+func (ct *CTree) Check(read func(uint64) uint64) string {
 	count := 0
 	seen := map[uint64]bool{}
 	var walk func(p uint64, parentBit int) string
@@ -153,7 +153,7 @@ func (ct *CTree) Check(c *Ctx) string {
 			return ""
 		}
 		if ctIsLeaf(p) {
-			key := c.LoadU64(ctAddr(p))
+			key := read(ctAddr(p))
 			if seen[key] {
 				return fmt.Sprintf("CT: duplicate key %d", key)
 			}
@@ -161,19 +161,19 @@ func (ct *CTree) Check(c *Ctx) string {
 			count++
 			return ""
 		}
-		bit := int(c.LoadU64(ctAddr(p)))
+		bit := int(read(ctAddr(p)))
 		if parentBit >= 0 && bit >= parentBit {
 			return fmt.Sprintf("CT: child bit %d >= parent bit %d", bit, parentBit)
 		}
-		if msg := walk(c.LoadU64(ctAddr(p)+8), bit); msg != "" {
+		if msg := walk(read(ctAddr(p)+8), bit); msg != "" {
 			return msg
 		}
-		return walk(c.LoadU64(ctAddr(p)+16), bit)
+		return walk(read(ctAddr(p)+16), bit)
 	}
-	if msg := walk(c.LoadU64(ct.rootCell), -1); msg != "" {
+	if msg := walk(read(ct.rootCell), -1); msg != "" {
 		return msg
 	}
-	if got := c.LoadU64(ct.cntCell); got != uint64(count) {
+	if got := read(ct.cntCell); got != uint64(count) {
 		return fmt.Sprintf("CT: count cell %d != leaves %d", got, count)
 	}
 	return ""

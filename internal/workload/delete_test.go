@@ -12,7 +12,7 @@ import (
 type mixedOps struct {
 	insert func(c *Ctx, key, tag uint64)
 	del    func(c *Ctx, key uint64) bool
-	check  func(c *Ctx) string
+	check  func(read func(uint64) uint64) string
 	count  func(c *Ctx) uint64
 	// preload seeds the oracle with keys Setup already inserted.
 	preload func(c *Ctx, oracle map[uint64]bool)
@@ -44,13 +44,13 @@ func runMixedOracle(t *testing.T, b Benchmark, cfg Config, ops mixedOps, keys []
 				oracle[k] = true
 			}
 			if i%16 == 15 { // keep checks frequent but affordable
-				if msg := ops.check(ctx); msg != "" {
+				if msg := ops.check(ctx.LoadU64); msg != "" {
 					t.Error(msg)
 					return
 				}
 			}
 		}
-		if msg := ops.check(ctx); msg != "" {
+		if msg := ops.check(ctx.LoadU64); msg != "" {
 			t.Error(msg)
 			return
 		}
@@ -96,7 +96,7 @@ func TestRBTreeDeleteDrainsCompletely(t *testing.T) {
 		}
 		for i := 0; i < 211; i++ {
 			r.delete(ctx, uint64(i))
-			if msg := r.Check(ctx); msg != "" {
+			if msg := r.Check(ctx.LoadU64); msg != "" {
 				t.Errorf("after deleting %d: %s", i, msg)
 				return
 			}
@@ -220,7 +220,7 @@ func TestBTreeDeleteDrainsCompletely(t *testing.T) {
 		}
 		for i := 0; i < 307; i++ {
 			b.delete(ctx, uint64(i))
-			if msg := b.Check(ctx); msg != "" {
+			if msg := b.Check(ctx.LoadU64); msg != "" {
 				t.Errorf("after deleting %d: %s", i, msg)
 				return
 			}
@@ -285,7 +285,7 @@ func TestCTreeDeleteDrainsCompletely(t *testing.T) {
 		}
 		for i := 0; i < 223; i++ {
 			ct.delete(ctx, uint64(i))
-			if msg := ct.Check(ctx); msg != "" {
+			if msg := ct.Check(ctx.LoadU64); msg != "" {
 				t.Errorf("after deleting %d: %s", i, msg)
 				return
 			}

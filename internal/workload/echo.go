@@ -94,21 +94,24 @@ func (e *Echo) Op(c *Ctx, i int) {
 // Check implements Benchmark: per key the newest version equals that
 // key's record count (versions are dense), and the stripe put counters
 // sum to the total record count.
-func (e *Echo) Check(c *Ctx) string {
+func (e *Echo) Check(read func(uint64) uint64) string {
 	records := uint64(0)
 	latest := map[uint64]uint64{}
 	perKey := map[uint64]uint64{}
 	for b := uint64(0); b < e.nbuckets; b++ {
-		cur := c.LoadU64(e.buckets + 8*b)
+		cur := read(e.buckets + 8*b)
 		for cur != 0 {
-			key := c.LoadU64(cur)
-			ver := c.LoadU64(cur + 16)
+			key := read(cur)
+			ver := read(cur + 16)
 			if _, ok := latest[key]; !ok {
 				latest[key] = ver // first record in chain = newest
 			}
 			perKey[key]++
 			records++
-			cur = c.LoadU64(cur + 8)
+			if records > 1<<24 {
+				return "EO: cycle in chain"
+			}
+			cur = read(cur + 8)
 		}
 	}
 	for key, n := range perKey {
@@ -118,7 +121,7 @@ func (e *Echo) Check(c *Ctx) string {
 	}
 	var puts uint64
 	for s := 0; s < len(e.stripes); s++ {
-		puts += c.LoadU64(e.putCells + 64*uint64(s))
+		puts += read(e.putCells + 64*uint64(s))
 	}
 	if puts != records {
 		return fmt.Sprintf("EO: put counters %d != records %d", puts, records)

@@ -93,13 +93,13 @@ func (h *HashMap) Op(c *Ctx, i int) {
 
 // Check implements Benchmark: counted size equals reachable nodes, every
 // node hashes to its bucket, no duplicate keys per chain.
-func (h *HashMap) Check(c *Ctx) string {
+func (h *HashMap) Check(read func(uint64) uint64) string {
 	count := uint64(0)
 	for b := uint64(0); b < h.nbuckets; b++ {
 		seen := map[uint64]bool{}
-		cur := c.LoadU64(h.buckets + 8*b)
+		cur := read(h.buckets + 8*b)
 		for cur != 0 {
-			k := c.LoadU64(cur)
+			k := read(cur)
 			if h.bucketOf(k) != b {
 				return fmt.Sprintf("HM: key %d in wrong bucket %d", k, b)
 			}
@@ -108,29 +108,15 @@ func (h *HashMap) Check(c *Ctx) string {
 			}
 			seen[k] = true
 			count++
-			cur = c.LoadU64(cur + 8)
+			cur = read(cur + 8)
 		}
 	}
 	var got uint64
 	for s := 0; s < len(h.stripes); s++ {
-		got += c.LoadU64(h.cntCells + 64*uint64(s))
+		got += read(h.cntCells + 64*uint64(s))
 	}
 	if got != count {
 		return fmt.Sprintf("HM: count cells %d != reachable %d", got, count)
 	}
 	return ""
 }
-
-// Persisted-image accessors for crash-recovery tests.
-
-// BucketCount returns the number of buckets.
-func (h *HashMap) BucketCount() uint64 { return h.nbuckets }
-
-// BucketHeadAddr returns the address of bucket b's head pointer.
-func (h *HashMap) BucketHeadAddr(b uint64) uint64 { return h.buckets + 8*b }
-
-// StripeCount returns the number of lock stripes (and count cells).
-func (h *HashMap) StripeCount() int { return len(h.stripes) }
-
-// CountCellAddr returns the address of stripe s's count cell.
-func (h *HashMap) CountCellAddr(s int) uint64 { return h.cntCells + 64*uint64(s) }

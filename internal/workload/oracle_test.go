@@ -52,7 +52,7 @@ func TestBinaryTreeMatchesOracle(t *testing.T) {
 		keys := boundKeys(raw)
 		return oracleRun(t, b, setupOnlyCfg(), func(c *Ctx, k, tag uint64) { b.insert(c, k, tag) }, keys,
 			func(ctx *Ctx, distinct map[uint64]bool) bool {
-				if msg := b.Check(ctx); msg != "" {
+				if msg := b.Check(ctx.LoadU64); msg != "" {
 					t.Log(msg)
 					return false
 				}
@@ -70,7 +70,7 @@ func TestBTreeMatchesOracle(t *testing.T) {
 		keys := boundKeys(raw)
 		return oracleRun(t, b, setupOnlyCfg(), func(c *Ctx, k, tag uint64) { b.insert(c, k, tag) }, keys,
 			func(ctx *Ctx, distinct map[uint64]bool) bool {
-				if msg := b.Check(ctx); msg != "" {
+				if msg := b.Check(ctx.LoadU64); msg != "" {
 					t.Log(msg)
 					return false
 				}
@@ -88,7 +88,7 @@ func TestCTreeMatchesOracleWithLookups(t *testing.T) {
 		keys := boundKeys(raw)
 		return oracleRun(t, ct, setupOnlyCfg(), func(c *Ctx, k, tag uint64) { ct.insert(c, k, tag) }, keys,
 			func(ctx *Ctx, distinct map[uint64]bool) bool {
-				if msg := ct.Check(ctx); msg != "" {
+				if msg := ct.Check(ctx.LoadU64); msg != "" {
 					t.Log(msg)
 					return false
 				}
@@ -120,7 +120,7 @@ func TestRBTreeMatchesOracle(t *testing.T) {
 		keys := boundKeys(raw)
 		return oracleRun(t, r, setupOnlyCfg(), func(c *Ctx, k, tag uint64) { r.insert(c, k, tag) }, keys,
 			func(ctx *Ctx, distinct map[uint64]bool) bool {
-				if msg := r.Check(ctx); msg != "" {
+				if msg := r.Check(ctx.LoadU64); msg != "" {
 					t.Log(msg)
 					return false
 				}
@@ -146,7 +146,7 @@ func TestRBTreeSequentialAndReverseInserts(t *testing.T) {
 		}
 		ok := oracleRun(t, r, setupOnlyCfg(), func(c *Ctx, k, tag uint64) { r.insert(c, k, tag) }, keys,
 			func(ctx *Ctx, distinct map[uint64]bool) bool {
-				if msg := r.Check(ctx); msg != "" {
+				if msg := r.Check(ctx.LoadU64); msg != "" {
 					t.Errorf("%s: %s", name, msg)
 					return false
 				}
@@ -170,7 +170,7 @@ func TestHashMapMatchesOracle(t *testing.T) {
 		keys := boundKeys(raw)
 		return oracleRun(t, h, cfg, func(c *Ctx, k, tag uint64) { h.put(c, k%h.keyspace, tag) }, keys,
 			func(ctx *Ctx, distinct map[uint64]bool) bool {
-				if msg := h.Check(ctx); msg != "" {
+				if msg := h.Check(ctx.LoadU64); msg != "" {
 					t.Log(msg)
 					return false
 				}
@@ -192,7 +192,7 @@ func TestEchoVersionsAreDense(t *testing.T) {
 	}
 	ok := oracleRun(t, e, cfg, func(c *Ctx, k, tag uint64) { e.put(c, k, tag) }, keys,
 		func(ctx *Ctx, distinct map[uint64]bool) bool {
-			if msg := e.Check(ctx); msg != "" {
+			if msg := e.Check(ctx.LoadU64); msg != "" {
 				t.Error(msg)
 				return false
 			}
@@ -227,7 +227,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 			}
 			q.dequeue(ctx)
 		}
-		if msg := q.Check(ctx); msg != "" {
+		if msg := q.Check(ctx.LoadU64); msg != "" {
 			t.Error(msg)
 		}
 	})

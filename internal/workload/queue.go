@@ -91,43 +91,25 @@ func (q *Queue) Op(c *Ctx, i int) {
 
 // Check implements Benchmark: the chain length matches the counter and
 // the enqueue/dequeue totals reconcile.
-func (q *Queue) Check(c *Ctx) string {
+func (q *Queue) Check(read func(uint64) uint64) string {
 	n := uint64(0)
 	last := uint64(0)
-	for cur := c.LoadU64(q.headCell); cur != 0; cur = c.LoadU64(cur) {
+	for cur := read(q.headCell); cur != 0; cur = read(cur) {
 		last = cur
 		n++
 		if n > 1<<24 {
 			return "Q: cycle in list"
 		}
 	}
-	if got := c.LoadU64(q.cntCell); got != n {
+	if got := read(q.cntCell); got != n {
 		return fmt.Sprintf("Q: count cell %d != chain length %d", got, n)
 	}
-	if tail := c.LoadU64(q.tailCell); tail != last {
+	if tail := read(q.tailCell); tail != last {
 		return fmt.Sprintf("Q: tail cell %#x != last node %#x", tail, last)
 	}
-	enq, deq := c.LoadU64(q.enqCell), c.LoadU64(q.deqCell)
+	enq, deq := read(q.enqCell), read(q.deqCell)
 	if enq-deq != n {
 		return fmt.Sprintf("Q: enq %d - deq %d != length %d", enq, deq, n)
 	}
 	return ""
 }
-
-// Persisted-image accessors: crash-recovery tests walk the queue directly
-// in the PM image, so the cell addresses must be visible.
-
-// HeadCellAddr returns the head pointer cell's address.
-func (q *Queue) HeadCellAddr() uint64 { return q.headCell }
-
-// TailCellAddr returns the tail pointer cell's address.
-func (q *Queue) TailCellAddr() uint64 { return q.tailCell }
-
-// CountCellAddr returns the length cell's address.
-func (q *Queue) CountCellAddr() uint64 { return q.cntCell }
-
-// EnqCellAddr returns the enqueue-total cell's address.
-func (q *Queue) EnqCellAddr() uint64 { return q.enqCell }
-
-// DeqCellAddr returns the dequeue-total cell's address.
-func (q *Queue) DeqCellAddr() uint64 { return q.deqCell }

@@ -220,7 +220,13 @@ func (r *RBTree) Op(c *Ctx, i int) {
 // Check implements Benchmark: BST order, no red node with a red child,
 // equal black height on every path, parent pointers consistent, count
 // matches.
-func (r *RBTree) Check(c *Ctx) string {
+func (r *RBTree) Check(read func(uint64) uint64) string {
+	color := func(n uint64) uint64 {
+		if n == 0 {
+			return rbBlack // nil leaves are black; no load
+		}
+		return read(n + rbOffColor)
+	}
 	count := 0
 	var walk func(n, parent uint64, lo, hi uint64) (int, string)
 	walk = func(n, parent uint64, lo, hi uint64) (int, string) {
@@ -228,42 +234,42 @@ func (r *RBTree) Check(c *Ctx) string {
 			return 1, ""
 		}
 		count++
-		if got := r.parent(c, n); got != parent {
+		if got := read(n + rbOffParent); got != parent {
 			return 0, fmt.Sprintf("RB: parent pointer %#x != %#x", got, parent)
 		}
-		k := c.LoadU64(n + rbOffKey)
+		k := read(n + rbOffKey)
 		if k < lo || k >= hi {
 			return 0, fmt.Sprintf("RB: key %d out of [%d,%d)", k, lo, hi)
 		}
-		if r.color(c, n) == rbRed {
-			if r.color(c, r.left(c, n)) == rbRed || r.color(c, r.right(c, n)) == rbRed {
+		if color(n) == rbRed {
+			if color(read(n+rbOffLeft)) == rbRed || color(read(n+rbOffRight)) == rbRed {
 				return 0, fmt.Sprintf("RB: red node %d has red child", k)
 			}
 		}
-		lb, msg := walk(r.left(c, n), n, lo, k)
+		lb, msg := walk(read(n+rbOffLeft), n, lo, k)
 		if msg != "" {
 			return 0, msg
 		}
-		rb, msg := walk(r.right(c, n), n, k+1, hi)
+		rb, msg := walk(read(n+rbOffRight), n, k+1, hi)
 		if msg != "" {
 			return 0, msg
 		}
 		if lb != rb {
 			return 0, fmt.Sprintf("RB: black height mismatch at key %d (%d vs %d)", k, lb, rb)
 		}
-		if r.color(c, n) == rbBlack {
+		if color(n) == rbBlack {
 			lb++
 		}
 		return lb, ""
 	}
-	root := c.LoadU64(r.rootCell)
-	if root != 0 && r.color(c, root) != rbBlack {
+	root := read(r.rootCell)
+	if root != 0 && color(root) != rbBlack {
 		return "RB: red root"
 	}
 	if _, msg := walk(root, 0, 0, ^uint64(0)); msg != "" {
 		return msg
 	}
-	if got := c.LoadU64(r.cntCell); got != uint64(count) {
+	if got := read(r.cntCell); got != uint64(count) {
 		return fmt.Sprintf("RB: count cell %d != nodes %d", got, count)
 	}
 	return ""

@@ -72,10 +72,10 @@ func (s *StringSwap) Op(c *Ctx, i int) {
 
 // Check implements Benchmark: the slot tags must still form a permutation
 // of 0..slots-1.
-func (s *StringSwap) Check(c *Ctx) string {
+func (s *StringSwap) Check(read func(uint64) uint64) string {
 	seen := make([]bool, s.slots)
 	for i := 0; i < s.slots; i++ {
-		tag := binary.LittleEndian.Uint64(c.LoadBytes(s.slotAddr(i), 8))
+		tag := read(s.slotAddr(i))
 		if tag >= uint64(s.slots) {
 			return fmt.Sprintf("SS: slot %d holds invalid tag %d", i, tag)
 		}

@@ -208,29 +208,29 @@ func (tp *TPCC) stripesFor(items []int) []int {
 // Check implements Benchmark: each district's order chain length equals
 // next_o_id - 1, order ids are dense descending, and every order's line
 // count and amounts reconcile with the district ytd total.
-func (tp *TPCC) Check(c *Ctx) string {
+func (tp *TPCC) Check(read func(uint64) uint64) string {
 	for d := 0; d < tpccDistricts; d++ {
 		row := tp.districtRow(d)
-		next := c.LoadU64(row)
-		ytd := c.LoadU64(row + 8)
+		next := read(row)
+		ytd := read(row + 8)
 		want := next - 1
 		var sum uint64
 		n := uint64(0)
 		expect := want
-		for cur := c.LoadU64(row + 16); cur != 0; cur = c.LoadU64(cur + 32) {
+		for cur := read(row + 16); cur != 0; cur = read(cur + 32) {
 			n++
-			oid := c.LoadU64(cur)
+			oid := read(cur)
 			if oid != expect {
 				return fmt.Sprintf("TPCC: district %d order id %d, want %d", d, oid, expect)
 			}
 			expect--
-			nl := c.LoadU64(cur + 24)
+			nl := read(cur + 24)
 			if nl < tpccMinLines || nl > tpccMaxLines {
 				return fmt.Sprintf("TPCC: order %d has %d lines", oid, nl)
 			}
 			olBase := cur + tpccOrderHdr + uint64(tp.vbytes)
 			for l := uint64(0); l < nl; l++ {
-				sum += c.LoadU64(olBase + l*64 + 16)
+				sum += read(olBase + l*64 + 16)
 			}
 		}
 		if n != want {
@@ -247,18 +247,18 @@ func (tp *TPCC) Check(c *Ctx) string {
 		var dsum uint64
 		for cust := 0; cust < tpccCustomers; cust++ {
 			crow := tp.customerRow(d, cust)
-			dsum += c.LoadU64(crow + 8)
-			if c.LoadU64(crow)+c.LoadU64(crow+8) != 0 {
+			dsum += read(crow + 8)
+			if read(crow)+read(crow+8) != 0 {
 				return fmt.Sprintf("TPCC: customer %d.%d balance %d + payments %d != 0",
-					d, cust, c.LoadU64(crow), c.LoadU64(crow+8))
+					d, cust, read(crow), read(crow+8))
 			}
 		}
-		if got := c.LoadU64(tp.districtRow(d) + 24); got != dsum {
+		if got := read(tp.districtRow(d) + 24); got != dsum {
 			return fmt.Sprintf("TPCC: district %d paym_ytd %d != customer sum %d", d, got, dsum)
 		}
 		wsum += dsum
 	}
-	if got := c.LoadU64(tp.warehouse); got != wsum {
+	if got := read(tp.warehouse); got != wsum {
 		return fmt.Sprintf("TPCC: warehouse ytd %d != district sum %d", got, wsum)
 	}
 	return ""

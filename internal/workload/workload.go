@@ -183,9 +183,11 @@ type Benchmark interface {
 	Setup(c *Ctx, cfg Config)
 	// Op executes one measured operation: lock, atomic region, unlock.
 	Op(c *Ctx, i int)
-	// Check verifies structural invariants after a crash-free run,
-	// returning a non-empty problem description on failure.
-	Check(c *Ctx) string
+	// Check verifies the structure's invariants through read, returning a
+	// non-empty problem description on failure. read is any 8-byte
+	// reader: a live simulated thread's LoadU64 after a crash-free run,
+	// or a recovered persisted image's ReadUint64 after a crash.
+	Check(read func(addr uint64) uint64) string
 }
 
 // Result summarizes a measured run.
@@ -300,7 +302,7 @@ func Run(env *Env, benches []Benchmark, cfg Config) Result {
 		res.RegionP99 = hist.Quantile(0.99)
 		var verdicts []string
 		for _, b := range benches {
-			if msg := b.Check(ctx); msg != "" {
+			if msg := b.Check(ctx.LoadU64); msg != "" {
 				verdicts = append(verdicts, msg)
 			}
 		}

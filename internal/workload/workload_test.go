@@ -36,9 +36,9 @@ func smallCfg() Config {
 // Run must come back with a Stall diagnosis instead of panicking.
 type stuckBench struct{}
 
-func (stuckBench) Name() string       { return "STUCK" }
-func (stuckBench) Setup(*Ctx, Config) {}
-func (stuckBench) Check(*Ctx) string  { return "" }
+func (stuckBench) Name() string                     { return "STUCK" }
+func (stuckBench) Setup(*Ctx, Config)               {}
+func (stuckBench) Check(func(uint64) uint64) string { return "" }
 func (stuckBench) Op(c *Ctx, i int) {
 	c.T.WaitUntil(func() bool { return false })
 }
@@ -254,7 +254,7 @@ type brokenCheck struct {
 	verdict string
 }
 
-func (b brokenCheck) Check(*Ctx) string { return b.verdict }
+func (b brokenCheck) Check(func(uint64) uint64) string { return b.verdict }
 
 // TestRunCoRunsBenchmarks: several benchmarks run on one machine as one
 // measured phase, and every benchmark's failed check lands in CheckErr.
