@@ -84,12 +84,13 @@ func TestBrokenRecoveryIsCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Error verdicts are tolerated here: a reboot on an unvalidated image
-	// may touch unmapped memory, which is not what this control measures.
 	caught := map[string]int{}
 	for _, o := range sum.Outcomes {
-		if o.Verdict == VerdictViolation {
+		switch o.Verdict {
+		case VerdictViolation:
 			caught[o.Case.Workload]++
+		case VerdictError:
+			t.Errorf("%s: harness error: %s", o.Case, o.Detail)
 		}
 	}
 	for _, b := range benches {
@@ -504,5 +505,22 @@ func TestPostRunStallIsAFinding(t *testing.T) {
 	})
 	if !strings.HasPrefix(problem, "post-recovery run stalled: ") {
 		t.Fatalf("problem = %q, want a post-recovery stall", problem)
+	}
+}
+
+// TestRebootOutsidePersistentWindowIsAViolation: an unvalidated recovery
+// that applies a torn log record can write line 0x0. The reboot must
+// report that image as a violation naming the line, not panic in the heap
+// and surface as a harness error.
+func TestRebootOutsidePersistentWindowIsAViolation(t *testing.T) {
+	mix, err := faults.ParseMix("torn=0.2,drop=0.2,reorder=0.3,flip=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Case{Workload: "BT", CrashAt: 28862, Seed: 2953788, Mix: mix, SkipValidation: true}
+	o := RunCase(c)
+	want := "reboot: asap: recovered line outside the persistent window: line 0x0"
+	if o.Verdict != VerdictViolation || o.Detail != want {
+		t.Fatalf("%s: got %s: %s, want violation: %s", c, o.Verdict, o.Detail, want)
 	}
 }

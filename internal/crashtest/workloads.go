@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -59,7 +60,13 @@ func runWorkload(c Case, out *Outcome) {
 	sysCfg.MemoryControllers, sysCfg.ChannelsPerMC = 1, 1
 	sys2, err := asap.NewSystemFromCrash(sysCfg, pub)
 	if err != nil {
-		out.Verdict, out.Detail = VerdictError, "reboot: "+err.Error()
+		// A recovered line outside the persistent window is recovery's
+		// fault, not the harness's.
+		out.Verdict = VerdictError
+		if errors.Is(err, asap.ErrLineNotPersistent) {
+			out.Verdict = VerdictViolation
+		}
+		out.Detail = "reboot: " + err.Error()
 		return
 	}
 	// The crashed run may have died holding the structure's lock, so

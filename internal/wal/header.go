@@ -147,16 +147,6 @@ func ParseHeader(line []byte) (*Header, error) {
 	return h, nil
 }
 
-// DecodeHeader parses a persisted header line. ok is false if the line is
-// not a valid header (including checksum failures).
-func DecodeHeader(line []byte) (rid arch.RID, dataLines []arch.LineAddr, ok bool) {
-	h, err := ParseHeader(line)
-	if err != nil {
-		return 0, nil, false
-	}
-	return h.RID, h.DataLines, true
-}
-
 // DecodeHeaderLegacy is the pre-checksum decode — magic and count checks
 // only. It exists so the crash-consistency checker can run recovery with
 // validation deliberately disabled and demonstrate that the checker

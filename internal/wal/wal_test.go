@@ -120,9 +120,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 		for _, r := range rawLines {
 			lines = append(lines, arch.LineAddr(uint64(r)*arch.LineSize))
 		}
-		buf := EncodeHeader(rid, lines)
-		gotRID, gotLines, ok := DecodeHeader(buf)
-		return ok && gotRID == rid && reflect.DeepEqual(gotLines, lines)
+		h, err := ParseHeader(EncodeHeader(rid, lines))
+		return err == nil && h.RID == rid && reflect.DeepEqual(h.DataLines, lines)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -130,9 +129,9 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRejectsMalformedHeaders is the table of malformed header
-// lines DecodeHeader must reject — and, via ParseHeader, classify. Before
-// the checksum was added, any garbage line with 0xA5 at byte 8 and a
-// plausible count parsed as a valid header.
+// lines ParseHeader must reject and classify. Before the checksum was
+// added, any garbage line with 0xA5 at byte 8 and a plausible count
+// parsed as a valid header.
 func TestDecodeRejectsMalformedHeaders(t *testing.T) {
 	valid := func() []byte {
 		return EncodeHeaderChecked(arch.MakeRID(2, 9), []arch.LineAddr{64, 128, 192}, 0xDEADBEEF)
@@ -220,11 +219,7 @@ func TestDecodeRejectsMalformedHeaders(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			line := tc.line()
-			if _, _, ok := DecodeHeader(line); ok {
-				t.Fatal("malformed header accepted")
-			}
-			if _, err := ParseHeader(line); !errors.Is(err, tc.wantErr) {
+			if _, err := ParseHeader(tc.line()); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("ParseHeader error = %v, want %v", err, tc.wantErr)
 			}
 		})
@@ -268,7 +263,7 @@ func TestLegacyDecodeAcceptsWhatStrictRejects(t *testing.T) {
 	if _, _, ok := DecodeHeaderLegacy(b); !ok {
 		t.Fatal("legacy decode should accept the garbage line")
 	}
-	if _, _, ok := DecodeHeader(b); ok {
+	if _, err := ParseHeader(b); err == nil {
 		t.Fatal("strict decode must reject the garbage line")
 	}
 }
@@ -351,9 +346,40 @@ func TestEncodeTooManyEntriesPanics(t *testing.T) {
 func TestHighAddressSurvives48BitPacking(t *testing.T) {
 	rid := arch.MakeRID(7, 9)
 	line := arch.LineAddr(uint64(1)<<45 + 64)
-	buf := EncodeHeader(rid, []arch.LineAddr{line})
-	_, lines, ok := DecodeHeader(buf)
-	if !ok || lines[0] != line {
-		t.Fatalf("got %#x, want %#x", lines[0], line)
+	h, err := ParseHeader(EncodeHeader(rid, []arch.LineAddr{line}))
+	if err != nil || h.DataLines[0] != line {
+		t.Fatalf("got %v, %v, want %#x", h, err, line)
 	}
+}
+
+// FuzzParseHeader feeds arbitrary lines to the strict header decoder,
+// seeded from both encoders' output and a never-written line. It must
+// never panic; a line it accepts must also pass the legacy decode with the
+// same RID and data lines, and re-encoding the parsed header must give a
+// line that parses to the same fields.
+func FuzzParseHeader(f *testing.F) {
+	lines := []arch.LineAddr{64, 128, arch.LineAddr(uint64(1)<<45 + 64)}
+	f.Add(EncodeHeader(arch.MakeRID(1, 4), lines[:1]))
+	f.Add(EncodeHeader(arch.MakeRID(7, 9), lines))
+	f.Add(EncodeHeaderChecked(arch.MakeRID(2, 9), lines, 0xDEADBEEF))
+	f.Add(EncodeHeaderChecked(arch.MakeRID(3, 1), make([]arch.LineAddr, RecordEntries), 0))
+	f.Add(make([]byte, arch.LineSize))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		h, err := ParseHeader(line)
+		if err != nil {
+			return
+		}
+		rid, dataLines, ok := DecodeHeaderLegacy(line)
+		if !ok || rid != h.RID || !reflect.DeepEqual(dataLines, h.DataLines) {
+			t.Fatalf("legacy decode = (%v, %v, %v), strict = %+v", rid, dataLines, ok, h)
+		}
+		re := EncodeHeader(h.RID, h.DataLines)
+		if h.HasPayloadCRC {
+			re = EncodeHeaderChecked(h.RID, h.DataLines, h.PayloadCRC)
+		}
+		h2, err := ParseHeader(re)
+		if err != nil || !reflect.DeepEqual(h2, h) {
+			t.Fatalf("re-encoded header parses to %+v, %v, want %+v", h2, err, h)
+		}
+	})
 }

@@ -16,8 +16,6 @@ type BinaryTree struct {
 	cntCell  uint64 // persistent cell: node count
 	vbytes   int
 	keyspace uint64
-	delEvery int
-	readPct  int
 }
 
 // NewBinaryTree returns an empty BN benchmark.
@@ -40,8 +38,6 @@ func (b *BinaryTree) newNode(c *Ctx, key, tag uint64) uint64 {
 // Setup implements Benchmark.
 func (b *BinaryTree) Setup(c *Ctx, cfg Config) {
 	b.vbytes = cfg.ValueBytes
-	b.delEvery = cfg.DeleteEvery
-	b.readPct = cfg.ReadPct
 	b.keyspace = uint64(cfg.InitialItems) * 2
 	b.rootCell = c.Alloc(8)
 	b.cntCell = c.Alloc(8)
@@ -87,20 +83,13 @@ func (b *BinaryTree) insert(c *Ctx, key, tag uint64) bool {
 	}
 }
 
-// Op implements Benchmark: one insert-or-update (or, with DeleteEvery, a
-// deletion) in an atomic region under the tree lock.
+// Op implements Benchmark: one insert-or-update in an atomic region under
+// the tree lock.
 func (b *BinaryTree) Op(c *Ctx, i int) {
 	key := c.Key(b.keyspace)
 	b.mu.Lock(c.T)
 	c.Begin()
-	switch {
-	case b.readPct > 0 && c.Rng.Intn(100) < b.readPct:
-		b.lookupNode(c, key)
-	case b.delEvery > 0 && (i+1)%b.delEvery == 0:
-		b.delete(c, key)
-	default:
-		b.insert(c, key, uint64(i))
-	}
+	b.insert(c, key, uint64(i))
 	c.End()
 	b.mu.Unlock(c.T)
 }

@@ -19,8 +19,6 @@ type BTree struct {
 	cntCell  uint64
 	vbytes   int
 	keyspace uint64
-	delEvery int
-	readPct  int
 }
 
 // NewBTree returns an empty BT benchmark.
@@ -65,8 +63,6 @@ func (b *BTree) newNode(c *Ctx, leaf bool) uint64 {
 // Setup implements Benchmark.
 func (b *BTree) Setup(c *Ctx, cfg Config) {
 	b.vbytes = cfg.ValueBytes
-	b.delEvery = cfg.DeleteEvery
-	b.readPct = cfg.ReadPct
 	b.keyspace = uint64(cfg.InitialItems) * 2
 	b.rootCell = c.Alloc(8)
 	b.cntCell = c.Alloc(8)
@@ -168,20 +164,13 @@ func (b *BTree) insertNonFull(c *Ctx, x uint64, key, tag uint64) {
 	}
 }
 
-// Op implements Benchmark: insert/update, or a deletion every
-// DeleteEvery-th operation.
+// Op implements Benchmark: one insert-or-update in an atomic region under
+// the tree lock.
 func (b *BTree) Op(c *Ctx, i int) {
 	key := c.Key(b.keyspace)
 	b.mu.Lock(c.T)
 	c.Begin()
-	switch {
-	case b.readPct > 0 && c.Rng.Intn(100) < b.readPct:
-		b.lookup(c, key)
-	case b.delEvery > 0 && (i+1)%b.delEvery == 0:
-		b.delete(c, key)
-	default:
-		b.insert(c, key, uint64(i))
-	}
+	b.insert(c, key, uint64(i))
 	c.End()
 	b.mu.Unlock(c.T)
 }

@@ -20,8 +20,6 @@ type CTree struct {
 	cntCell  uint64
 	vbytes   int
 	keyspace uint64
-	delEvery int
-	readPct  int
 }
 
 // NewCTree returns an empty CT benchmark.
@@ -47,8 +45,6 @@ func (ct *CTree) newLeaf(c *Ctx, key, tag uint64) uint64 {
 // Setup implements Benchmark.
 func (ct *CTree) Setup(c *Ctx, cfg Config) {
 	ct.vbytes = cfg.ValueBytes
-	ct.delEvery = cfg.DeleteEvery
-	ct.readPct = cfg.ReadPct
 	ct.keyspace = uint64(cfg.InitialItems) * 2
 	ct.rootCell = c.Alloc(8)
 	ct.cntCell = c.Alloc(8)
@@ -108,36 +104,13 @@ func (ct *CTree) insert(c *Ctx, key, tag uint64) {
 	c.StoreU64(ct.cntCell, c.LoadU64(ct.cntCell)+1)
 }
 
-// lookup returns the value pointer for key, or 0.
-func (ct *CTree) lookup(c *Ctx, key uint64) uint64 {
-	p := c.LoadU64(ct.rootCell)
-	if p == 0 {
-		return 0
-	}
-	for !ctIsLeaf(p) {
-		bit := uint(c.LoadU64(ctAddr(p)))
-		p = c.LoadU64(ctAddr(p) + 8 + 8*uint64(dirOf(key, bit)))
-	}
-	if c.LoadU64(ctAddr(p)) == key {
-		return c.LoadU64(ctAddr(p) + 8)
-	}
-	return 0
-}
-
-// Op implements Benchmark: insert/update, lookup with ReadPct, deletion
-// every DeleteEvery-th operation.
+// Op implements Benchmark: one insert-or-update in an atomic region under
+// the tree lock.
 func (ct *CTree) Op(c *Ctx, i int) {
 	key := c.Key(ct.keyspace)
 	ct.mu.Lock(c.T)
 	c.Begin()
-	switch {
-	case ct.readPct > 0 && c.Rng.Intn(100) < ct.readPct:
-		ct.lookup(c, key)
-	case ct.delEvery > 0 && (i+1)%ct.delEvery == 0:
-		ct.delete(c, key)
-	default:
-		ct.insert(c, key, uint64(i))
-	}
+	ct.insert(c, key, uint64(i))
 	c.End()
 	ct.mu.Unlock(c.T)
 }
@@ -177,50 +150,4 @@ func (ct *CTree) Check(read func(uint64) uint64) string {
 		return fmt.Sprintf("CT: count cell %d != leaves %d", got, count)
 	}
 	return ""
-}
-
-// delete removes key from the crit-bit tree, returning whether it was
-// present: the leaf and its parent internal node unlink, the sibling
-// taking the parent's place (the standard PATRICIA deletion).
-func (ct *CTree) delete(c *Ctx, key uint64) bool {
-	root := c.LoadU64(ct.rootCell)
-	if root == 0 {
-		return false
-	}
-	if ctIsLeaf(root) {
-		if c.LoadU64(ctAddr(root)) != key {
-			return false
-		}
-		c.StoreU64(ct.rootCell, 0)
-		c.StoreU64(ct.cntCell, c.LoadU64(ct.cntCell)-1)
-		c.Free(c.LoadU64(ctAddr(root) + 8))
-		c.Free(ctAddr(root))
-		return true
-	}
-	// Walk down tracking the pointer cell to the current internal node
-	// and the cell inside it that leads to the leaf.
-	parentCell := ct.rootCell // holds pointer to cur (internal)
-	cur := root
-	var leafCell uint64
-	for {
-		bit := uint(c.LoadU64(ctAddr(cur)))
-		leafCell = ctAddr(cur) + 8 + 8*uint64(dirOf(key, bit))
-		next := c.LoadU64(leafCell)
-		if ctIsLeaf(next) {
-			if c.LoadU64(ctAddr(next)) != key {
-				return false
-			}
-			// Sibling replaces the parent internal node.
-			sibCell := ctAddr(cur) + 8 + 8*uint64(1-dirOf(key, bit))
-			sibling := c.LoadU64(sibCell)
-			c.StoreU64(parentCell, sibling)
-			c.StoreU64(ct.cntCell, c.LoadU64(ct.cntCell)-1)
-			c.Free(c.LoadU64(ctAddr(next) + 8))
-			c.Free(ctAddr(next))
-			c.Free(ctAddr(cur))
-			return true
-		}
-		parentCell = leafCell
-		cur = next
-	}
 }

@@ -18,8 +18,6 @@ type HashMap struct {
 	cntCells uint64 // per-stripe count cells, one line apart
 	vbytes   int
 	keyspace uint64
-	delEvery int
-	readPct  int
 }
 
 // NewHashMap returns an empty HM benchmark.
@@ -35,8 +33,6 @@ func (h *HashMap) bucketOf(key uint64) uint64 { return key % h.nbuckets }
 // Setup implements Benchmark.
 func (h *HashMap) Setup(c *Ctx, cfg Config) {
 	h.vbytes = cfg.ValueBytes
-	h.delEvery = cfg.DeleteEvery
-	h.readPct = cfg.ReadPct
 	h.keyspace = uint64(cfg.InitialItems) * 2
 	h.nbuckets = uint64(cfg.InitialItems)
 	if h.nbuckets == 0 {
@@ -72,21 +68,14 @@ func (h *HashMap) put(c *Ctx, key, tag uint64) {
 	c.StoreU64(cnt, c.LoadU64(cnt)+1)
 }
 
-// Op implements Benchmark: put, or a deletion every DeleteEvery-th
-// operation.
+// Op implements Benchmark: one put in an atomic region under the key's
+// stripe lock.
 func (h *HashMap) Op(c *Ctx, i int) {
 	key := c.Key(h.keyspace)
 	mu := &h.stripes[h.bucketOf(key)%uint64(len(h.stripes))]
 	mu.Lock(c.T)
 	c.Begin()
-	switch {
-	case h.readPct > 0 && c.Rng.Intn(100) < h.readPct:
-		h.get(c, key)
-	case h.delEvery > 0 && (i+1)%h.delEvery == 0:
-		h.delete(c, key)
-	default:
-		h.put(c, key, uint64(i))
-	}
+	h.put(c, key, uint64(i))
 	c.End()
 	mu.Unlock(c.T)
 }

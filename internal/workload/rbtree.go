@@ -18,8 +18,6 @@ type RBTree struct {
 	cntCell  uint64
 	vbytes   int
 	keyspace uint64
-	delEvery int
-	readPct  int
 }
 
 // NewRBTree returns an empty RB benchmark.
@@ -61,8 +59,6 @@ func (r *RBTree) setColor(c *Ctx, n, v uint64) {
 // Setup implements Benchmark.
 func (r *RBTree) Setup(c *Ctx, cfg Config) {
 	r.vbytes = cfg.ValueBytes
-	r.delEvery = cfg.DeleteEvery
-	r.readPct = cfg.ReadPct
 	r.keyspace = uint64(cfg.InitialItems) * 2
 	r.rootCell = c.Alloc(8)
 	r.cntCell = c.Alloc(8)
@@ -199,20 +195,13 @@ func (r *RBTree) fixup(c *Ctx, z uint64) {
 	r.setColor(c, c.LoadU64(r.rootCell), rbBlack)
 }
 
-// Op implements Benchmark: insert/update, or a deletion every
-// DeleteEvery-th operation.
+// Op implements Benchmark: one insert-or-update in an atomic region under
+// the tree lock.
 func (r *RBTree) Op(c *Ctx, i int) {
 	key := c.Key(r.keyspace)
 	r.mu.Lock(c.T)
 	c.Begin()
-	switch {
-	case r.readPct > 0 && c.Rng.Intn(100) < r.readPct:
-		r.find(c, key)
-	case r.delEvery > 0 && (i+1)%r.delEvery == 0:
-		r.delete(c, key)
-	default:
-		r.insert(c, key, uint64(i))
-	}
+	r.insert(c, key, uint64(i))
 	c.End()
 	r.mu.Unlock(c.T)
 }

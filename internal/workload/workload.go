@@ -3,7 +3,10 @@
 // exclusively through a persistence scheme so every load and store pays
 // simulated time and participates in logging. All benchmarks are
 // thread-safe: conflicting atomic regions are nested inside critical
-// sections guarded by simulated locks, exactly as §4.2 prescribes.
+// sections guarded by simulated locks, exactly as §4.2 prescribes. Each
+// runs the paper's own operation mix: the keyed structures insert or
+// update a uniformly drawn key, Q enqueues or dequeues, EO mixes puts and
+// gets, SS swaps two strings, and TPCC runs New Order.
 package workload
 
 import (
@@ -42,19 +45,6 @@ type Config struct {
 	// by crash-injection tests (plain setup writes live in caches and may
 	// never reach PM).
 	SetupInRegions bool
-	// DeleteEvery, when > 0, turns every Nth operation of the map/tree
-	// benchmarks (BN, BT, HM, RB) into a deletion — an extension beyond
-	// the paper's insert/update mixes that exercises unlink paths and the
-	// crash-safe deferred free.
-	DeleteEvery int
-	// ReadPct, when > 0, makes that percentage of the keyed benchmarks'
-	// operations pure lookups: read-only atomic regions that commit
-	// without persist operations.
-	ReadPct int
-	// ZipfS, when > 1, skews the keyed benchmarks' key choice with a
-	// Zipfian distribution of parameter s (hot keys raise cross-region
-	// dependence and drop/coalesce rates). 0 keeps the uniform paper mix.
-	ZipfS float64
 }
 
 // DefaultConfig returns a small but representative configuration.
@@ -81,8 +71,6 @@ type Ctx struct {
 	T   *sim.Thread
 	Rng *rand.Rand
 
-	zipf *rand.Zipf
-
 	// u64 is the scratch buffer for LoadU64/StoreU64: the schemes copy
 	// in and out of it synchronously, so reusing it keeps the hottest
 	// workload accesses allocation-free (the array would otherwise
@@ -95,21 +83,11 @@ func NewCtx(env *Env, t *sim.Thread, seed int64) *Ctx {
 	return &Ctx{Env: env, T: t, Rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetZipf skews Key's distribution with Zipf parameter s over [0, imax].
-func (c *Ctx) SetZipf(s float64, imax uint64) {
-	if s > 1 && imax > 0 {
-		c.zipf = rand.NewZipf(c.Rng, s, 1, imax)
-	}
-}
-
-// Key draws a key in [0, keyspace): uniform by default, Zipfian after
-// SetZipf. Benchmarks use it for every key choice.
+// Key draws a uniform key in [0, keyspace), as the paper's mixes do.
+// Benchmarks use it for every measured key choice.
 func (c *Ctx) Key(keyspace uint64) uint64 {
 	if keyspace == 0 {
 		return 0
-	}
-	if c.zipf != nil {
-		return c.zipf.Uint64() % keyspace
 	}
 	return c.Rng.Uint64() % keyspace
 }
@@ -272,9 +250,6 @@ func Run(env *Env, benches []Benchmark, cfg Config) Result {
 				env.M.K.Spawn("worker", func(wt *sim.Thread) {
 					env.S.InitThread(wt)
 					wctx := NewCtx(env, wt, seed)
-					if cfg.ZipfS > 1 {
-						wctx.SetZipf(cfg.ZipfS, uint64(cfg.InitialItems)*2)
-					}
 					for i := 0; i < cfg.OpsPerThread; i++ {
 						b.Op(wctx, i)
 						*env.M.Cells.Ops++

@@ -208,46 +208,6 @@ func TestTPCCPaymentOnly(t *testing.T) {
 	}
 }
 
-func TestReadPctMix(t *testing.T) {
-	// With a read-heavy mix the benchmarks stay consistent and generate
-	// fewer LPOs than a pure-write run (read-only regions log nothing).
-	for _, name := range []string{"BN", "BT", "CT", "HM", "RB"} {
-		writes := func(readPct int) int64 {
-			env := newEnv("ASAP", nil)
-			cfg := smallCfg()
-			cfg.ReadPct = readPct
-			res := Run(env, []Benchmark{ByName(name)}, cfg)
-			if res.CheckErr != "" {
-				t.Fatalf("%s readPct=%d: %s", name, readPct, res.CheckErr)
-			}
-			return res.Stats[stats.LPOsIssued]
-		}
-		if w0, w80 := writes(0), writes(80); w80 >= w0 {
-			t.Fatalf("%s: 80%% reads should cut LPOs: %d vs %d", name, w80, w0)
-		}
-	}
-}
-
-func TestZipfSkewRaisesDependenceRate(t *testing.T) {
-	// Hot keys under Zipfian skew collide across regions far more often,
-	// raising the data-dependence rate — and the structures stay correct.
-	rate := func(s float64) float64 {
-		env := newEnv("ASAP", nil)
-		cfg := smallCfg()
-		cfg.ZipfS = s
-		res := Run(env, []Benchmark{NewHashMap()}, cfg)
-		if res.CheckErr != "" {
-			t.Fatalf("zipf=%v: %s", s, res.CheckErr)
-		}
-		return float64(res.Stats[stats.DepEdges]) / float64(res.Stats[stats.RegionsBegun])
-	}
-	uniform := rate(0)
-	skewed := rate(1.5)
-	if skewed <= uniform {
-		t.Fatalf("zipf skew should raise dependence rate: %.3f vs %.3f", skewed, uniform)
-	}
-}
-
 // brokenCheck is a benchmark whose post-run check always fails.
 type brokenCheck struct {
 	Benchmark
