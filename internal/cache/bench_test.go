@@ -120,7 +120,7 @@ func BenchmarkMetaByHandle(b *testing.B) {
 	t := h.Table()
 	handles := make([]Handle, 1024)
 	for i := range handles {
-		handles[i] = t.HandleOf(line(i))
+		handles[i], _ = t.GetH(line(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -260,8 +260,8 @@ func TestLockedCount(t *testing.T) {
 	h.Table().Get(line(0)).Lock()
 	h.Table().Get(line(1)).Lock()
 	h.Table().Get(line(2))
-	if got := h.Table().LockedCount(); got != 2 {
-		t.Fatalf("LockedCount = %d, want 2", got)
+	if got := h.Table().LocksTotal(); got != 2 {
+		t.Fatalf("LocksTotal = %d, want 2", got)
 	}
 }
 

@@ -93,15 +93,6 @@ func (t *Table) At(h Handle) *Meta {
 	return &t.chunks[h>>metaChunkShift][h&metaChunkMask]
 }
 
-// HandleOf returns the handle for line, or NoHandle if the line has never
-// been touched.
-func (t *Table) HandleOf(line arch.LineAddr) Handle {
-	if h, ok := t.byLine[line]; ok {
-		return h
-	}
-	return NoHandle
-}
-
 // Len returns the number of lines with allocated metadata.
 func (t *Table) Len() int { return t.n }
 
@@ -151,18 +142,6 @@ func (t *Table) visit(fn func(m *Meta)) {
 		}
 		left -= n
 	}
-}
-
-// LockedCount returns how many lines are currently pinned by in-flight
-// LPOs (diagnostics and invariant tests).
-func (t *Table) LockedCount() int {
-	n := 0
-	t.visit(func(m *Meta) {
-		if m.Locked() {
-			n++
-		}
-	})
-	return n
 }
 
 // LocksTotal returns the sum of in-flight-LPO pins across all lines. The

@@ -199,17 +199,13 @@ func (c *caseRun) runJournal() {
 	}
 
 	// The rename-fail class exercises the one rename on the journal
-	// path: legacy single-file migration. Seed phase A in the legacy layout.
-	var (
-		j    *queue.Journal
-		recs []queue.Record
-		err  error
-	)
+	// path: legacy single-file migration. Phase A then runs on one
+	// segment, renamed to the legacy name once the queue closes.
+	aopts := opts
 	if c.class == iofault.ClassRenameFail {
-		j, recs, _, err = queue.OpenFileJournal(filepath.Join(jdir, "journal.asapq"))
-	} else {
-		j, recs, _, err = queue.OpenDirJournal(iofault.OS{}, jdir, opts)
+		aopts.SegmentBytes = -1
 	}
+	j, recs, _, err := queue.OpenDirJournal(iofault.OS{}, jdir, aopts)
 	if err != nil {
 		c.failf("phase A open: %v", err)
 		return
@@ -221,6 +217,12 @@ func (c *caseRun) runJournal() {
 	}
 	acked := c.pumpJobs(q, 5+c.rng.Intn(10))
 	q.Close()
+	if c.class == iofault.ClassRenameFail {
+		if err := os.Rename(filepath.Join(jdir, "journal-00000001.asapq"), filepath.Join(jdir, "journal.asapq")); err != nil {
+			c.failf("phase A legacy layout: %v", err)
+			return
+		}
+	}
 
 	// Phase B: same journal through the adversary.
 	ffs := c.faultFS("journal")

@@ -115,9 +115,6 @@ func (h *Heap) Free(addr uint64) {
 	}
 }
 
-// SizeOf returns the allocated size class of addr (0 if unknown).
-func (h *Heap) SizeOf(addr uint64) uint64 { return h.sizes[addr] }
-
 func (h *Heap) page(addr uint64) []byte {
 	var table *[][]byte
 	var idx uint64
@@ -162,26 +159,11 @@ func (h *Heap) Read(addr uint64, buf []byte) {
 	}
 }
 
-// ReadLine returns a copy of the 64 B line containing line's address:
-// the payload source for LPOs, DPOs and evictions.
-func (h *Heap) ReadLine(line arch.LineAddr) []byte {
-	buf := make([]byte, arch.LineSize)
-	h.Read(uint64(line), buf)
-	return buf
-}
-
-// ReadLineInto copies the 64 B line at line's address into dst, the
-// allocation-free form of ReadLine for callers that own a line buffer
-// (pooled persist entries fill their payload in place).
+// ReadLineInto copies the 64 B line at line's address into dst: the
+// payload source for LPOs, DPOs and evictions, which fill their pooled
+// persist entries in place.
 func (h *Heap) ReadLineInto(line arch.LineAddr, dst []byte) {
 	h.Read(uint64(line), dst[:arch.LineSize])
-}
-
-// WriteU64 stores a little-endian uint64 at addr.
-func (h *Heap) WriteU64(addr uint64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(addr, b[:])
 }
 
 // ReadU64 loads a little-endian uint64 from addr.

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -85,7 +86,7 @@ func TestCrossPageWrite(t *testing.T) {
 func TestU64Helpers(t *testing.T) {
 	h := New()
 	addr := h.Alloc(8, true)
-	h.WriteU64(addr, 0xdeadbeefcafe)
+	h.Write(addr, binary.LittleEndian.AppendUint64(nil, 0xdeadbeefcafe))
 	if got := h.ReadU64(addr); got != 0xdeadbeefcafe {
 		t.Fatalf("ReadU64 = %#x", got)
 	}
@@ -94,13 +95,11 @@ func TestU64Helpers(t *testing.T) {
 func TestReadLine(t *testing.T) {
 	h := New()
 	addr := h.Alloc(64, true)
-	h.WriteU64(addr+8, 42)
-	lineBuf := h.ReadLine(arch.LineOf(addr + 8))
+	h.Write(addr+8, []byte{42})
+	lineBuf := make([]byte, arch.LineSize)
+	h.ReadLineInto(arch.LineOf(addr+8), lineBuf)
 	if got := lineBuf[8]; got != 42 {
-		t.Fatalf("ReadLine byte 8 = %d, want 42", got)
-	}
-	if len(lineBuf) != arch.LineSize {
-		t.Fatalf("ReadLine len = %d", len(lineBuf))
+		t.Fatalf("ReadLineInto byte 8 = %d, want 42", got)
 	}
 }
 
@@ -120,12 +119,12 @@ func TestIsPersistentLine(t *testing.T) {
 func TestSizeOf(t *testing.T) {
 	h := New()
 	a := h.Alloc(100, true)
-	if h.SizeOf(a) != 128 {
-		t.Fatalf("SizeOf = %d, want 128 (rounded to lines)", h.SizeOf(a))
+	if h.sizes[a] != 128 {
+		t.Fatalf("size class = %d, want 128 (rounded to lines)", h.sizes[a])
 	}
 	h.Free(a)
-	if h.SizeOf(a) != 0 {
-		t.Fatal("SizeOf after free should be 0")
+	if h.sizes[a] != 0 {
+		t.Fatal("size class after free should be 0")
 	}
 }
 

@@ -77,10 +77,10 @@ type Injected struct {
 }
 
 // FaultFS wraps an inner FS with deterministic, seeded fault injection.
-// Faults fire from two sources: one-shot trips (exact operation counts,
-// the campaign's precision tool) and per-op probabilities (background
-// hostility). All decisions come from one seeded RNG under one mutex,
-// so a given (seed, operation sequence) always fails identically.
+// Faults fire from one-shot trips (exact operation counts, the
+// campaign's precision tool); the partial effects of a fired fault come
+// from one seeded RNG under one mutex, so a given (seed, operation
+// sequence) always fails identically.
 //
 // Once a ClassKill trip fires the FaultFS is killed: every later
 // mutating operation on every path fails with EIO, including on files
@@ -89,40 +89,18 @@ type Injected struct {
 type FaultFS struct {
 	inner FS
 
-	mu      sync.Mutex
-	killed  bool
-	rng     *rand.Rand
-	prob    map[Op]float64
-	classes []string
-	trips   []*Trip
-	seq     int
-	log     []Injected
+	mu     sync.Mutex
+	killed bool
+	rng    *rand.Rand
+	trips  []*Trip
+	seq    int
+	log    []Injected
 }
 
 // NewFaultFS wraps inner with a seeded injector. With no trips armed
-// and no probabilities set it is a passthrough.
+// it is a passthrough.
 func NewFaultFS(inner FS, seed int64) *FaultFS {
-	return &FaultFS{
-		inner: inner,
-		rng:   rand.New(rand.NewSource(seed)),
-		prob:  make(map[Op]float64),
-	}
-}
-
-// SetProb sets the per-operation fault probability for op. Classes are
-// drawn uniformly from SetClasses (default: ENOSPC, EIO, short write,
-// torn sync, rename fail — the last only meaningful on rename ops).
-func (f *FaultFS) SetProb(op Op, p float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.prob[op] = p
-}
-
-// SetClasses fixes the class pool probability-mode faults draw from.
-func (f *FaultFS) SetClasses(classes ...string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.classes = classes
+	return &FaultFS{inner: inner, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Arm adds a one-shot trip.
@@ -133,12 +111,11 @@ func (f *FaultFS) Arm(t Trip) {
 	f.trips = append(f.trips, &tt)
 }
 
-// Disarm clears all trips and probabilities.
+// Disarm clears all trips.
 func (f *FaultFS) Disarm() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.trips = nil
-	f.prob = make(map[Op]float64)
 }
 
 // Log returns every fault fired so far.
@@ -155,10 +132,10 @@ func (f *FaultFS) Killed() bool {
 	return f.killed
 }
 
-// decide consults trips then probabilities for one operation. The
-// returned frac (0..1) seeds partial effects (how many bytes of a torn
-// write/sync survive); it is drawn even when unused to keep the RNG
-// stream aligned with the operation sequence.
+// decide consults the trips for one operation. The returned frac (0..1)
+// seeds partial effects (how many bytes of a torn write/sync survive);
+// it is drawn even when unused to keep the RNG stream aligned with the
+// operation sequence.
 func (f *FaultFS) decide(op Op, path string) (*InjectedError, float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -185,15 +162,6 @@ func (f *FaultFS) decide(op Op, path string) (*InjectedError, float64) {
 		}
 		err := &InjectedError{Op: op, Path: path, Class: t.Class}
 		f.log = append(f.log, Injected{Op: op, Path: path, Class: t.Class, Seq: f.seq})
-		return err, frac
-	}
-	if p := f.prob[op]; p > 0 && f.rng.Float64() < p {
-		class := ClassEIO
-		if len(f.classes) > 0 {
-			class = f.classes[f.rng.Intn(len(f.classes))]
-		}
-		err := &InjectedError{Op: op, Path: path, Class: class}
-		f.log = append(f.log, Injected{Op: op, Path: path, Class: class, Seq: f.seq})
 		return err, frac
 	}
 	return nil, frac

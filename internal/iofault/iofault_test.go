@@ -168,33 +168,25 @@ func TestTripSubstrTargeting(t *testing.T) {
 }
 
 func TestDeterministicSequence(t *testing.T) {
-	run := func() []Injected {
-		dir := t.TempDir()
+	run := func() string {
+		path := filepath.Join(t.TempDir(), "f")
 		ffs := NewFaultFS(OS{}, 99)
-		ffs.SetProb(OpWrite, 0.3)
-		ffs.SetClasses(ClassENOSPC, ClassEIO, ClassShortWrite)
-		f, _ := ffs.OpenFile(filepath.Join(dir, "f"), os.O_CREATE|os.O_WRONLY, 0o644)
+		for _, n := range []int{5, 10, 20} {
+			ffs.Arm(Trip{Op: OpWrite, Class: ClassShortWrite, N: n})
+		}
+		f, _ := ffs.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 		for i := 0; i < 50; i++ {
 			f.Write([]byte("0123456789"))
 		}
-		log := ffs.Log()
-		// Strip paths (temp dirs differ) for comparison.
-		for i := range log {
-			log[i].Path = ""
+		f.Close()
+		data, _ := os.ReadFile(path)
+		if got := len(ffs.Log()); got != 3 {
+			t.Fatalf("%d faults fired, want 3", got)
 		}
-		return log
+		return string(data)
 	}
-	a, b := run(), run()
-	if len(a) == 0 {
-		t.Fatal("probability mode injected nothing in 50 ops at p=0.3")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("runs injected %d vs %d faults", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("fault %d differs: %+v vs %+v", i, a[i], b[i])
-		}
+	if a, b := run(), run(); a != b || len(a) >= 500 {
+		t.Fatalf("runs wrote %d and %d bytes (differing: %v), want equal and short", len(a), len(b), a != b)
 	}
 }
 

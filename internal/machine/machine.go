@@ -112,18 +112,8 @@ type DeferredFreer interface {
 	DeferFree(t *sim.Thread, addr uint64)
 }
 
-// LinesOf returns every line touched by [addr, addr+size).
-func LinesOf(addr uint64, size int) []arch.LineAddr {
-	var out []arch.LineAddr
-	VisitLines(addr, size, func(l arch.LineAddr) {
-		out = append(out, l)
-	})
-	return out
-}
-
 // VisitLines calls fn for every line touched by [addr, addr+size), in
-// ascending order. It is the allocation-free form of LinesOf for the
-// access hot paths: loads and Access walk their lines through here; the
+// ascending order. Loads and Access walk their lines through here; the
 // logging schemes' stores walk theirs in Store.
 func VisitLines(addr uint64, size int, fn func(arch.LineAddr)) {
 	first, last := lineSpan(addr, size)

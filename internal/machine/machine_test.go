@@ -8,29 +8,35 @@ import (
 	"asap/internal/sim"
 )
 
+// linesOf collects the lines VisitLines walks for [addr, addr+size).
+func linesOf(addr uint64, size int) (out []arch.LineAddr) {
+	VisitLines(addr, size, func(l arch.LineAddr) { out = append(out, l) })
+	return out
+}
+
 func TestLinesOfSingleLine(t *testing.T) {
-	lines := LinesOf(100, 8)
+	lines := linesOf(100, 8)
 	if len(lines) != 1 || lines[0] != 64 {
 		t.Fatalf("LinesOf(100,8) = %v", lines)
 	}
 }
 
 func TestLinesOfSpansBoundary(t *testing.T) {
-	lines := LinesOf(60, 8) // bytes 60..67 cross line 0 into line 1
+	lines := linesOf(60, 8) // bytes 60..67 cross line 0 into line 1
 	if len(lines) != 2 || lines[0] != 0 || lines[1] != 64 {
 		t.Fatalf("LinesOf(60,8) = %v", lines)
 	}
 }
 
 func TestLinesOfLargeSpan(t *testing.T) {
-	lines := LinesOf(64, 2048)
+	lines := linesOf(64, 2048)
 	if len(lines) != 32 {
 		t.Fatalf("2KB from line start should touch 32 lines, got %d", len(lines))
 	}
 }
 
 func TestLinesOfZeroSize(t *testing.T) {
-	lines := LinesOf(128, 0)
+	lines := linesOf(128, 0)
 	if len(lines) != 1 {
 		t.Fatalf("zero-size access still touches one line, got %v", lines)
 	}
@@ -43,7 +49,7 @@ func TestLinesOfCoversEveryByte(t *testing.T) {
 		if n == 0 {
 			n = 1
 		}
-		lines := LinesOf(addr, n)
+		lines := linesOf(addr, n)
 		set := map[arch.LineAddr]bool{}
 		for _, l := range lines {
 			set[l] = true

@@ -10,10 +10,12 @@ import (
 
 // Store is the store walk every logging scheme shares. For each line of
 // [addr, addr+len(data)), in ascending order, it makes a blocking cache
-// access for t, advances t by the access latency and, for a persistent
-// line, calls line with the line's metadata. Then it calls pack (redo
-// word packing, which may yield) and writes data to the heap once. line
-// and pack may be nil; neither is retained.
+// access for t, advances t by the access latency, for a persistent line
+// calls line with the line's metadata, and writes the line's part of
+// data to the heap. The write lands before the next line's access, which
+// may yield: a persist of this line issued meanwhile (a DPO) must copy
+// the new bytes. Then it calls pack (redo word packing, which may
+// yield). line and pack may be nil; neither is retained.
 func (m *Machine) Store(t *sim.Thread, addr uint64, data []byte, line func(arch.LineAddr, *cache.Meta), pack func()) {
 	core := m.CoreOf(t)
 	first, last := lineSpan(addr, len(data))
@@ -23,6 +25,9 @@ func (m *Machine) Store(t *sim.Thread, addr uint64, data []byte, line func(arch.
 		if line != nil && m.Heap.IsPersistentLine(l) {
 			line(l, meta)
 		}
+		n := min(uint64(l)+arch.LineSize-addr, uint64(len(data)))
+		m.Heap.Write(addr, data[:n])
+		addr, data = addr+n, data[n:]
 		if l >= last {
 			break
 		}
@@ -30,7 +35,6 @@ func (m *Machine) Store(t *sim.Thread, addr uint64, data []byte, line func(arch.
 	if pack != nil {
 		pack()
 	}
-	m.Heap.Write(addr, data)
 }
 
 // LogEnd is the free point after a region's last log record: the offset

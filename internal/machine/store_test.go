@@ -11,9 +11,9 @@ import (
 )
 
 // TestStoreWalkOrder pins the walk's order: each line's access and clock
-// advance come before its hook, the hook runs for persistent lines only,
-// pack runs after the last line, and the heap sees the bytes only after
-// pack.
+// advance come before its hook, the hook runs for persistent lines only
+// and sees its line unwritten, each line reaches the heap before the next
+// line's access, and pack runs after the last line is written.
 func TestStoreWalkOrder(t *testing.T) {
 	m := New(DefaultConfig())
 	pm := m.Heap.Alloc(3*arch.LineSize, true)
@@ -24,9 +24,12 @@ func TestStoreWalkOrder(t *testing.T) {
 	}
 	var events []string
 	m.K.Spawn("w", func(th *sim.Thread) {
-		seen := func(what string) {
-			if m.Heap.ReadU64(pm) != 0 {
-				t.Errorf("%s ran after the heap write", what)
+		// seen checks that exactly the lines before upTo are written.
+		seen := func(what string, upTo uint64) {
+			for l := pm; l < pm+3*arch.LineSize; l += arch.LineSize {
+				if written := m.Heap.ReadU64(l) != 0; written != (l < upTo) {
+					t.Errorf("%s: line %#x written = %v", what, l, written)
+				}
 			}
 			events = append(events, what)
 		}
@@ -36,16 +39,13 @@ func TestStoreWalkOrder(t *testing.T) {
 				t.Errorf("line %#x: hook before its access (clock %d, meta %v)", line, th.Now(), meta)
 			}
 			last = th.Now()
-			seen("line")
-		}, func() { seen("pack") })
-		m.Store(th, dram, data[:8], func(arch.LineAddr, *cache.Meta) { seen("dram line") }, nil)
+			seen("line", uint64(line))
+		}, func() { seen("pack", pm+3*arch.LineSize) })
+		m.Store(th, dram, data[:8], func(arch.LineAddr, *cache.Meta) { seen("dram line", 0) }, nil)
 	})
 	m.K.MustRun()
 	if got := len(events); got != 4 || events[3] != "pack" {
 		t.Fatalf("events = %v, want three persistent lines then pack", events)
-	}
-	if got := m.Heap.ReadU64(pm + 2*arch.LineSize); got != 0xABABABABABABABAB {
-		t.Fatalf("last line = %#x, want the stored bytes", got)
 	}
 }
 

@@ -36,9 +36,6 @@ type LogHeader struct {
 // one header cache line addressing seven 64 B log entries).
 const RecordEntries = 7
 
-// Full reports whether the record has all seven accepted entries.
-func (h *LogHeader) Full() bool { return len(h.DataLines) >= RecordEntries }
-
 func (h *LogHeader) clone() *LogHeader {
 	return &LogHeader{
 		RID:        h.RID,

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"asap/internal/sim"
 )
@@ -249,17 +248,6 @@ func (p *Profiler) String() string {
 		}
 	}
 	return string(b)
-}
-
-// SortedBucketIdx returns bucket indices ordered by descending cycles in
-// per, for largest-first presentation. Ties keep index order.
-func SortedBucketIdx(per [NumBuckets]uint64) []int {
-	idx := make([]int, NumBuckets)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return per[idx[a]] > per[idx[b]] })
-	return idx
 }
 
 // threadJSON is one thread's entry in the WriteJSON dump.

@@ -268,22 +268,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// TestSortedBucketIdx orders descending with stable ties.
-func TestSortedBucketIdx(t *testing.T) {
-	var per [NumBuckets]uint64
-	per[Compute] = 5
-	per[FenceWait] = 100
-	per[Drain] = 5
-	idx := SortedBucketIdx(per)
-	if idx[0] != int(FenceWait) {
-		t.Fatalf("idx[0] = %d, want FenceWait", idx[0])
-	}
-	// Tie between Compute and Drain keeps index order.
-	if idx[1] != int(Compute) || idx[2] != int(Drain) {
-		t.Fatalf("tie order = %d,%d, want Compute,Drain", idx[1], idx[2])
-	}
-}
-
 // TestBucketNames: every bucket has a distinct name and the exported list
 // matches String().
 func TestBucketNames(t *testing.T) {

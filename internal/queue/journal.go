@@ -46,8 +46,7 @@ import (
 //	  last 4       CRC-32 (IEEE) over bytes 0..5+n
 //
 // A journal is a directory of segment files journal-%08d.asapq replayed
-// in sequence order (a single standalone file is the degenerate
-// one-segment case). Replay walks records until EOF or the first invalid
+// in sequence order. Replay walks records until EOF or the first invalid
 // frame. Broken bytes at the very tail of the FINAL segment are the
 // expected signature of a crash mid-append (a torn record that never
 // committed): they are counted, truncated, and replay succeeds — but
@@ -173,11 +172,8 @@ type Record struct {
 type CheckpointState struct {
 	// NextID is the next job ID the queue will assign.
 	NextID uint64 `json:"next_id"`
-	// Jobs is every retained job, in enqueue order.
+	// Jobs is every job, in enqueue order.
 	Jobs []CheckpointJob `json:"jobs,omitempty"`
-	// Shed is the cumulative count of terminal jobs dropped from
-	// checkpoints under Policy.RetainTerminal, across the journal's life.
-	Shed int64 `json:"shed,omitempty"`
 }
 
 // CheckpointJob is one job's image inside a checkpoint.
@@ -246,15 +242,14 @@ type JournalOptions struct {
 type Journal struct {
 	mu     sync.Mutex
 	fs     iofault.FS
-	dir    string // segment directory ("" for single-file journals)
+	dir    string // segment directory
 	active iofault.File
 	path   string // active segment path
 	seq    uint64 // active segment sequence number
 	off    int64  // append offset in the active segment
 	opts   JournalOptions
 
-	segments    int   // live segment files
-	compactions int64 // successful rotations this process
+	segments int // live segment files
 
 	closed bool
 	failed bool
@@ -432,24 +427,6 @@ func listSegments(fs iofault.FS, dir string) ([]uint64, error) {
 	}
 	sort.Slice(seqs, func(i, k int) bool { return seqs[i] < seqs[k] })
 	return seqs, nil
-}
-
-// OpenFileJournal opens (or creates) a standalone single-file journal at
-// path, replays its history, truncates any torn tail so the file ends on
-// a record boundary, and returns the journal positioned for append.
-// Rotation is disabled: this is the compatibility constructor tests and
-// small tools use; the daemon opens a directory journal.
-func OpenFileJournal(path string) (*Journal, []Record, ReplayReport, error) {
-	fs := iofault.OS{}
-	if err := fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, ReplayReport{}, err
-	}
-	j := &Journal{fs: fs, path: path, opts: JournalOptions{SegmentBytes: -1}, segments: 1}
-	recs, rep, err := j.openSegmentFile(nil)
-	if err != nil {
-		return nil, nil, rep, err
-	}
-	return j, recs, rep, nil
 }
 
 // OpenDirJournal opens the segmented journal rooted at dir, migrating a
@@ -669,11 +646,9 @@ func (j *Journal) createActive(initial []byte) error {
 		f.Close()
 		return err
 	}
-	if j.dir != "" {
-		if err := j.fs.SyncDir(j.dir); err != nil {
-			f.Close()
-			return err
-		}
+	if err := j.fs.SyncDir(j.dir); err != nil {
+		f.Close()
+		return err
 	}
 	j.active = f
 	j.off = int64(len(buf))
@@ -746,8 +721,7 @@ func (j *Journal) rollback() {
 func (j *Journal) ShouldRotate() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.dir != "" && !j.closed && !j.failed &&
-		j.opts.SegmentBytes > 0 && j.off >= j.opts.SegmentBytes
+	return !j.closed && !j.failed && j.opts.SegmentBytes > 0 && j.off >= j.opts.SegmentBytes
 }
 
 // Rotate runs one compaction: create segment seq+1 seeded with the
@@ -770,10 +744,6 @@ func (j *Journal) Rotate(checkpoint Record) error {
 	if j.failed {
 		return ErrJournalFailed
 	}
-	if j.dir == "" {
-		return errors.New("queue: journal does not support rotation")
-	}
-
 	newSeq := j.seq + 1
 	newPath := filepath.Join(j.dir, segName(newSeq))
 	nf, err := j.fs.OpenFile(newPath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -802,7 +772,6 @@ func (j *Journal) Rotate(checkpoint Record) error {
 	j.active.Close()
 	oldSeq := j.seq
 	j.active, j.path, j.seq, j.off = nf, newPath, newSeq, int64(len(buf))
-	j.compactions++
 	j.metCompactions.Inc()
 	j.metAppends.Inc()
 	j.metBytes.Add(float64(len(frame)))
@@ -843,13 +812,6 @@ func (j *Journal) Segments() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.segments
-}
-
-// Compactions returns the number of successful rotations this process.
-func (j *Journal) Compactions() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.compactions
 }
 
 // Failed reports whether the journal has entered the failed state

@@ -21,8 +21,8 @@ func testRecords() []Record {
 }
 
 func TestJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.asapq")
-	j, recs, rep, err := OpenFileJournal(path)
+	dir := t.TempDir()
+	j, recs, rep, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	_, got, rep, err := OpenFileJournal(path)
+	_, got, rep, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -58,8 +58,9 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.asapq")
-	j, _, _, err := OpenFileJournal(path)
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
+	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -81,7 +82,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, recs, rep, err := OpenFileJournal(path)
+	_, recs, rep, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
@@ -99,8 +100,8 @@ func TestJournalTornTailTruncated(t *testing.T) {
 }
 
 func TestJournalMidFileCorruptionStopsReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.asapq")
-	j, _, _, err := OpenFileJournal(path)
+	dir := t.TempDir()
+	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestJournalMidFileCorruptionStopsReplay(t *testing.T) {
 	}
 	j.Close()
 
-	data, _ := os.ReadFile(path)
+	data, _ := os.ReadFile(filepath.Join(dir, segName(1)))
 	data[fileHdrSize+8] ^= 0xFF // flip a byte inside the first record
 	recs, rep, err := Replay(data)
 	if err != nil {
@@ -138,7 +139,7 @@ func TestJournalBadHeaderFatal(t *testing.T) {
 }
 
 func TestJournalAppendAfterCloseFails(t *testing.T) {
-	j, _, _, err := OpenFileJournal(filepath.Join(t.TempDir(), "journal.asapq"))
+	j, _, _, err := OpenDirJournal(iofault.OS{}, t.TempDir(), JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

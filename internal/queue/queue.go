@@ -44,13 +44,6 @@ type Policy struct {
 	// doubles per subsequent failure up to BackoffCap. Defaults 250ms/30s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// RetainTerminal bounds how many terminal (done/dead) jobs a
-	// compaction checkpoint carries forward: the newest N survive, older
-	// ones are shed from both the journal and the job table (their
-	// artifacts remain in the content-addressed store). 0 retains all —
-	// compaction then only squashes transition history, never forgets a
-	// job.
-	RetainTerminal int
 }
 
 func (p Policy) withDefaults() Policy {
@@ -173,7 +166,6 @@ type Queue struct {
 	order  []uint64 // insertion order, for deterministic scans and listings
 	nextID uint64
 	closed bool
-	shed   int64 // terminal jobs dropped by checkpoints, cumulative
 	ctr    map[string]int64
 	met    *metrics.CounterVec // transition counters; nil until attached
 	notify chan struct{}
@@ -346,9 +338,8 @@ func (q *Queue) apply(rec Record) error {
 		}
 		// A checkpoint is a full image: replace the job table. At replay it
 		// makes everything before it inert; at run time (applied right
-		// after a successful rotation) it is an identity transform except
-		// for the terminal jobs the checkpoint shed — dropping them from
-		// memory too keeps the live table equal to what a restart rebuilds.
+		// after a successful rotation) it rebuilds the table from the
+		// image, so the live table equals what a restart rebuilds.
 		jobs := make(map[uint64]*job, len(cp.Jobs))
 		order := make([]uint64, 0, len(cp.Jobs))
 		for _, cj := range cp.Jobs {
@@ -383,7 +374,6 @@ func (q *Queue) apply(rec Record) error {
 		if cp.NextID > q.nextID {
 			q.nextID = cp.NextID
 		}
-		q.shed = cp.Shed
 	default:
 		return fmt.Errorf("unknown record type %d", rec.Type)
 	}
@@ -428,30 +418,12 @@ func (q *Queue) maybeCompact() {
 	}
 }
 
-// checkpointRecord images the live queue into a RecCheckpoint. Under
-// Policy.RetainTerminal, the oldest terminal jobs beyond the bound are
-// shed (pending and leased jobs are always retained). Callers hold q.mu.
+// checkpointRecord images the live queue, every job included, into a
+// RecCheckpoint. Callers hold q.mu.
 func (q *Queue) checkpointRecord() Record {
-	cp := &CheckpointState{NextID: q.nextID, Shed: q.shed}
-	shed := 0
-	if retain := q.pol.RetainTerminal; retain > 0 {
-		terminal := 0
-		for _, id := range q.order {
-			if st := q.jobs[id].state; st == StateDone || st == StateDead {
-				terminal++
-			}
-		}
-		if terminal > retain {
-			shed = terminal - retain
-		}
-	}
+	cp := &CheckpointState{NextID: q.nextID}
 	for _, id := range q.order {
 		jb := q.jobs[id]
-		if shed > 0 && (jb.state == StateDone || jb.state == StateDead) {
-			shed--
-			cp.Shed++
-			continue
-		}
 		cj := CheckpointJob{
 			ID:         jb.id,
 			Spec:       jb.spec,
@@ -471,14 +443,6 @@ func (q *Queue) checkpointRecord() Record {
 		cp.Jobs = append(cp.Jobs, cj)
 	}
 	return Record{Type: RecCheckpoint, Checkpoint: cp, At: q.now().UnixNano()}
-}
-
-// Shed returns the cumulative count of terminal jobs dropped by
-// compaction checkpoints under Policy.RetainTerminal.
-func (q *Queue) Shed() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.shed
 }
 
 // wake signals one waiting lessee without blocking.

@@ -3,10 +3,11 @@ package queue
 import (
 	"encoding/json"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"asap/internal/iofault"
 )
 
 // fakeClock is a manually advanced clock for deterministic lease and
@@ -244,8 +245,8 @@ func TestQueueTryLeaseOldestFirst(t *testing.T) {
 
 func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	clk := newFakeClock()
-	path := filepath.Join(t.TempDir(), "journal.asapq")
-	j, _, _, err := OpenFileJournal(path)
+	dir := t.TempDir()
+	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	q.Close()
 
 	// Restart: replay the journal into a fresh queue.
-	j2, recs, _, err := OpenFileJournal(path)
+	j2, recs, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	}
 	q2.Close()
 	// The orphan expiry was itself journaled: a second restore agrees.
-	j3, recs2, _, err := OpenFileJournal(path)
+	j3, recs2, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

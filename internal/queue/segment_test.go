@@ -80,7 +80,7 @@ func TestQueueRotationCompactsToOneSegment(t *testing.T) {
 			t.Fatalf("ack %d: %v", i, err)
 		}
 	}
-	if j.Compactions() == 0 {
+	if j.seq == 1 {
 		t.Fatal("no compaction after 40 jobs over a 1KiB threshold")
 	}
 	if j.Segments() != 1 {
@@ -108,63 +108,6 @@ func TestQueueRotationCompactsToOneSegment(t *testing.T) {
 	}
 	if got := listJSON(t, q2); got != live {
 		t.Fatalf("recovered table differs from live table\nlive: %s\ngot:  %s", live, got)
-	}
-}
-
-// TestCheckpointShedsTerminalJobs: under Policy.RetainTerminal the
-// checkpoint drops the oldest done jobs, the live table drops them at
-// the same instant (single-interpreter discipline), and the shed count
-// survives restart.
-func TestCheckpointShedsTerminalJobs(t *testing.T) {
-	dir := t.TempDir()
-	clock := func() time.Time { return time.Unix(1_700_000_000, 0) }
-	pol := segPolicy()
-	pol.RetainTerminal = 5
-	j, recs, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{SegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _, err := Restore(pol, Options{Journal: j, Clock: clock}, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		spec, _ := json.Marshal(map[string]any{"i": i, "pad": string(make([]byte, 100))})
-		id, _ := q.Enqueue(spec)
-		l, _, err := q.TryLease("w0")
-		if err != nil || l == nil || l.ID != id {
-			t.Fatalf("lease %d: %v", i, err)
-		}
-		if err := q.Ack(l, fmt.Sprintf("sha256-%064d", i), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if q.Shed() == 0 {
-		t.Fatal("no terminal jobs shed with RetainTerminal=5 over 40 done jobs")
-	}
-	if n := len(q.List()); n > 6 {
-		// Retained terminal jobs plus at most the one enqueued since the
-		// last rotation.
-		t.Fatalf("live table holds %d jobs, want <= 6 under RetainTerminal=5", n)
-	}
-	live := listJSON(t, q)
-	shed := q.Shed()
-	q.Close()
-
-	j2, recs2, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{SegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	q2, _, err := Restore(pol, Options{Journal: j2, Clock: clock}, recs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.Shed() != shed {
-		t.Fatalf("shed count %d after restart, want %d", q2.Shed(), shed)
-	}
-	if got := listJSON(t, q2); got != live {
-		t.Fatalf("recovered table differs\nlive: %s\ngot:  %s", live, got)
 	}
 }
 
@@ -433,7 +376,6 @@ func TestInterruptedCompactionResumed(t *testing.T) {
 			{ID: 1, Spec: json.RawMessage(`{"k":1}`), State: StateDone, Deliveries: 1, Hash: "sha256-aaa"},
 			{ID: 2, Spec: json.RawMessage(`{"k":2}`), State: StatePending},
 		},
-		Shed: 4,
 	}}
 	writeSegment(t, dir, 2, []Record{cp})
 
@@ -455,9 +397,6 @@ func TestInterruptedCompactionResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Shed() != 4 {
-		t.Fatalf("shed %d, want 4 from checkpoint", q.Shed())
-	}
 	info, ok := q.Get(1)
 	if !ok || info.State != StateDone || info.Hash != "sha256-aaa" {
 		t.Fatalf("job 1 after resume: %+v", info)
@@ -472,17 +411,10 @@ func TestInterruptedCompactionResumed(t *testing.T) {
 func TestLegacySingleFileJournalMigrates(t *testing.T) {
 	dir := t.TempDir()
 	legacy := filepath.Join(dir, legacySegName)
-	j, _, _, err := OpenFileJournal(legacy)
-	if err != nil {
+	want := testRecords()
+	if err := os.Rename(writeSegment(t, dir, 1, want), legacy); err != nil {
 		t.Fatal(err)
 	}
-	want := testRecords()
-	for _, rec := range want {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
 
 	j2, got, rep, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {

@@ -126,8 +126,10 @@ func TestRecoveryUndoesInReverseHappensBefore(t *testing.T) {
 	m := machine.New(cfg)
 	e := core.NewEngine(m, core.DefaultOptions())
 	x := m.Heap.Alloc(64, true)
-	m.Heap.WriteU64(x, 100) // pre-existing durable value
-	m.Fabric.PM().Write(arch.LineOf(x), m.Heap.ReadLine(arch.LineOf(x)))
+	old := make([]byte, arch.LineSize)
+	binary.LittleEndian.PutUint64(old, 100)
+	m.Heap.Write(x, old) // pre-existing durable value
+	m.Fabric.PM().Write(arch.LineOf(x), old)
 
 	var cs *core.CrashState
 	m.K.Spawn("w", func(t *sim.Thread) {

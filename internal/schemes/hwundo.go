@@ -144,7 +144,9 @@ func (s *HWUndo) issueLPO(t *sim.Thread, ts *undoThread, line arch.LineAddr) {
 	})
 }
 
-// issueDPO writes line back in place and records completion.
+// issueDPO writes line back in place and records completion. A line
+// rewritten while its DPO was in flight stays dirty: the DPO carried the
+// old bytes, so End issues another.
 func (s *HWUndo) issueDPO(ts *undoThread, line arch.LineAddr) {
 	if ts.dpoDone[line] {
 		return
@@ -156,6 +158,9 @@ func (s *HWUndo) issueDPO(ts *undoThread, line arch.LineAddr) {
 	s.m.Heap.ReadLineInto(line, e.Payload)
 	s.m.Fabric.SubmitPersist(e, func(uint64) {
 		ts.pendingDPOs--
+		if ts.dirty[line] {
+			return
+		}
 		ts.dpoDone[line] = true
 		s.m.Caches.MarkClean(line)
 	})

@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"bytes"
 	"testing"
 
 	"asap/internal/arch"
@@ -99,6 +100,44 @@ func TestSchemesProduceIdenticalFinalData(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("%s diverged from NP at byte %d: %d != %d", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCommittedStoresReachPM: after DrainBarrier, every line a committed
+// region stored holds its Heap bytes in PM, at every value size. Each
+// region writes its slot twice, so a DPO of the first value can still be
+// in flight when the second lands. A DPO issued while a multi-line store
+// yielded used to copy lines the store had not yet written
+// (machine.Store), and HWUndo marked a line clean when a DPO issued
+// before the line's rewrite completed.
+func TestCommittedStoresReachPM(t *testing.T) {
+	for _, name := range allSchemes[1:] { // NP persists nothing
+		for _, size := range []int{64, 128, 512, 2048} {
+			m, s := build(name, nil)
+			base := m.Heap.Alloc(uint64(8*size), true)
+			m.K.Spawn("w", func(t *sim.Thread) {
+				s.InitThread(t)
+				for i := 0; i < 40; i++ {
+					s.Begin(t)
+					for _, v := range []int{i + 1, i + 101} {
+						s.Store(t, base+uint64(size*(i%8)), bytes.Repeat([]byte{byte(v)}, size))
+					}
+					s.End(t)
+				}
+				s.DrainBarrier(t)
+			})
+			m.K.MustRun()
+			stale, heap := 0, make([]byte, arch.LineSize)
+			for off := uint64(0); off < uint64(8*size); off += arch.LineSize {
+				m.Heap.ReadLineInto(arch.LineOf(base+off), heap)
+				if !bytes.Equal(m.Fabric.PM().Read(arch.LineOf(base+off)), heap) {
+					stale++
+				}
+			}
+			if stale != 0 {
+				t.Errorf("%s at %d B: %d of %d slot lines stale in PM", name, size, stale, 8*size/arch.LineSize)
 			}
 		}
 	}

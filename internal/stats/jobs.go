@@ -63,19 +63,3 @@ func (l *JobLog) TotalWall() time.Duration {
 	}
 	return sum
 }
-
-// Slowest returns the longest-running job, or false when empty.
-func (l *JobLog) Slowest() (JobMetrics, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.jobs) == 0 {
-		return JobMetrics{}, false
-	}
-	max := l.jobs[0]
-	for _, j := range l.jobs[1:] {
-		if j.WallNS > max.WallNS {
-			max = j
-		}
-	}
-	return max, true
-}

@@ -183,31 +183,6 @@ func TestThroughputAndCyclesPerRegion(t *testing.T) {
 	}
 }
 
-func TestTPCCPaymentMix(t *testing.T) {
-	// The Payment extension reconciles across warehouse, district and
-	// customer rows under ASAP with concurrency.
-	env := newEnv("ASAP", nil)
-	tp := NewTPCC()
-	tp.PaymentPct = 40
-	cfg := smallCfg()
-	res := Run(env, []Benchmark{tp}, cfg)
-	if res.CheckErr != "" {
-		t.Fatalf("payment mix: %s", res.CheckErr)
-	}
-}
-
-func TestTPCCPaymentOnly(t *testing.T) {
-	env := newEnv("HWUndo", nil)
-	tp := NewTPCC()
-	tp.PaymentPct = 100
-	cfg := smallCfg()
-	cfg.Threads, cfg.OpsPerThread = 3, 40
-	res := Run(env, []Benchmark{tp}, cfg)
-	if res.CheckErr != "" {
-		t.Fatalf("payment only: %s", res.CheckErr)
-	}
-}
-
 // brokenCheck is a benchmark whose post-run check always fails.
 type brokenCheck struct {
 	Benchmark
