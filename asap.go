@@ -131,9 +131,6 @@ func NewSystem(cfg Config) (*System, error) {
 	return &System{cfg: cfg, m: m, scheme: scheme, engine: engine}, nil
 }
 
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Spawn registers a simulated thread running fn. Call before Run (or from
 // inside a running thread to fork workers). The thread is initialized for
 // the active scheme (asap_init) before fn runs.
@@ -162,9 +159,6 @@ func (s *System) Stats() map[string]int64 { return s.m.St.Snapshot() }
 // Malloc allocates persistent memory outside any thread (setup).
 func (s *System) Malloc(size int) uint64 { return s.m.Heap.Alloc(uint64(size), true) }
 
-// MallocVolatile allocates DRAM-backed memory.
-func (s *System) MallocVolatile(size int) uint64 { return s.m.Heap.Alloc(uint64(size), false) }
-
 // Crash models a power failure at the current simulated instant (only
 // meaningful from inside a running thread or event): ADR flushes the
 // WPQs, the persistence-domain structures are captured, and the machine
@@ -183,9 +177,6 @@ func (s *System) Machine() *machine.Machine { return s.m }
 
 // SchemeImpl exposes the active scheme implementation.
 func (s *System) SchemeImpl() machine.Scheme { return s.scheme }
-
-// Engine returns the ASAP engine, or nil for baseline schemes.
-func (s *System) Engine() *core.Engine { return s.engine }
 
 // CrashState is the persistence-domain state surviving a power failure.
 type CrashState struct {
@@ -250,15 +241,4 @@ func (c *CrashState) ReadUint64(addr uint64) uint64 {
 		v |= uint64(line[off+uint64(i)]) << (8 * i)
 	}
 	return v
-}
-
-// ReadBytes reads n bytes from the persisted image.
-func (c *CrashState) ReadBytes(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; {
-		line := c.cs.Image.Read(lineOf(addr + uint64(i)))
-		off := (addr + uint64(i)) % 64
-		i += copy(out[i:], line[off:])
-	}
-	return out
 }

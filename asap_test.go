@@ -175,31 +175,6 @@ func TestMallocFreeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadBytesSpansLines(t *testing.T) {
-	sys, _ := NewSystem(DefaultConfig())
-	base := sys.Malloc(256)
-	payload := make([]byte, 200)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	sys.Spawn("w", func(th *Thread) {
-		th.Begin()
-		th.Store(base+30, payload)
-		th.End()
-		th.Drain()
-	})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	cs, _ := sys.Crash()
-	got := cs.ReadBytes(base+30, 200)
-	for i := range got {
-		if got[i] != byte(i) {
-			t.Fatalf("byte %d = %d, want %d", i, got[i], byte(i))
-		}
-	}
-}
-
 func TestCrashStateSaveLoadRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 2
@@ -246,7 +221,7 @@ func TestPublicMigrateAndVolatile(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 4
 	sys, _ := NewSystem(cfg)
-	vol := sys.MallocVolatile(64)
+	vol := sys.Machine().Heap.Alloc(64, false)
 	cell := sys.Malloc(64)
 	sys.Spawn("w", func(th *Thread) {
 		th.Begin()
@@ -278,10 +253,7 @@ func TestPublicMigrateAndVolatile(t *testing.T) {
 
 func TestPublicAccessors(t *testing.T) {
 	sys, _ := NewSystem(DefaultConfig())
-	if sys.Config().Scheme != SchemeASAP {
-		t.Fatal("config not retained")
-	}
-	if sys.Engine() == nil || sys.Machine() == nil {
+	if sys.engine == nil || sys.Machine() == nil {
 		t.Fatal("accessors nil under ASAP")
 	}
 	if len(Schemes()) != 5 {
@@ -311,8 +283,8 @@ func TestASAPRedoThroughPublicAPI(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Engine() != nil {
-		t.Fatal("Engine() must be nil for non-undo schemes")
+	if sys.engine != nil {
+		t.Fatal("engine must be nil for non-undo schemes")
 	}
 	if _, err := sys.Crash(); err == nil {
 		t.Fatal("Crash must refuse non-ASAP schemes")

@@ -9,6 +9,7 @@
 package asap_test
 
 import (
+	"math"
 	"testing"
 
 	"asap/internal/area"
@@ -26,13 +27,25 @@ func benchScale() experiment.Scale {
 	}
 }
 
+// cell returns the value at (row, column) of t, or NaN.
+func cell(t *experiment.Table, row, column string) float64 {
+	for _, r := range t.Rows {
+		for i, c := range t.Columns {
+			if r.Name == row && c == column && i < len(r.Values) {
+				return r.Values[i]
+			}
+		}
+	}
+	return math.NaN()
+}
+
 // BenchmarkFig1 regenerates Figure 1: software persistence overhead
 // (paper geomeans: DPO-only 0.58x NP, LPO&DPO 0.31x NP).
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: benchScale()}.Fig1()
-		b.ReportMetric(t.Col("GeoMean", "DPO Only"), "DPOOnly/NP")
-		b.ReportMetric(t.Col("GeoMean", "LPO & DPO"), "LPO&DPO/NP")
+		b.ReportMetric(cell(t, "GeoMean", "DPO Only"), "DPOOnly/NP")
+		b.ReportMetric(cell(t, "GeoMean", "LPO & DPO"), "LPO&DPO/NP")
 	}
 }
 
@@ -41,10 +54,10 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkFig7_64B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: benchScale()}.Fig7(64)
-		b.ReportMetric(t.Col("GeoMean", "HWRedo"), "HWRedo_x")
-		b.ReportMetric(t.Col("GeoMean", "HWUndo"), "HWUndo_x")
-		b.ReportMetric(t.Col("GeoMean", "ASAP"), "ASAP_x")
-		b.ReportMetric(t.Col("GeoMean", "NP"), "NP_x")
+		b.ReportMetric(cell(t, "GeoMean", "HWRedo"), "HWRedo_x")
+		b.ReportMetric(cell(t, "GeoMean", "HWUndo"), "HWUndo_x")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP"), "ASAP_x")
+		b.ReportMetric(cell(t, "GeoMean", "NP"), "NP_x")
 	}
 }
 
@@ -54,8 +67,8 @@ func BenchmarkFig7_2KB(b *testing.B) {
 	scale.OpsPerThread = 60 // 32 lines per region: keep runtime bounded
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.Fig7(2048)
-		b.ReportMetric(t.Col("GeoMean", "ASAP"), "ASAP_x")
-		b.ReportMetric(t.Col("GeoMean", "NP"), "NP_x")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP"), "ASAP_x")
+		b.ReportMetric(cell(t, "GeoMean", "NP"), "NP_x")
 	}
 }
 
@@ -64,9 +77,9 @@ func BenchmarkFig7_2KB(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: benchScale()}.Fig8(64)
-		b.ReportMetric(t.Col("GeoMean", "HWRedo"), "HWRedo_x")
-		b.ReportMetric(t.Col("GeoMean", "HWUndo"), "HWUndo_x")
-		b.ReportMetric(t.Col("GeoMean", "ASAP"), "ASAP_x")
+		b.ReportMetric(cell(t, "GeoMean", "HWRedo"), "HWRedo_x")
+		b.ReportMetric(cell(t, "GeoMean", "HWUndo"), "HWUndo_x")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP"), "ASAP_x")
 	}
 }
 
@@ -75,9 +88,9 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: benchScale()}.Fig9a()
-		b.ReportMetric(t.Col("GeoMean", "ASAP-No-Opt"), "NoOpt_x")
-		b.ReportMetric(t.Col("GeoMean", "ASAP+C"), "C_x")
-		b.ReportMetric(t.Col("GeoMean", "ASAP+C+LP"), "CLP_x")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP-No-Opt"), "NoOpt_x")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP+C"), "C_x")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP+C+LP"), "CLP_x")
 	}
 }
 
@@ -86,9 +99,9 @@ func BenchmarkFig9a(b *testing.B) {
 func BenchmarkFig9b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: benchScale()}.Fig9b()
-		b.ReportMetric(t.Col("GeoMean", "SW"), "SW_x")
-		b.ReportMetric(t.Col("GeoMean", "HWUndo"), "HWUndo_x")
-		b.ReportMetric(t.Col("GeoMean", "HWRedo"), "HWRedo_x")
+		b.ReportMetric(cell(t, "GeoMean", "SW"), "SW_x")
+		b.ReportMetric(cell(t, "GeoMean", "HWUndo"), "HWUndo_x")
+		b.ReportMetric(cell(t, "GeoMean", "HWRedo"), "HWRedo_x")
 	}
 }
 
@@ -100,9 +113,9 @@ func BenchmarkFig10(b *testing.B) {
 	scale.Benchmarks = []string{"Q"}
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.Fig10()[0]
-		b.ReportMetric(t.Col("ASAP", "16x"), "ASAP@16x")
-		b.ReportMetric(t.Col("HWUndo", "16x"), "HWUndo@16x")
-		b.ReportMetric(t.Col("HWRedo", "16x"), "HWRedo@16x")
+		b.ReportMetric(cell(t, "ASAP", "16x"), "ASAP@16x")
+		b.ReportMetric(cell(t, "HWUndo", "16x"), "HWUndo@16x")
+		b.ReportMetric(cell(t, "HWRedo", "16x"), "HWRedo@16x")
 	}
 }
 
@@ -113,7 +126,7 @@ func BenchmarkSec74(b *testing.B) {
 	scale.Benchmarks = []string{"BN", "Q", "HM"}
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.Sec74()
-		b.ReportMetric(t.Col("GeoMean", "ASAP@16")/t.Col("GeoMean", "ASAP@128"), "16v128")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP@16")/cell(t, "GeoMean", "ASAP@128"), "16v128")
 	}
 }
 
@@ -133,8 +146,8 @@ func BenchmarkAblationCoalesce(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.AblationCoalesce("Q")
-		b.ReportMetric(t.Col("dist=1", "pm.writes"), "d1_traffic_x")
-		b.ReportMetric(t.Col("dist=16", "pm.writes"), "d16_traffic_x")
+		b.ReportMetric(cell(t, "dist=1", "pm.writes"), "d1_traffic_x")
+		b.ReportMetric(cell(t, "dist=16", "pm.writes"), "d16_traffic_x")
 	}
 }
 
@@ -143,7 +156,7 @@ func BenchmarkAblationStructures(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.AblationStructures("Q")
-		b.ReportMetric(t.Col("CL2x4,Dep2", "cycles"), "half_cycles_x")
+		b.ReportMetric(cell(t, "CL2x4,Dep2", "cycles"), "half_cycles_x")
 	}
 }
 
@@ -152,8 +165,8 @@ func BenchmarkCoRunning(b *testing.B) {
 	scale := experiment.Scale{Threads: 2, OpsPerThread: 100, InitialItems: 128}
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.CoRunning()
-		b.ReportMetric(t.Col("ASAP", "ops/kcycle"), "ASAP_opskc")
-		b.ReportMetric(t.Col("SW", "ops/kcycle"), "SW_opskc")
+		b.ReportMetric(cell(t, "ASAP", "ops/kcycle"), "ASAP_opskc")
+		b.ReportMetric(cell(t, "SW", "ops/kcycle"), "SW_opskc")
 	}
 }
 
@@ -163,7 +176,7 @@ func BenchmarkLifetime(b *testing.B) {
 	scale.Benchmarks = []string{"BN", "Q", "HM"}
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.Lifetime()
-		b.ReportMetric(t.Col("GeoMean", "ASAP"), "ASAP_life_x")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP"), "ASAP_life_x")
 	}
 }
 
@@ -174,8 +187,8 @@ func BenchmarkDesignChoice(b *testing.B) {
 	scale.Benchmarks = []string{"BN", "Q", "HM"}
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.DesignChoice()
-		b.ReportMetric(t.Col("GeoMean", "ASAP xSW"), "undo_xSW")
-		b.ReportMetric(t.Col("GeoMean", "ASAP-Redo xSW"), "redo_xSW")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP xSW"), "undo_xSW")
+		b.ReportMetric(cell(t, "GeoMean", "ASAP-Redo xSW"), "redo_xSW")
 	}
 }
 
@@ -185,8 +198,8 @@ func BenchmarkNUMA(b *testing.B) {
 	scale := experiment.Scale{Threads: 3, OpsPerThread: 100, InitialItems: 128}
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.NUMA()
-		b.ReportMetric(t.Col("ASAP", "remote+800"), "ASAP@+800")
-		b.ReportMetric(t.Col("HWUndo", "remote+800"), "HWUndo@+800")
+		b.ReportMetric(cell(t, "ASAP", "remote+800"), "ASAP@+800")
+		b.ReportMetric(cell(t, "HWUndo", "remote+800"), "HWUndo@+800")
 	}
 }
 
@@ -196,9 +209,9 @@ func BenchmarkTailLatency(b *testing.B) {
 	scale := experiment.Scale{Threads: 4, OpsPerThread: 120, InitialItems: 128}
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.TailLatency()
-		b.ReportMetric(t.Col("ASAP", "p99"), "ASAP_p99")
-		b.ReportMetric(t.Col("HWUndo", "p99"), "HWUndo_p99")
-		b.ReportMetric(t.Col("NP", "p99"), "NP_p99")
+		b.ReportMetric(cell(t, "ASAP", "p99"), "ASAP_p99")
+		b.ReportMetric(cell(t, "HWUndo", "p99"), "HWUndo_p99")
+		b.ReportMetric(cell(t, "NP", "p99"), "NP_p99")
 	}
 }
 
@@ -208,7 +221,7 @@ func BenchmarkScaling(b *testing.B) {
 	scale := experiment.Scale{Threads: 4, OpsPerThread: 100, InitialItems: 128}
 	for i := 0; i < b.N; i++ {
 		t := experiment.Sweep{Scale: scale}.Scaling()
-		b.ReportMetric(t.Col("ASAP", "8"), "ASAP@8")
-		b.ReportMetric(t.Col("HWUndo", "8"), "HWUndo@8")
+		b.ReportMetric(cell(t, "ASAP", "8"), "ASAP@8")
+		b.ReportMetric(cell(t, "HWUndo", "8"), "HWUndo@8")
 	}
 }

@@ -1,6 +1,7 @@
 package asap_test
 
 import (
+	"bytes"
 	"fmt"
 
 	"asap"
@@ -111,4 +112,87 @@ func ExampleConfig_scheme() {
 	}
 	fmt.Println(sys.SchemeImpl().Name())
 	// Output: HWUndo
+}
+
+// Migrate context-switches a thread onto another core mid-region (§5.7):
+// the hardware drains and re-homes the region's CL List entry, and the
+// region still commits as one.
+func ExampleThread_Migrate() {
+	cfg := asap.DefaultConfig()
+	cfg.Cores = 2
+	sys, _ := asap.NewSystem(cfg)
+	cell := sys.Malloc(64)
+	sys.Spawn("app", func(t *asap.Thread) {
+		t.Begin()
+		t.StoreUint64(cell, 1)
+		t.Migrate(1)
+		t.StoreUint64(cell, 2)
+		t.End()
+		t.Drain()
+		fmt.Println("value after migration:", t.LoadUint64(cell))
+	})
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
+	fmt.Println("committed regions:", sys.Stats()["region.committed"])
+	// Output:
+	// value after migration: 2
+	// committed regions: 1
+}
+
+// Free inside a region (asap_free) recycles the memory only once the
+// region commits, so a rollback can never find it reused.
+func ExampleThread_Free() {
+	sys, _ := asap.NewSystem(asap.DefaultConfig())
+	sys.Spawn("app", func(t *asap.Thread) {
+		a := t.Malloc(64)
+		t.Begin()
+		t.Free(a)
+		b := t.Malloc(64)
+		t.End()
+		t.Drain() // the region commits; a is free from here
+		c := t.Malloc(64)
+		fmt.Println("reused inside the region:", b == a)
+		fmt.Println("reused after the commit:", c == a)
+	})
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
+	// Output:
+	// reused inside the region: false
+	// reused after the commit: true
+}
+
+// Save writes a crash state out, as the machine sitting powered off;
+// LoadCrashState reads it back, possibly in another process, and the
+// loaded copy recovers like the live one.
+func ExampleCrashState_Save() {
+	cfg := asap.DefaultConfig()
+	cfg.Cores = 2
+	sys, _ := asap.NewSystem(cfg)
+	cell := sys.Malloc(64)
+	var crash *asap.CrashState
+	sys.Spawn("app", func(t *asap.Thread) {
+		t.Begin()
+		t.StoreUint64(cell, 7)
+		t.End()
+		t.Drain()
+		crash, _ = sys.Crash()
+	})
+	if err := sys.Run(); err != nil {
+		panic(err)
+	}
+	var file bytes.Buffer
+	if err := crash.Save(&file); err != nil {
+		panic(err)
+	}
+	loaded, err := asap.LoadCrashState(&file)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := loaded.Recover(); err != nil {
+		panic(err)
+	}
+	fmt.Println("recovered value:", loaded.ReadUint64(cell))
+	// Output: recovered value: 7
 }

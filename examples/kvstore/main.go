@@ -55,20 +55,6 @@ func (s *kv) Put(t *asap.Thread, key, value uint64) {
 	mu.Unlock(t)
 }
 
-// Get returns the value for key and whether it exists.
-func (s *kv) Get(t *asap.Thread, key uint64) (uint64, bool) {
-	mu := &s.mu[s.bucket(key)%16]
-	mu.Lock(t)
-	defer mu.Unlock(t)
-	head := s.dir + 8*s.bucket(key)
-	for cur := t.LoadUint64(head); cur != 0; cur = t.LoadUint64(cur + nodeNext) {
-		if t.LoadUint64(cur+nodeKey) == key {
-			return t.LoadUint64(cur + nodeValue), true
-		}
-	}
-	return 0, false
-}
-
 func main() {
 	sys, err := asap.NewSystem(asap.DefaultConfig())
 	if err != nil {

@@ -60,9 +60,7 @@ func main() {
 			e.DrainBarrier(t)
 		})
 	}
-	if err := m.K.Run(); err != nil {
-		panic(err)
-	}
+	m.K.MustRun()
 
 	fmt.Println("\nprotocol event stream:")
 	fmt.Print(buf.String())

@@ -110,9 +110,6 @@ func putLevel(l *level) {
 	levelPool.Unlock()
 }
 
-// sets returns the effective (rounded) set count.
-func (l *level) sets() int { return int(l.setMask) + 1 }
-
 // setBase returns the first slot index of line's set.
 func (l *level) setBase(line arch.LineAddr) int {
 	return int(uint64(line)>>arch.LineShift&l.setMask) * l.ways

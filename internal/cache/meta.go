@@ -93,9 +93,6 @@ func (t *Table) At(h Handle) *Meta {
 	return &t.chunks[h>>metaChunkShift][h&metaChunkMask]
 }
 
-// Len returns the number of lines with allocated metadata.
-func (t *Table) Len() int { return t.n }
-
 // GetH returns the handle and metadata for line, allocating a slot (with
 // the PBit seeded from the page table) on first touch.
 func (t *Table) GetH(line arch.LineAddr) (Handle, *Meta) {

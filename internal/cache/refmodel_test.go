@@ -197,7 +197,7 @@ func (h *refHierarchy) Access(core int, line arch.LineAddr, write bool) (latency
 
 	latency = h.cfg.L1.Latency
 	if s := h.l1[core].lookup(line); s != nil {
-		h.st.Inc(stats.L1Hits)
+		(*h.st.Counter(stats.L1Hits))++
 		h.l1[core].touch(s)
 		if write {
 			s.dirty = true
@@ -205,20 +205,20 @@ func (h *refHierarchy) Access(core int, line arch.LineAddr, write bool) (latency
 		}
 		return latency, true
 	}
-	h.st.Inc(stats.L1Misses)
+	(*h.st.Counter(stats.L1Misses))++
 
 	switch {
 	case h.l2[core].lookup(line) != nil:
-		h.st.Inc(stats.L2Hits)
+		(*h.st.Counter(stats.L2Hits))++
 		latency = h.cfg.L2.Latency
 	case h.l3.lookup(line) != nil:
-		h.st.Inc(stats.L2Misses)
-		h.st.Inc(stats.L3Hits)
+		(*h.st.Counter(stats.L2Misses))++
+		(*h.st.Counter(stats.L3Hits))++
 		h.l3.touch(h.l3.lookup(line))
 		latency = h.cfg.L3.Latency
 	default:
-		h.st.Inc(stats.L2Misses)
-		h.st.Inc(stats.L3Misses)
+		(*h.st.Counter(stats.L2Misses))++
+		(*h.st.Counter(stats.L3Misses))++
 		latency = h.cfg.L3.Latency + h.fabric.ReadLatency(line, m.PBit)
 		h.fillL3(line)
 		if m.PBit && h.onFill != nil {
@@ -311,7 +311,7 @@ func (h *refHierarchy) evictFromLLC(line arch.LineAddr, dirty bool) {
 		}
 	}
 	m.holders = 0
-	h.st.Inc(stats.Evictions)
+	(*h.st.Counter(stats.Evictions))++
 	if m.PBit {
 		if h.onLLCEvict != nil {
 			h.onLLCEvict(refEvictInfo{Line: line, Dirty: dirty, Meta: m})

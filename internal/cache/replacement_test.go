@@ -135,8 +135,8 @@ func TestCeilPow2(t *testing.T) {
 // aliasing between sets that the mask would not produce).
 func TestNonPowerOfTwoSetsRounded(t *testing.T) {
 	l := newLevel(LevelConfig{Sets: 3, Ways: 2, Latency: 1})
-	if got := l.sets(); got != 4 {
-		t.Fatalf("sets() = %d for Sets=3, want 4", got)
+	if got := int(l.setMask) + 1; got != 4 {
+		t.Fatalf("%d sets for Sets=3, want 4", got)
 	}
 	// Lines 0..3 land in four distinct sets under the mask; with Sets=3 and
 	// the old modulo they would have collided. Install all of them plus a

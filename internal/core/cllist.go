@@ -28,9 +28,6 @@ type CLSlot struct {
 	Forced bool
 }
 
-// idle reports whether the slot holds no pending work and can be cleared.
-func (s *CLSlot) idle() bool { return !s.NeedIssue && s.Outstanding == 0 }
-
 // CLEntry is one Modified Cache Line List entry (Figure 3 ❸): the slots of
 // one in-flight atomic region plus its StateL1 (Done once asap_end ran and
 // no more writes are coming).

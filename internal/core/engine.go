@@ -113,9 +113,6 @@ func (e *Engine) SetProfiler(p *obs.Profiler) {
 	e.m.Caches.SetProfiler(p)
 }
 
-// Trace returns the attached event buffer, if any.
-func (e *Engine) Trace() *trace.Buffer { return e.tr }
-
 // emit records a protocol event when tracing is on.
 func (e *Engine) emit(kind trace.Kind, rid arch.RID, line arch.LineAddr, aux uint64) {
 	if e.tr != nil {
@@ -149,12 +146,6 @@ func NewEngine(m *machine.Machine, opt Options) *Engine {
 
 // Name implements machine.Scheme.
 func (e *Engine) Name() string { return "ASAP" }
-
-// Machine returns the underlying machine.
-func (e *Engine) Machine() *machine.Machine { return e.m }
-
-// Options returns the engine's options.
-func (e *Engine) Options() Options { return e.opt }
 
 // depListOf returns the Dependence List hosting region r (§5.6: selected
 // by the LSBs of the LocalRID).

@@ -7,13 +7,6 @@ import (
 	"asap/internal/trace"
 )
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Migrate context-switches thread t onto another core (§5.7): the Thread
 // State Registers travel with the process, and the suspended thread's CL
 // List entry is cleared after the persist operations of each CLPtr slot
@@ -45,7 +38,7 @@ func (e *Engine) Migrate(t *sim.Thread, core int) {
 	t.Advance(1000)
 	e.m.SetCore(t, core)
 	ts.core = core
-	e.emit(trace.Migrate, arch.MakeRID(ts.tid, maxU64(ts.local, 1)), 0, uint64(core))
+	e.emit(trace.Migrate, arch.MakeRID(ts.tid, max(ts.local, 1)), 0, uint64(core))
 
 	if r != nil && !r.committed {
 		// Re-home the InProgress region on the new core's CL List.

@@ -143,19 +143,3 @@ func TestCLListEntryLifecycle(t *testing.T) {
 	}
 	l.Remove(r) // idempotent
 }
-
-func TestCLSlotIdle(t *testing.T) {
-	s := &CLSlot{}
-	if !s.idle() {
-		t.Fatal("zero slot should be idle")
-	}
-	s.NeedIssue = true
-	if s.idle() {
-		t.Fatal("NeedIssue slot is not idle")
-	}
-	s.NeedIssue = false
-	s.Outstanding = 1
-	if s.idle() {
-		t.Fatal("in-flight slot is not idle")
-	}
-}

@@ -24,8 +24,10 @@ func TestTraceOrderingSingleRegion(t *testing.T) {
 
 	rid := arch.MakeRID(0, 1)
 	var order []trace.Kind
-	for _, ev := range buf.OfRegion(rid) {
-		order = append(order, ev.Kind)
+	for _, ev := range buf.Events() {
+		if ev.RID == rid {
+			order = append(order, ev.Kind)
+		}
 	}
 	pos := func(k trace.Kind) int {
 		for i, got := range order {
@@ -60,20 +62,24 @@ func TestTraceCapturesDependences(t *testing.T) {
 			e.End(th)
 		}
 	})
-	deps := buf.Filter(trace.DepAdd)
-	if len(deps) == 0 {
-		t.Skip("regions committed before successors began; no control deps captured")
-	}
-	for _, d := range deps {
+	deps := 0
+	for _, d := range buf.Events() {
+		if d.Kind != trace.DepAdd {
+			continue
+		}
+		deps++
 		if arch.RID(d.Aux) >= d.RID {
 			t.Fatalf("dependence must point backwards: %v", d)
 		}
+	}
+	if deps == 0 {
+		t.Skip("regions committed before successors began; no control deps captured")
 	}
 }
 
 func TestTraceOffByDefault(t *testing.T) {
 	m, e := testRig(DefaultOptions(), nil)
-	if e.Trace() != nil {
+	if e.tr != nil {
 		t.Fatal("trace attached by default")
 	}
 	addr := m.Heap.Alloc(64, true)

@@ -226,25 +226,6 @@ func (t *Table) AddGeoMean() {
 	t.Rows = append(t.Rows, Row{Name: "GeoMean", Values: means})
 }
 
-// Col returns the value at (rowName, colName), or NaN.
-func (t *Table) Col(rowName, colName string) float64 {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == colName {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return math.NaN()
-	}
-	for _, r := range t.Rows {
-		if r.Name == rowName && ci < len(r.Values) {
-			return r.Values[ci]
-		}
-	}
-	return math.NaN()
-}
-
 // ChartTitle implements report.Chartable.
 func (t *Table) ChartTitle() string { return t.Title }
 

@@ -14,6 +14,18 @@ func tinyScale(benches ...string) Scale {
 	return Scale{Threads: 3, OpsPerThread: 80, InitialItems: 96, Benchmarks: benches}
 }
 
+// cell returns the value at (row, column) of t, or NaN.
+func cell(t *Table, row, column string) float64 {
+	for _, r := range t.Rows {
+		for i, c := range t.Columns {
+			if r.Name == row && c == column && i < len(r.Values) {
+				return r.Values[i]
+			}
+		}
+	}
+	return math.NaN()
+}
+
 func TestFig1Shape(t *testing.T) {
 	tab := Sweep{Scale: tinyScale("BN", "HM", "Q")}.Fig1()
 	for _, r := range tab.Rows {
@@ -29,7 +41,7 @@ func TestFig1Shape(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	tab := Sweep{Scale: tinyScale()}.Fig7(64)
-	g := func(col string) float64 { return tab.Col("GeoMean", col) }
+	g := func(col string) float64 { return cell(tab, "GeoMean", col) }
 	if !(g("ASAP") > g("HWUndo") && g("ASAP") > g("HWRedo")) {
 		t.Fatalf("ASAP must beat both HW baselines:\n%s", tab)
 	}
@@ -47,7 +59,7 @@ func TestFig7Shape(t *testing.T) {
 
 func TestFig8Shape(t *testing.T) {
 	tab := Sweep{Scale: tinyScale()}.Fig8(64)
-	g := func(col string) float64 { return tab.Col("GeoMean", col) }
+	g := func(col string) float64 { return cell(tab, "GeoMean", col) }
 	if !(g("ASAP") < g("HWUndo") && g("ASAP") < g("HWRedo") && g("ASAP") < g("SW")) {
 		t.Fatalf("ASAP must have the lowest region latency overhead:\n%s", tab)
 	}
@@ -72,7 +84,7 @@ func TestFig9aMonotone(t *testing.T) {
 
 func TestFig9bShape(t *testing.T) {
 	tab := Sweep{Scale: tinyScale("BN", "Q", "HM")}.Fig9b()
-	g := func(col string) float64 { return tab.Col("GeoMean", col) }
+	g := func(col string) float64 { return cell(tab, "GeoMean", col) }
 	if !(g("SW") > g("HWUndo") && g("SW") > g("HWRedo")) {
 		t.Fatalf("SW must generate the most traffic:\n%s", tab)
 	}
@@ -87,12 +99,12 @@ func TestFig10Shape(t *testing.T) {
 		t.Fatalf("tables = %d", len(tabs))
 	}
 	tab := tabs[0]
-	asap16 := tab.Col("ASAP", "16x")
-	undo16 := tab.Col("HWUndo", "16x")
+	asap16 := cell(tab, "ASAP", "16x")
+	undo16 := cell(tab, "HWUndo", "16x")
 	if asap16 < undo16 {
 		t.Fatalf("at 16x latency ASAP must stay closer to NP than HWUndo:\n%s", tab)
 	}
-	asap1 := tab.Col("ASAP", "1x")
+	asap1 := cell(tab, "ASAP", "1x")
 	if asap16 < asap1*0.5 {
 		t.Fatalf("ASAP should be robust to latency (paper Figure 10):\n%s", tab)
 	}
@@ -100,7 +112,7 @@ func TestFig10Shape(t *testing.T) {
 
 func TestSec74Shape(t *testing.T) {
 	tab := Sweep{Scale: tinyScale("BN", "Q")}.Sec74()
-	g := func(col string) float64 { return tab.Col("GeoMean", col) }
+	g := func(col string) float64 { return cell(tab, "GeoMean", col) }
 	if g("ASAP@16") > g("ASAP@128")+1e-9 {
 		t.Fatalf("shrinking the LH-WPQ cannot speed ASAP up:\n%s", tab)
 	}
@@ -114,10 +126,10 @@ func TestTableHelpers(t *testing.T) {
 	tab.AddRow("x", 2, 8)
 	tab.AddRow("y", 8, 2)
 	tab.AddGeoMean()
-	if got := tab.Col("GeoMean", "a"); math.Abs(got-4) > 1e-9 {
+	if got := cell(tab, "GeoMean", "a"); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("geomean = %v, want 4", got)
 	}
-	if !math.IsNaN(tab.Col("nope", "a")) || !math.IsNaN(tab.Col("x", "nope")) {
+	if !math.IsNaN(cell(tab, "nope", "a")) || !math.IsNaN(cell(tab, "x", "nope")) {
 		t.Fatal("missing lookups must return NaN")
 	}
 	out := tab.String()

@@ -6,9 +6,9 @@ func TestAblationCoalesceKnee(t *testing.T) {
 	tab := Sweep{Scale: tinyScale()}.AblationCoalesce("Q")
 	// Traffic at distance 4 is no worse than at distance 1, and going to
 	// 16 buys little (the paper's "no benefit beyond four").
-	d1 := tab.Col("dist=1", "pm.writes")
-	d4 := tab.Col("dist=4", "pm.writes")
-	d16 := tab.Col("dist=16", "pm.writes")
+	d1 := cell(tab, "dist=1", "pm.writes")
+	d4 := cell(tab, "dist=4", "pm.writes")
+	d16 := cell(tab, "dist=16", "pm.writes")
 	if d4 > d1+1e-9 {
 		t.Fatalf("distance 4 should not write more than distance 1:\n%s", tab)
 	}
@@ -19,9 +19,9 @@ func TestAblationCoalesceKnee(t *testing.T) {
 
 func TestAblationStructuresBiggerIsFasterOrEqual(t *testing.T) {
 	tab := Sweep{Scale: tinyScale()}.AblationStructures("Q")
-	small := tab.Col("CL2x4,Dep2", "cycles")
-	base := tab.Col("CL4x8,Dep4", "cycles")
-	big := tab.Col("CL8x16,Dep8", "cycles")
+	small := cell(tab, "CL2x4,Dep2", "cycles")
+	base := cell(tab, "CL4x8,Dep4", "cycles")
+	big := cell(tab, "CL8x16,Dep8", "cycles")
 	if base != 1 {
 		t.Fatalf("base row must normalize to 1:\n%s", tab)
 	}
@@ -36,9 +36,9 @@ func TestAblationStructuresBiggerIsFasterOrEqual(t *testing.T) {
 func TestCoRunningOrdering(t *testing.T) {
 	scale := Scale{Threads: 2, OpsPerThread: 60, InitialItems: 96}
 	tab := Sweep{Scale: scale}.CoRunning()
-	asap := tab.Col("ASAP", "ops/kcycle")
-	sw := tab.Col("SW", "ops/kcycle")
-	np := tab.Col("NP", "ops/kcycle")
+	asap := cell(tab, "ASAP", "ops/kcycle")
+	sw := cell(tab, "SW", "ops/kcycle")
+	np := cell(tab, "NP", "ops/kcycle")
 	if !(asap > sw) {
 		t.Fatalf("ASAP must beat SW when co-running:\n%s", tab)
 	}
@@ -46,7 +46,7 @@ func TestCoRunningOrdering(t *testing.T) {
 		t.Fatalf("NP bounds ASAP:\n%s", tab)
 	}
 	// Traffic optimizations reduce co-run PM writes.
-	if tab.Col("ASAP", "pm.writes") >= tab.Col("ASAP-No-Opt", "pm.writes") {
+	if cell(tab, "ASAP", "pm.writes") >= cell(tab, "ASAP-No-Opt", "pm.writes") {
 		t.Fatalf("optimizations must cut co-run traffic:\n%s", tab)
 	}
 }
@@ -54,19 +54,19 @@ func TestCoRunningOrdering(t *testing.T) {
 func TestFenceSweepWaits(t *testing.T) {
 	scale := Scale{Threads: 3, OpsPerThread: 80, InitialItems: 96}
 	tab := Sweep{Scale: scale}.FenceSweep()
-	free := tab.Col("no fence", "ops/kcycle")
-	every1 := tab.Col("every 1", "ops/kcycle")
+	free := cell(tab, "no fence", "ops/kcycle")
+	every1 := cell(tab, "every 1", "ops/kcycle")
 	if every1 > free+1e-9 {
 		t.Fatalf("fencing cannot raise throughput here:\n%s", tab)
 	}
-	if tab.Col("every 1", "wait/fence") <= 0 {
+	if cell(tab, "every 1", "wait/fence") <= 0 {
 		t.Fatalf("per-op fences must absorb some wait:\n%s", tab)
 	}
 }
 
 func TestLifetimeASAPBest(t *testing.T) {
 	tab := Sweep{Scale: tinyScale("BN", "Q")}.Lifetime()
-	g := func(c string) float64 { return tab.Col("GeoMean", c) }
+	g := func(c string) float64 { return cell(tab, "GeoMean", c) }
 	if !(g("ASAP") > g("HWUndo") && g("ASAP") > g("HWRedo") && g("ASAP") > 1) {
 		t.Fatalf("ASAP must project the longest lifetime:\n%s", tab)
 	}
@@ -74,7 +74,7 @@ func TestLifetimeASAPBest(t *testing.T) {
 
 func TestDesignChoiceShape(t *testing.T) {
 	tab := Sweep{Scale: tinyScale("Q", "HM")}.DesignChoice()
-	g := func(c string) float64 { return tab.Col("GeoMean", c) }
+	g := func(c string) float64 { return cell(tab, "GeoMean", c) }
 	// Both asynchronous-commit designs beat SW comfortably.
 	if !(g("ASAP xSW") > 1.5 && g("ASAP-Redo xSW") > 1.5) {
 		t.Fatalf("both async designs must beat SW:\n%s", tab)
@@ -85,13 +85,13 @@ func TestNUMAShape(t *testing.T) {
 	scale := Scale{Threads: 3, OpsPerThread: 80, InitialItems: 96}
 	tab := Sweep{Scale: scale}.NUMA()
 	// ASAP must tolerate remote channels at least as well as HWUndo.
-	asap := tab.Col("ASAP", "remote+800")
-	undo := tab.Col("HWUndo", "remote+800")
+	asap := cell(tab, "ASAP", "remote+800")
+	undo := cell(tab, "HWUndo", "remote+800")
 	if asap < undo-1e-9 {
 		t.Fatalf("ASAP should be at least as NUMA-robust as HWUndo:\n%s", tab)
 	}
 	for _, s := range []string{"NP", "ASAP", "HWUndo", "HWRedo"} {
-		if tab.Col(s, "UMA") != 1 {
+		if cell(tab, s, "UMA") != 1 {
 			t.Fatalf("UMA column must normalize to 1:\n%s", tab)
 		}
 	}
@@ -105,10 +105,10 @@ func TestTailLatencyShape(t *testing.T) {
 	// distribution. (The extreme tail can show rare CL-List backpressure
 	// stalls instead — reported, not asserted.)
 	for _, q := range []string{"p50", "p95"} {
-		asap := tab.Col("ASAP", q)
-		np := tab.Col("NP", q)
-		undo := tab.Col("HWUndo", q)
-		sw := tab.Col("SW", q)
+		asap := cell(tab, "ASAP", q)
+		np := cell(tab, "NP", q)
+		undo := cell(tab, "HWUndo", q)
+		sw := cell(tab, "SW", q)
 		if asap > np*1.05 {
 			t.Fatalf("ASAP %s (%v) should track NP (%v):\n%s", q, asap, np, tab)
 		}
@@ -124,8 +124,8 @@ func TestScalingShape(t *testing.T) {
 	// At every thread count ASAP out-throughputs the synchronous schemes
 	// on the lock-bound workload.
 	for _, col := range []string{"1", "4", "8"} {
-		if !(tab.Col("ASAP", col) > tab.Col("HWUndo", col) &&
-			tab.Col("HWUndo", col) > tab.Col("SW", col)) {
+		if !(cell(tab, "ASAP", col) > cell(tab, "HWUndo", col) &&
+			cell(tab, "HWUndo", col) > cell(tab, "SW", col)) {
 			t.Fatalf("scaling ordering violated at %s threads:\n%s", col, tab)
 		}
 	}

@@ -39,8 +39,7 @@ const (
 
 // Mix is the fault mixture: per-entry probabilities for torn and dropped
 // persists, a per-channel probability for flush reordering, a bit-flip
-// count over the candidate lines handed to FlipBits, and an optional
-// restriction to specific persist-operation kinds.
+// count over the candidate lines handed to FlipBits.
 type Mix struct {
 	TornPct    float64
 	DropPct    float64
@@ -50,9 +49,6 @@ type Mix struct {
 	// header is lost from the crash snapshot (the memdev
 	// HeaderFaultInjector path).
 	LHDropPct float64
-	// Kinds, when non-nil, limits torn/drop decisions to entries of these
-	// kinds (e.g. only log headers). Reordering is kind-agnostic.
-	Kinds map[memdev.Kind]bool
 }
 
 // Zero reports whether the mix injects nothing.
@@ -78,22 +74,12 @@ func (m Mix) String() string {
 	if m.BitFlips > 0 {
 		parts = append(parts, fmt.Sprintf("flip=%d", m.BitFlips))
 	}
-	if m.Kinds != nil {
-		var ks []string
-		for k, on := range m.Kinds {
-			if on {
-				ks = append(ks, k.String())
-			}
-		}
-		sort.Strings(ks)
-		parts = append(parts, "kinds="+strings.Join(ks, "+"))
-	}
 	return strings.Join(parts, ",")
 }
 
 // ParseMix parses "torn=0.2,drop=0.1,reorder=0.25,flip=2" style strings.
 // The shorthands "none" (no faults) and "all" (a representative mixed
-// load) are accepted, as is "kinds=LPO+LogHeader" to restrict targets.
+// load) are accepted.
 func ParseMix(s string) (Mix, error) {
 	var m Mix
 	s = strings.TrimSpace(s)
@@ -109,17 +95,6 @@ func ParseMix(s string) (Mix, error) {
 			return m, fmt.Errorf("faults: bad mix element %q (want key=value)", part)
 		}
 		key, val := strings.TrimSpace(kv[0]), strings.TrimSpace(kv[1])
-		if key == "kinds" {
-			m.Kinds = make(map[memdev.Kind]bool)
-			for _, name := range strings.Split(val, "+") {
-				k, err := kindByName(strings.TrimSpace(name))
-				if err != nil {
-					return m, err
-				}
-				m.Kinds[k] = true
-			}
-			continue
-		}
 		if key == "flip" {
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
@@ -146,15 +121,6 @@ func ParseMix(s string) (Mix, error) {
 		}
 	}
 	return m, nil
-}
-
-func kindByName(name string) (memdev.Kind, error) {
-	for _, k := range []memdev.Kind{memdev.KindLPO, memdev.KindLogHeader, memdev.KindDPO, memdev.KindEvict} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("faults: unknown persist kind %q", name)
 }
 
 // Event is one injected fault, identified by the decision sequence number
@@ -237,15 +203,9 @@ func (in *Injector) SetScope(rids []arch.RID) {
 // Events mirrors the inflicted subset.
 func (in *Injector) Events() []Event { return append([]Event(nil), in.events...) }
 
-// eligible reports whether torn/drop may target e under scope and mix.
+// eligible reports whether torn/drop may target e under scope.
 func (in *Injector) eligible(e *memdev.Entry) bool {
-	if in.scope != nil && !in.scope[e.RID] {
-		return false
-	}
-	if in.mix.Kinds != nil && !in.mix.Kinds[e.Kind] {
-		return false
-	}
-	return true
+	return in.scope == nil || in.scope[e.RID]
 }
 
 // FlushOrder implements memdev.FaultInjector: with probability ReorderPct

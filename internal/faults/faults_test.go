@@ -138,20 +138,6 @@ func TestScopeRestrictsTargets(t *testing.T) {
 	}
 }
 
-func TestKindFilter(t *testing.T) {
-	in := New(5, Mix{DropPct: 1.0, Kinds: map[memdev.Kind]bool{memdev.KindLogHeader: true}})
-	got := drive(in, testEntries())
-	for _, e := range testEntries() {
-		_, persisted := got[e.Dst]
-		if e.Kind == memdev.KindLogHeader && persisted {
-			t.Fatalf("log header %#x survived", uint64(e.Dst))
-		}
-		if e.Kind != memdev.KindLogHeader && !persisted {
-			t.Fatalf("non-header %#x dropped", uint64(e.Dst))
-		}
-	}
-}
-
 func TestReorderReversesScopedEntries(t *testing.T) {
 	in := New(1, Mix{ReorderPct: 1.0})
 	entries := testEntries()
@@ -291,12 +277,10 @@ func TestParseMix(t *testing.T) {
 		{in: "lhdrop=2", wantErr: true},
 		{in: "reorder=1,flip=2", want: Mix{ReorderPct: 1, BitFlips: 2}},
 		{in: "all", want: Mix{TornPct: 0.25, DropPct: 0.25, ReorderPct: 0.25, BitFlips: 1}},
-		{in: "torn=0.3,kinds=LogHeader+LPO", want: Mix{TornPct: 0.3, Kinds: map[memdev.Kind]bool{memdev.KindLogHeader: true, memdev.KindLPO: true}}},
 		{in: "torn=2", wantErr: true},
 		{in: "bogus=0.5", wantErr: true},
 		{in: "torn", wantErr: true},
 		{in: "flip=-1", wantErr: true},
-		{in: "kinds=Nope", wantErr: true},
 	}
 	for _, tc := range cases {
 		got, err := ParseMix(tc.in)

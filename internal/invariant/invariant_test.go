@@ -162,7 +162,7 @@ func TestBloomSaturationIsConservative(t *testing.T) {
 			}
 		},
 		func(th *sim.Thread) { // reader: touches everything, reloading owners
-			th.SleepUntil(10_000)
+			th.Advance(10_000)
 			for round := 0; round < 2; round++ {
 				for i := 0; i < lines; i++ {
 					eng.Begin(th)

@@ -80,9 +80,6 @@ func (im *Image) Has(line arch.LineAddr) bool {
 	return s != nil && s.has&(1<<i) != 0
 }
 
-// Len returns the number of distinct lines ever persisted.
-func (im *Image) Len() int { return im.n }
-
 // Clone returns a deep copy of the image.
 func (im *Image) Clone() *Image {
 	out := &Image{slabs: make(map[arch.LineAddr]*slab, len(im.slabs)), n: im.n}

@@ -141,9 +141,6 @@ func (q *LHWPQ) Open(r arch.RID, headerAddr arch.LineAddr) *LogHeader {
 	return h
 }
 
-// Current returns region r's open header, or nil.
-func (q *LHWPQ) Current(r arch.RID) *LogHeader { return q.open[r] }
-
 // BeginClose moves region r's filled record from open to closing: the
 // region can open its next record while the header line travels to the
 // WPQ. Returns the closing header.

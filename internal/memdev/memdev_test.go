@@ -318,8 +318,8 @@ func TestImageCloneIndependent(t *testing.T) {
 	if !bytes.Equal(cl.Read(0), payload(1)) {
 		t.Fatal("clone mutated by original write")
 	}
-	if cl.Len() != 1 {
-		t.Fatalf("clone Len = %d", cl.Len())
+	if cl.n != 1 {
+		t.Fatalf("clone holds %d lines", cl.n)
 	}
 }
 

@@ -122,26 +122,6 @@ func (h *Histogram) Observe(v float64) {
 	h.total++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot returns cumulative bucket counts, sum and total.
 func (h *Histogram) snapshot() (bounds []float64, cum []uint64, sum float64, total uint64) {
 	h.mu.Lock()
@@ -345,12 +325,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 		panic("metrics: GaugeVec needs at least one label")
 	}
 	return &GaugeVec{f: r.register(name, help, kindGauge, labels)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	key := labelKey(v.f, values)
-	return v.f.child(key, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // WithFunc registers a scrape-time gauge function for the label values.

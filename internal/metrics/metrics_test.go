@@ -141,12 +141,6 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0.5, 1.5, 3, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
-	}
-	if h.Sum() != 105 {
-		t.Fatalf("sum = %v, want 105", h.Sum())
-	}
 	out := render(t, r)
 	for _, want := range []string{
 		"# TYPE lat_seconds histogram",
@@ -222,7 +216,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 }

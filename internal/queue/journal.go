@@ -814,14 +814,6 @@ func (j *Journal) Segments() int {
 	return j.segments
 }
 
-// Failed reports whether the journal has entered the failed state
-// (appends permanently refused after an unrecoverable I/O error).
-func (j *Journal) Failed() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failed
-}
-
 // Close syncs and closes the journal. Further appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -468,7 +468,7 @@ func TestRotationFailureAbsorbed(t *testing.T) {
 			t.Fatalf("ack %d: %v", i, err)
 		}
 	}
-	if j.Failed() {
+	if j.failed {
 		t.Fatal("journal entered failed state from an absorbed rotation failure")
 	}
 	// The debris blocks further rotations this process (segment 2 exists),
@@ -515,7 +515,7 @@ func TestAppendRollbackKeepsJournalProvable(t *testing.T) {
 	if err == nil {
 		t.Fatal("append under ENOSPC succeeded")
 	}
-	if j.Failed() {
+	if j.failed {
 		t.Fatal("rollback should have kept the journal alive")
 	}
 	// The failed frame must be gone: the next append is contiguous.

@@ -90,7 +90,7 @@ func corrupt(img *memdev.Image, line arch.LineAddr, off int) {
 
 func wantFatal(t *testing.T, cs *core.CrashState, class Class) *CorruptionError {
 	t.Helper()
-	_, err := Recover(cs)
+	_, err := RecoverWithOptions(cs, Options{})
 	var cerr *CorruptionError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("want *CorruptionError, got %v", err)
@@ -207,7 +207,7 @@ func TestDroppedDPOIsAbsorbed(t *testing.T) {
 		}
 	})
 	cs.Image = img
-	rep, err := Recover(cs)
+	rep, err := RecoverWithOptions(cs, Options{})
 	if err != nil {
 		t.Fatalf("dropped DPO must be recoverable: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestReorderedPersistsAreAbsorbed(t *testing.T) {
 	cs := synClosed(func(img *memdev.Image) {
 		img.Write(arch.LineAddr(synData+2*arch.LineSize), bytes.Repeat([]byte{0x77}, arch.LineSize))
 	})
-	rep, err := Recover(cs)
+	rep, err := RecoverWithOptions(cs, Options{})
 	if err != nil {
 		t.Fatalf("reordered persists must be recoverable: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestStaleCorruptionIsDiscardable(t *testing.T) {
 		garbage[30] ^= 0xFF // break the CRC, keep the magic
 		img.Write(staleSlot, garbage)
 	})
-	rep, err := Recover(cs)
+	rep, err := RecoverWithOptions(cs, Options{})
 	if err != nil {
 		t.Fatalf("stale corruption must not block recovery: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestSkipValidationResurrectsSilentSkips(t *testing.T) {
 	// with validation off — the unhardened behavior the checker exists to
 	// catch (the region's writes stay un-rolled-back).
 	mutate := func(img *memdev.Image) { corrupt(img, arch.LineAddr(synBase), 8) }
-	if _, err := Recover(synClosed(mutate)); err == nil {
+	if _, err := RecoverWithOptions(synClosed(mutate), Options{}); err == nil {
 		t.Fatal("strict mode accepted a torn header")
 	}
 	cs := synClosed(mutate)
@@ -291,7 +291,7 @@ func TestImageUntouchedOnFatalCorruption(t *testing.T) {
 	cs.Image.Lines(func(line arch.LineAddr, payload []byte) {
 		before[line] = append([]byte(nil), payload...)
 	})
-	if _, err := Recover(cs); err == nil {
+	if _, err := RecoverWithOptions(cs, Options{}); err == nil {
 		t.Fatal("want fatal corruption")
 	}
 	n := 0
@@ -335,13 +335,13 @@ func TestMalformedCrashStateErrorsNotPanics(t *testing.T) {
 					t.Fatalf("Recover panicked: %v", p)
 				}
 			}()
-			if _, err := Recover(tc.cs); err == nil {
+			if _, err := RecoverWithOptions(tc.cs, Options{}); err == nil {
 				t.Fatal("malformed crash state accepted")
 			}
 		})
 	}
 	// nil state
-	if _, err := Recover(nil); err == nil {
+	if _, err := RecoverWithOptions(nil, Options{}); err == nil {
 		t.Fatal("nil crash state accepted")
 	}
 }
@@ -350,7 +350,7 @@ func TestCorruptionErrorMessage(t *testing.T) {
 	cs := synClosed(func(img *memdev.Image) {
 		corrupt(img, arch.LineAddr(synBase), 20)
 	})
-	_, err := Recover(cs)
+	_, err := RecoverWithOptions(cs, Options{})
 	if err == nil {
 		t.Fatal("want error")
 	}

@@ -108,7 +108,7 @@ func TestCrashRecoveryFuzzQueue(t *testing.T) {
 		if e.ActiveRegions() > 0 {
 			caught++
 		}
-		if _, err := Recover(cs); err != nil {
+		if _, err := RecoverWithOptions(cs, Options{}); err != nil {
 			t.Fatalf("seed %d crash@%d: recovery failed: %v", seed, at, err)
 		}
 		t.Logf("seed %d crash@%d", seed, at)
@@ -147,7 +147,7 @@ func TestCrashRecoveryFuzzHashMap(t *testing.T) {
 		if cs == nil {
 			cs = e.Crash()
 		}
-		if _, err := Recover(cs); err != nil {
+		if _, err := RecoverWithOptions(cs, Options{}); err != nil {
 			t.Fatalf("seed %d crash@%d: %v", seed, at, err)
 		}
 		t.Logf("seed %d crash@%d", seed, at)

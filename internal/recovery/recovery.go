@@ -142,15 +142,11 @@ type Report struct {
 	Discarded []Corruption
 }
 
-// Recover repairs the crash state in place with full validation: cs.Image
-// is modified so that every uncommitted region's writes are rolled back.
-func Recover(cs *core.CrashState) (*Report, error) {
-	return RecoverWithOptions(cs, Options{})
-}
-
-// RecoverWithOptions is Recover with explicit Options. It never panics: a
-// malformed crash state yields an error, and fatal image corruption yields
-// a *CorruptionError, in both cases before the image has been modified.
+// RecoverWithOptions repairs the crash state in place: cs.Image is
+// modified so that every uncommitted region's writes are rolled back. The
+// zero Options validate fully. It never panics: a malformed crash state
+// yields an error, and fatal image corruption yields a *CorruptionError, in
+// both cases before the image has been modified.
 func RecoverWithOptions(cs *core.CrashState, opt Options) (rep *Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {

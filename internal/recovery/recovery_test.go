@@ -101,7 +101,7 @@ func TestRecoveryAtManyCrashPoints(t *testing.T) {
 		if rig.e.ActiveRegions() > 0 {
 			sawPartial = true
 		}
-		rep, err := Recover(cs)
+		rep, err := RecoverWithOptions(cs, Options{})
 		if err != nil {
 			t.Fatalf("crash@%d: %v", crashAt, err)
 		}
@@ -148,7 +148,7 @@ func TestRecoveryUndoesInReverseHappensBefore(t *testing.T) {
 	if got := e.ActiveRegions(); got == 0 {
 		t.Fatal("expected uncommitted regions at crash")
 	}
-	rep, err := Recover(cs)
+	rep, err := RecoverWithOptions(cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRecoveryCleanShutdownIsNoop(t *testing.T) {
 	rig := newCrashRig(2, 5, false)
 	rig.m.K.MustRun() // run to completion, all committed
 	cs := rig.e.Crash()
-	rep, err := Recover(cs)
+	rep, err := RecoverWithOptions(cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRecoveryIgnoresStaleHeaders(t *testing.T) {
 		cs = e.Crash()
 	})
 	m.K.MustRun()
-	rep, err := Recover(cs)
+	rep, err := RecoverWithOptions(cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

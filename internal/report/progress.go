@@ -199,13 +199,6 @@ func (p *Progress) snapshotLocked() Snapshot {
 	return s
 }
 
-// Snapshot returns a point-in-time view of the progress counters.
-func (p *Progress) Snapshot() Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.snapshotLocked()
-}
-
 // draw repaints the line; callers hold p.mu and have checked p.w.
 func (p *Progress) draw() {
 	now := p.now()

@@ -92,7 +92,7 @@ func TestSnapshotRateAndETA(t *testing.T) {
 		now = now.Add(time.Second)
 		p.Done(fmt.Sprintf("case%d", i), time.Millisecond, true)
 	}
-	s := p.Snapshot()
+	s := p.snapshotLocked()
 	if s.Done != 4 || s.Total != 10 || s.Failed != 0 {
 		t.Fatalf("snapshot counters = %+v", s)
 	}
@@ -124,14 +124,14 @@ func TestSlidingWindowForgetsOldSamples(t *testing.T) {
 		now = now.Add(10 * time.Millisecond)
 		p.Done("burst", time.Millisecond, true)
 	}
-	burst := p.Snapshot().Rate
+	burst := p.snapshotLocked().Rate
 	if burst < 50 {
 		t.Fatalf("burst rate = %v, want >= 50", burst)
 	}
 	now = now.Add(time.Minute) // silence longer than the window
 	now = now.Add(time.Second)
 	p.Done("late", time.Millisecond, true)
-	after := p.Snapshot().Rate
+	after := p.snapshotLocked().Rate
 	if after >= burst/2 {
 		t.Fatalf("stale burst still dominates: rate = %v (burst %v)", after, burst)
 	}
@@ -142,7 +142,7 @@ func TestTrackerNeverDraws(t *testing.T) {
 	p.Start(2)
 	p.Done("a", time.Millisecond, true)
 	p.Finish() // must not panic with nil writer
-	s := p.Snapshot()
+	s := p.snapshotLocked()
 	if s.Done != 1 || s.Total != 2 {
 		t.Fatalf("tracker counters = %+v", s)
 	}

@@ -133,7 +133,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 			if err := s.Put(key, []byte("the true payload")); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(s.Dir(), "cells", key[:2], key[2:])
+			path := filepath.Join(s.dir, "cells", key[:2], key[2:])
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -286,7 +286,7 @@ func TestEntryGolden(t *testing.T) {
 	if err := s.Put(key, []byte(`{"cycles":12345}`)); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(s.Dir(), "cells", key[:2], key[2:]))
+	raw, err := os.ReadFile(filepath.Join(s.dir, "cells", key[:2], key[2:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestEntryRejectsDamage(t *testing.T) {
 	}
 	for name, bad := range damage {
 		key := NewKey().Field("damage", name).Sum()
-		path := filepath.Join(s.Dir(), "cells", key[:2], key[2:])
+		path := filepath.Join(s.dir, "cells", key[:2], key[2:])
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -46,9 +46,6 @@ func OpenFS(fsys iofault.FS, dir string) (*Store, error) {
 	return &Store{blobs: b, dir: dir}, nil
 }
 
-// Dir returns the cache root.
-func (s *Store) Dir() string { return s.dir }
-
 // Bytes returns the committed entries' on-disk footprint.
 func (s *Store) Bytes() int64 { return s.blobs.Bytes() }
 

@@ -118,20 +118,6 @@ func BenchmarkEventRepick(b *testing.B) {
 	}
 }
 
-// BenchmarkSleepUntil measures the timed-sleep path: anchor event plus
-// predicate wait, both allocation-free steady-state.
-func BenchmarkSleepUntil(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel()
-	k.Spawn("sleeper", func(t *sim.Thread) {
-		for i := 0; i < b.N; i++ {
-			t.SleepUntil(t.Now() + 3)
-		}
-	})
-	b.ResetTimer()
-	k.MustRun()
-}
-
 // BenchmarkMutexPingPong measures contended lock handoff between two
 // threads, covering the Mutex predicate cache and the blocked-claim path.
 func BenchmarkMutexPingPong(b *testing.B) {

@@ -47,10 +47,19 @@ func (s newSim) halt()                         { s.k.Halt() }
 func (s newSim) run()                          { s.k.Run() }
 
 func (t newThread) advance(c uint64)        { t.t.Advance(c) }
-func (t newThread) yieldStep()              { t.t.Yield() }
+func (t newThread) yieldStep()              { t.t.yield() }
 func (t newThread) waitUntil(p func() bool) { t.t.WaitUntil(p) }
-func (t newThread) sleepUntil(at uint64)    { t.t.SleepUntil(at) }
+func (t newThread) sleepUntil(at uint64)    { sleepUntil(t.t, at) }
 func (t newThread) now() uint64             { return t.t.Now() }
+
+// sleepUntil blocks th until the kernel clock reaches at, anchored by an
+// empty event so the clock gets there even if nothing else is scheduled.
+func sleepUntil(th *Thread, at uint64) {
+	if th.now < at {
+		th.k.Schedule(at, func() {})
+		th.WaitUntil(func() bool { return th.k.now >= at })
+	}
+}
 
 // Reference-kernel adapter.
 

@@ -122,19 +122,6 @@ func TestWaitUntilImmediateWhenTrue(t *testing.T) {
 	}
 }
 
-func TestSleepUntil(t *testing.T) {
-	k := NewKernel()
-	var woke uint64
-	k.Spawn("s", func(th *Thread) {
-		th.SleepUntil(123)
-		woke = th.Now()
-	})
-	k.MustRun()
-	if woke != 123 {
-		t.Fatalf("woke at %d, want 123", woke)
-	}
-}
-
 func TestDeadlockPanics(t *testing.T) {
 	// MustRun is the compatibility shim preserving the historical
 	// panic-on-deadlock contract; the panic value is the *StallError.
@@ -255,7 +242,7 @@ func TestWatchdogRearmsOnProgress(t *testing.T) {
 func TestWatchdogIdleTailNotAStall(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("slow", func(th *Thread) {
-		th.SleepUntil(50_000) // long quiet stretch, zero progress
+		sleepUntil(th, 50_000) // long quiet stretch, zero progress
 	})
 	k.SetWatchdog(&Watchdog{
 		Window:   1000,
@@ -355,20 +342,6 @@ func TestMutexUnlockByNonHolderPanics(t *testing.T) {
 			}
 		}()
 		m.Unlock(th)
-	})
-	k.MustRun()
-}
-
-func TestTryLock(t *testing.T) {
-	k := NewKernel()
-	var m Mutex
-	k.Spawn("a", func(th *Thread) {
-		if !m.TryLock(th) {
-			t.Error("first TryLock should succeed")
-		}
-		if m.TryLock(th) {
-			t.Error("second TryLock should fail while held")
-		}
 	})
 	k.MustRun()
 }

@@ -52,14 +52,3 @@ func (m *Mutex) Unlock(t *Thread) {
 	m.holder = nil
 	t.Advance(m.cost())
 }
-
-// TryLock takes the mutex if free and reports whether it did. The acquire
-// cost is charged either way.
-func (m *Mutex) TryLock(t *Thread) bool {
-	ok := m.holder == nil
-	if ok {
-		m.holder = t
-	}
-	t.Advance(m.cost())
-	return ok
-}

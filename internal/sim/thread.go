@@ -20,11 +20,6 @@ type Thread struct {
 	state  threadState
 	pred   func() bool
 	resume chan struct{}
-
-	// sleepPred is the reusable SleepUntil predicate: it reads sleepAt so
-	// timed sleeps allocate no per-call closure. Created on first use.
-	sleepAt   uint64
-	sleepPred func() bool
 }
 
 // ID returns the thread's spawn index, used by hardware as the ThreadID part
@@ -54,10 +49,6 @@ func (t *Thread) Advance(cycles uint64) {
 	}
 }
 
-// Yield hands control to the kernel without advancing the clock. It gives
-// same-time events and threads a chance to run between two operations.
-func (t *Thread) Yield() { t.yield() }
-
 // WaitUntil blocks the thread until pred returns true. The predicate is
 // evaluated in kernel context (no other thread running) after every event
 // and thread step, and the thread resumes immediately once it holds, with
@@ -74,27 +65,6 @@ func (t *Thread) WaitUntil(pred func() bool) {
 	t.state = stateBlocked
 	t.yield()
 }
-
-// SleepUntil blocks the thread until the kernel clock reaches cycle at.
-// Steady-state it allocates nothing: the anchor event comes from the
-// kernel's event pool and the predicate is reused across calls.
-func (t *Thread) SleepUntil(at uint64) {
-	if t.now >= at {
-		return
-	}
-	if t.sleepPred == nil {
-		t.sleepPred = func() bool { return t.k.now >= t.sleepAt }
-	}
-	t.sleepAt = at
-	// Anchor the wakeup with an empty event so the kernel clock is
-	// guaranteed to reach it even if nothing else is scheduled.
-	t.k.Schedule(at, noopEvent)
-	t.WaitUntil(t.sleepPred)
-}
-
-// noopEvent anchors timed wakeups; being a named function it captures
-// nothing and costs no allocation to schedule.
-func noopEvent() {}
 
 // yield returns control to the scheduler. Fast path: if this thread is
 // still the unique earliest runnable entity, the kernel's dispatch

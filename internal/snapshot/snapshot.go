@@ -177,7 +177,7 @@ func (s Snap) Diff(o Snap) []string {
 			continue
 		}
 		if d != sec.SHA256 {
-			out = append(out, fmt.Sprintf("section %q state diverged (%s != %s)", sec.Name, sec.SHA256[:12], d[:12]))
+			out = append(out, fmt.Sprintf("section %q state diverged (%s != %s)", sec.Name, abbrev(sec.SHA256), abbrev(d)))
 		}
 	}
 	for _, sec := range o.Sections {
@@ -186,6 +186,15 @@ func (s Snap) Diff(o Snap) []string {
 		}
 	}
 	return out
+}
+
+// abbrev shortens a digest to the 12 characters a divergence report
+// shows; a shorter one, as a damaged file may hold, is shown whole.
+func abbrev(digest string) string {
+	if len(digest) > 12 {
+		return digest[:12]
+	}
+	return digest
 }
 
 // File format: the JSON payload in an iofault frame (magic, version,
@@ -218,7 +227,8 @@ func ReadFile(path string) (Snap, error) {
 
 // ReadFileFS reads and validates a snapshot through an explicit
 // filesystem. Validation is fail-closed: any framing or checksum damage
-// is an error, never a silently partial snapshot.
+// is an error, never a silently partial snapshot, and so is a section
+// name that appears twice, which Diff could not match to one digest.
 func ReadFileFS(fsys iofault.FS, path string) (Snap, error) {
 	raw, err := fsys.ReadFile(path)
 	if err != nil {
@@ -231,6 +241,13 @@ func ReadFileFS(fsys iofault.FS, path string) (Snap, error) {
 	var snap Snap
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		return Snap{}, fmt.Errorf("snapshot: %s: %w", path, err)
+	}
+	seen := make(map[string]bool, len(snap.Sections))
+	for _, sec := range snap.Sections {
+		if seen[sec.Name] {
+			return Snap{}, fmt.Errorf("snapshot: %s: section %q appears twice", path, sec.Name)
+		}
+		seen[sec.Name] = true
 	}
 	return snap, nil
 }

@@ -44,13 +44,6 @@ func (l *JobLog) Snapshot() []JobMetrics {
 	return out
 }
 
-// Len returns the number of recorded jobs.
-func (l *JobLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.jobs)
-}
-
 // TotalWall sums every job's wall time: the serial cost of the work,
 // which divided by the batch's real elapsed time gives the achieved
 // parallel speedup.

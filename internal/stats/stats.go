@@ -4,10 +4,8 @@
 package stats
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // Well-known counter names used across the simulator. Components add to
@@ -79,7 +77,6 @@ func New() *Set {
 }
 
 // Counter returns a stable pointer to counter name, creating it at zero.
-// The pointer stays valid across Reset (which zeroes in place).
 func (s *Set) Counter(name string) *int64 {
 	p, ok := s.counters[name]
 	if !ok {
@@ -88,14 +85,6 @@ func (s *Set) Counter(name string) *int64 {
 	}
 	return p
 }
-
-// Add increments counter name by delta.
-func (s *Set) Add(name string, delta int64) {
-	*s.Counter(name) += delta
-}
-
-// Inc increments counter name by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
 
 // Get returns the value of counter name (zero if never touched).
 func (s *Set) Get(name string) int64 {
@@ -129,23 +118,6 @@ func (s *Set) Snapshot() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// Reset zeroes every counter in place, keeping pointers handed out by
-// Counter valid.
-func (s *Set) Reset() {
-	for _, p := range s.counters {
-		*p = 0
-	}
-}
-
-// String formats the set one counter per line, sorted by name.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, name := range s.Names() {
-		fmt.Fprintf(&b, "%-24s %12d\n", name, *s.counters[name])
-	}
-	return b.String()
 }
 
 // Histogram collects a distribution in log-linear (HDR-style) buckets:
@@ -195,9 +167,6 @@ func (h *Histogram) Observe(v uint64) {
 		h.maxIdx = idx
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1): the top
 // of the log-linear bucket containing it (within ~12 % of the true value).

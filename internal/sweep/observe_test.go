@@ -109,13 +109,17 @@ func TestObserveKeysDistinct(t *testing.T) {
 // re-stores the entry so the next lookup hits again.
 func TestObserveCorruptEntryRecomputes(t *testing.T) {
 	spec := Spec{Experiments: []string{"config"}}
-	store := openStore(t)
+	dir := t.TempDir()
+	store, err := resultcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, _, err := ObserveArtifactsCached(spec, store, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := observeKeys(spec, "v1")[1]
-	path := filepath.Join(store.Dir(), "cells", key[:2], key[2:])
+	path := filepath.Join(dir, "cells", key[:2], key[2:])
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -91,7 +91,6 @@ type Buffer struct {
 	ring  []Event
 	next  int
 	count int
-	total uint64
 }
 
 // NewBuffer returns a ring holding the most recent capacity events.
@@ -109,7 +108,6 @@ func (b *Buffer) Emit(e Event) {
 	if b.count < len(b.ring) {
 		b.count++
 	}
-	b.total++
 }
 
 // Events returns the retained events, oldest first.
@@ -123,68 +121,6 @@ func (b *Buffer) Events() []Event {
 		out = append(out, b.ring[(start+i)%len(b.ring)])
 	}
 	return out
-}
-
-// Total returns how many events were ever emitted (including evicted).
-func (b *Buffer) Total() uint64 { return b.total }
-
-// Filter returns the retained events of the given kinds, oldest first.
-func (b *Buffer) Filter(kinds ...Kind) []Event {
-	want := map[Kind]bool{}
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Event
-	for _, e := range b.Events() {
-		if want[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// OfRegion returns the retained events touching rid, oldest first.
-func (b *Buffer) OfRegion(rid arch.RID) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if e.RID == rid || arch.RID(e.Aux) == rid {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Regions returns the distinct RIDs appearing in the retained events (as
-// subject or dependence aux), in order of first appearance. NoRID is
-// skipped.
-func (b *Buffer) Regions() []arch.RID {
-	seen := map[arch.RID]bool{}
-	var out []arch.RID
-	note := func(rid arch.RID) {
-		if rid != arch.NoRID && !seen[rid] {
-			seen[rid] = true
-			out = append(out, rid)
-		}
-	}
-	for _, e := range b.Events() {
-		note(e.RID)
-		if e.Kind == DepAdd {
-			note(arch.RID(e.Aux))
-		}
-	}
-	return out
-}
-
-// ByRegion splits the retained events by region, preserving event order
-// within each region (DepAdd events appear under both endpoints). The
-// returned RIDs follow Regions() order.
-func (b *Buffer) ByRegion() (rids []arch.RID, events map[arch.RID][]Event) {
-	rids = b.Regions()
-	events = make(map[arch.RID][]Event, len(rids))
-	for _, rid := range rids {
-		events[rid] = b.OfRegion(rid)
-	}
-	return rids, events
 }
 
 // String dumps the retained events.

@@ -21,26 +21,6 @@ func TestRingRetainsMostRecent(t *testing.T) {
 			t.Fatalf("event %d at %d, want %d (oldest-first)", i, e.At, 6+i)
 		}
 	}
-	if b.Total() != 10 {
-		t.Fatalf("total = %d", b.Total())
-	}
-}
-
-func TestFilterAndOfRegion(t *testing.T) {
-	b := NewBuffer(16)
-	r1 := arch.MakeRID(0, 1)
-	r2 := arch.MakeRID(0, 2)
-	b.Emit(Event{At: 1, Kind: RegionBegin, RID: r1})
-	b.Emit(Event{At: 2, Kind: LPOIssue, RID: r1, Line: 64})
-	b.Emit(Event{At: 3, Kind: RegionBegin, RID: r2})
-	b.Emit(Event{At: 4, Kind: DepAdd, RID: r2, Aux: uint64(r1)})
-	if got := b.Filter(RegionBegin); len(got) != 2 {
-		t.Fatalf("Filter(RegionBegin) = %d events", len(got))
-	}
-	// OfRegion matches both direct RID and Aux references.
-	if got := b.OfRegion(r1); len(got) != 3 {
-		t.Fatalf("OfRegion(r1) = %d events, want 3", len(got))
-	}
 }
 
 func TestKindStrings(t *testing.T) {

@@ -47,17 +47,6 @@ type Config struct {
 	SetupInRegions bool
 }
 
-// DefaultConfig returns a small but representative configuration.
-func DefaultConfig() Config {
-	return Config{
-		ValueBytes:   64,
-		InitialItems: 256,
-		Threads:      4,
-		OpsPerThread: 200,
-		Seed:         42,
-	}
-}
-
 // Env couples a machine with the scheme under test.
 type Env struct {
 	M *machine.Machine
@@ -147,9 +136,6 @@ func (c *Ctx) FillValue(addr uint64, n int, tag uint64) {
 	}
 	c.StoreBytes(addr, buf)
 }
-
-// Compute models register-only work.
-func (c *Ctx) Compute(cycles uint64) { c.T.Advance(cycles) }
 
 // Benchmark is one Table 3 workload.
 type Benchmark interface {

@@ -17,9 +17,6 @@ type Thread struct {
 	t   *sim.Thread
 }
 
-// ID returns the thread's spawn index.
-func (t *Thread) ID() int { return t.t.ID() }
-
 // Now returns the thread's virtual clock in cycles.
 func (t *Thread) Now() uint64 { return t.t.Now() }
 
@@ -95,14 +92,6 @@ func (t *Thread) Migrate(core int) {
 	t.sys.m.SetCore(t.t, core)
 }
 
-// WaitUntil blocks the thread until pred holds; pred is evaluated with no
-// other thread running.
-func (t *Thread) WaitUntil(pred func() bool) { t.t.WaitUntil(pred) }
-
-// Sim returns the underlying simulated thread, for integrations that work
-// at the machine layer.
-func (t *Thread) Sim() *sim.Thread { return t.t }
-
 // Mutex is a lock between simulated threads: nest conflicting atomic
 // regions inside critical sections guarded by one (§4.2).
 type Mutex struct {
@@ -114,9 +103,6 @@ func (m *Mutex) Lock(t *Thread) { m.mu.Lock(t.t) }
 
 // Unlock releases the mutex; it panics if t is not the holder.
 func (m *Mutex) Unlock(t *Thread) { m.mu.Unlock(t.t) }
-
-// TryLock takes the mutex if free and reports whether it did.
-func (m *Mutex) TryLock(t *Thread) bool { return m.mu.TryLock(t.t) }
 
 // lineOf aliases the internal line mapping for the crash-image readers.
 func lineOf(addr uint64) arch.LineAddr { return arch.LineOf(addr) }
