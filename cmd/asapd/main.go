@@ -71,7 +71,7 @@ func run() int {
 	ioCases := flag.Int("iocampaign", 0, "run N seeded hostile-I/O fault-injection cases instead of serving")
 	control := flag.Bool("control", false, "run the campaign's negative control (no journal for -campaign, no append rollback for -iocampaign); its audit MUST then find damage")
 	seed := flag.Int64("seed", 1, "fault campaign seed")
-	journalSegment := flag.Int64("journal-segment", 0, "journal segment rotation threshold in bytes (0 = default, negative disables compaction)")
+	journalCompact := flag.Int64("journal-compact", 0, "journal compaction threshold in bytes (0 = default, negative disables compaction)")
 	budgetJournalSoft := flag.Int64("budget-journal-soft", 0, "journal soft disk budget in bytes (0 disables)")
 	budgetJournalHard := flag.Int64("budget-journal-hard", 0, "journal hard disk budget in bytes (0 disables)")
 	budgetStoreSoft := flag.Int64("budget-store-soft", 0, "artifact-store soft disk budget in bytes (0 disables)")
@@ -127,7 +127,7 @@ func run() int {
 		Metrics:           reg,
 		ResultContentType: "text/plain; charset=utf-8",
 
-		JournalSegmentBytes: *journalSegment,
+		JournalCompactBytes: *journalCompact,
 		Budget: queue.BudgetConfig{
 			Journal: queue.StoreBudget{Soft: *budgetJournalSoft, Hard: *budgetJournalHard},
 			Store:   queue.StoreBudget{Soft: *budgetStoreSoft, Hard: *budgetStoreHard},

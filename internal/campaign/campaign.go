@@ -5,12 +5,13 @@
 //
 //   - Kill (kill.go): every case runs real queue.Daemons on a case
 //     directory over an iofault.FaultFS armed with a ClassKill trip. At
-//     a seeded journal or artifact-store sync the FaultFS tears the
-//     syncing file and dies, the daemon is abandoned, and a new daemon
-//     restarts from the bytes left on disk. Injected worker panics ride
-//     along. The audit reads the journal back through
-//     queue.OpenDirJournal: no admitted job lost, none completed twice,
-//     every artifact byte-identical to a serial run of its spec.
+//     a seeded sync (a journal append, a journal compaction's temp file
+//     or an artifact put) the FaultFS tears the syncing file and dies,
+//     the daemon is abandoned, and a new daemon restarts from the bytes
+//     left on disk. Injected worker panics ride along. The audit replays
+//     the journal through queue.Restore: no admitted job lost, none
+//     completed twice, every artifact byte-identical to a serial run of
+//     its spec.
 //   - IO (io.go): every case aims one fault class (ENOSPC, EIO, short
 //     write, torn sync, failed rename) at one durable writer (journal,
 //     artifact store, result cache, snapshot file), then reopens
@@ -52,6 +53,9 @@ type Config struct {
 // KillStats is the kill campaign's tally.
 type KillStats struct {
 	DaemonKills int `json:"daemon_kills"`
+	// CompactionKills counts kills that landed inside a journal
+	// compaction, at the sync of its temp file.
+	CompactionKills int `json:"compaction_kills"`
 	// TornTails counts restarts that found and truncated a torn journal
 	// tail: kills that landed mid-append.
 	TornTails    int   `json:"torn_tails"`
@@ -67,6 +71,7 @@ type KillStats struct {
 
 func (k *KillStats) add(o KillStats) {
 	k.DaemonKills += o.DaemonKills
+	k.CompactionKills += o.CompactionKills
 	k.TornTails += o.TornTails
 	k.WorkerPanics += o.WorkerPanics
 	k.Redelivered += o.Redelivered

@@ -7,7 +7,7 @@ import (
 
 // TestKillCampaign is the headline robustness claim: seeded cases of
 // daemon kill -9 (torn journal tails included) and injected worker
-// crashes over the segmented file journal asapd runs, every one
+// crashes over the compacting file journal asapd runs, every one
 // converging with zero lost jobs, zero double completions, and
 // artifacts byte-identical to serial runs of the same specs.
 func TestKillCampaign(t *testing.T) {
@@ -35,6 +35,9 @@ func TestKillCampaign(t *testing.T) {
 	}
 	if k.TornTails == 0 {
 		t.Fatal("no kill tore a journal append; the trip never lands mid-record")
+	}
+	if !testing.Short() && k.CompactionKills == 0 {
+		t.Fatal("no kill landed inside a journal compaction")
 	}
 	if k.WorkerPanics == 0 {
 		t.Fatal("zero worker panics; the seed schedule is broken")

@@ -189,23 +189,16 @@ func (c *caseRun) pumpJobs(q *queue.Queue, n int) []ackedJob {
 func (c *caseRun) runJournal() {
 	jdir := filepath.Join(c.dir, "journal")
 	clock := func() time.Time { return time.Unix(1_700_000_000, 0) }
-	opts := queue.JournalOptions{SegmentBytes: 2 << 10, NoRollback: c.control}
+	opts := queue.JournalOptions{CompactBytes: 2 << 10, NoRollback: c.control}
 	if c.control {
-		// The negative control must keep the evidence: with rotation on,
-		// a later compaction would checkpoint into a fresh segment and
-		// delete the one holding the planted partial frame, curing the
-		// corruption before the phase-C audit ever reads it.
-		opts.SegmentBytes = -1
+		// The negative control must keep the evidence: a compaction
+		// would replace the file holding the planted partial frame with a
+		// checkpoint, curing the corruption before the phase-C audit ever
+		// reads it.
+		opts.CompactBytes = -1
 	}
 
-	// The rename-fail class exercises the one rename on the journal
-	// path: legacy single-file migration. Phase A then runs on one
-	// segment, renamed to the legacy name once the queue closes.
-	aopts := opts
-	if c.class == iofault.ClassRenameFail {
-		aopts.SegmentBytes = -1
-	}
-	j, recs, _, err := queue.OpenDirJournal(iofault.OS{}, jdir, aopts)
+	j, recs, _, err := queue.OpenJournal(iofault.OS{}, jdir, opts)
 	if err != nil {
 		c.failf("phase A open: %v", err)
 		return
@@ -217,20 +210,14 @@ func (c *caseRun) runJournal() {
 	}
 	acked := c.pumpJobs(q, 5+c.rng.Intn(10))
 	q.Close()
-	if c.class == iofault.ClassRenameFail {
-		if err := os.Rename(filepath.Join(jdir, "journal-00000001.asapq"), filepath.Join(jdir, "journal.asapq")); err != nil {
-			c.failf("phase A legacy layout: %v", err)
-			return
-		}
-	}
 
 	// Phase B: same journal through the adversary.
 	ffs := c.faultFS("journal")
 	var live []queue.JobInfo
-	j, recs, _, err = queue.OpenDirJournal(ffs, jdir, opts)
+	j, recs, _, err = queue.OpenJournal(ffs, jdir, opts)
 	if err != nil {
-		// The open itself was refused (e.g. the migration rename died).
-		// Acceptable iff nothing was half-moved: phase C must recover.
+		// The open itself was refused. Acceptable iff it changed nothing:
+		// phase C must recover.
 		c.refusals++
 	} else {
 		q, _, rerr := queue.Restore(ioPolicy, queue.Options{Journal: j, Clock: clock}, recs)
@@ -246,7 +233,7 @@ func (c *caseRun) runJournal() {
 	c.injected = len(ffs.Log()) > 0
 
 	// Phase C: clean reopen; disk alone must prove phase-B state.
-	j2, recs2, _, err := queue.OpenDirJournal(iofault.OS{}, jdir, queue.JournalOptions{SegmentBytes: 2 << 10})
+	j2, recs2, _, err := queue.OpenJournal(iofault.OS{}, jdir, queue.JournalOptions{CompactBytes: 2 << 10})
 	if err != nil {
 		c.failf("corruption: clean reopen refused: %v", err)
 		return
@@ -258,6 +245,9 @@ func (c *caseRun) runJournal() {
 		return
 	}
 	defer q2.Close()
+	if tmps, _ := filepath.Glob(filepath.Join(jdir, ".tmp-*")); len(tmps) > 0 {
+		c.failf("compaction temp file %s survived the reopen", tmps[0])
+	}
 
 	for _, a := range acked {
 		info, ok := q2.Get(a.id)

@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -16,11 +18,15 @@ import (
 )
 
 // Kill campaign shape: each case submits jobsPerCase jobs to a daemon
-// with daemonWorkers workers and kills it up to maxKills times.
+// with daemonWorkers workers and kills it up to maxKills times. The
+// daemons compact their journals at compactBytes, small enough that a
+// case's few jobs compact it several times, so kills land inside
+// compactions too.
 const (
 	jobsPerCase     = 4
 	daemonWorkers   = 3
 	maxKills        = 2
+	compactBytes    = 256
 	convergeTimeout = 30 * time.Second
 )
 
@@ -132,6 +138,8 @@ func killCase(cfg Config, idx int, rng *rand.Rand, dir string) caseResult {
 			Logger:      queue.DiscardLogger(),
 			Volatile:    cfg.Control,
 			FS:          ffs,
+
+			JournalCompactBytes: compactBytes,
 		})
 		if err != nil {
 			fail("phase %d: open: %v", phase, err)
@@ -170,6 +178,11 @@ func killCase(cfg Config, idx int, rng *rand.Rand, dir string) caseResult {
 		}
 		if ffs.Killed() {
 			d.Kill()
+			// The kill is armed after Open, so a temp file in the data
+			// directory itself can only be a compaction's.
+			if p := ffs.Log()[0].Path; filepath.Dir(p) == dir && strings.HasPrefix(filepath.Base(p), ".tmp-") {
+				res.kill.CompactionKills++
+			}
 			continue
 		}
 		// Clean finish. A kill armed for a sync that never came must not
@@ -188,9 +201,10 @@ func killCase(cfg Config, idx int, rng *rand.Rand, dir string) caseResult {
 	return res
 }
 
-// auditKill checks a converged case: ledger discipline straight off the
-// journal records, then end state and artifact bytes from a fresh
-// replay through the real state machine.
+// auditKill checks a converged case: the journal replays through the
+// real state machine (queue.Restore refuses any transition without a
+// live lease or out of delivery order), no job was acked twice, and
+// every admitted job ended done with the serial run's artifact bytes.
 func auditKill(cfg Config, idx int, dir string, res *caseResult, fail func(string, ...any),
 	expected [][]byte, admitted map[uint64]int) {
 
@@ -213,43 +227,27 @@ func auditKill(cfg Config, idx int, dir string, res *caseResult, fail func(strin
 		return
 	}
 
-	j, recs, _, err := queue.OpenDirJournal(iofault.OS{}, dir, queue.JournalOptions{})
+	j, recs, _, err := queue.OpenJournal(iofault.OS{}, dir, queue.JournalOptions{})
 	if err != nil {
 		fail("audit: journal: %v", err)
 		return
 	}
 	j.Close()
 
-	// Ledger: at most one ack per job, every ack/fail/release matching a
-	// live lease, delivery numbers monotone.
+	// Count acks per job, carried across checkpoints, before Restore
+	// refuses the second one.
 	acks := make(map[uint64]int)
-	liveLease := make(map[uint64]int) // id -> currently leased delivery
-	charged := make(map[uint64]int)
-	for i, rec := range recs {
+	for _, rec := range recs {
 		switch rec.Type {
-		case queue.RecEnqueue:
-		case queue.RecLease:
-			if rec.Delivery != charged[rec.ID]+1 {
-				fail("record %d: lease delivery %d after %d charged", i, rec.Delivery, charged[rec.ID])
+		case queue.RecCheckpoint:
+			clear(acks)
+			for _, cj := range rec.Checkpoint.Jobs {
+				if cj.State == queue.StateDone {
+					acks[cj.ID] = 1
+				}
 			}
-			liveLease[rec.ID] = rec.Delivery
-			charged[rec.ID] = rec.Delivery
-			if rec.Delivery > 1 {
-				res.kill.Redelivered++
-			}
-		case queue.RecAck, queue.RecFail, queue.RecRelease:
-			if liveLease[rec.ID] != rec.Delivery {
-				fail("record %d: %s without live lease (job %d delivery %d)", i, rec.Type, rec.ID, rec.Delivery)
-			}
-			delete(liveLease, rec.ID)
-			switch rec.Type {
-			case queue.RecAck:
-				acks[rec.ID]++
-			case queue.RecRelease:
-				charged[rec.ID]-- // uncharged
-			}
-		default:
-			fail("record %d: unexpected type %s", i, rec.Type)
+		case queue.RecAck:
+			acks[rec.ID]++
 		}
 	}
 	for id, n := range acks {
@@ -261,8 +259,13 @@ func auditKill(cfg Config, idx int, dir string, res *caseResult, fail func(strin
 
 	q, _, err := queue.Restore(queue.Policy{MaxDeliveries: 1 << 30}, queue.Options{}, recs)
 	if err != nil {
-		fail("audit: restore: %v", err)
+		fail("audit: journal does not replay: %v", err)
 		return
+	}
+	for _, info := range q.List() {
+		if info.Deliveries > 1 {
+			res.kill.Redelivered += int64(info.Deliveries - 1)
+		}
 	}
 	for id, i := range admitted {
 		info, ok := q.Get(id)

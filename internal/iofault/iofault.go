@@ -146,11 +146,18 @@ func Classify(err error) string {
 	return ClassOther
 }
 
+// ErrUnsyncedRename marks a WriteDurable whose rename ran but whose
+// directory sync failed: path names the new content now, yet a crash
+// may still bring the old back. A writer holding a handle on either
+// file must stop writing through it.
+var ErrUnsyncedRename = errors.New("iofault: renamed, directory sync failed")
+
 // WriteDurable writes data to path via the full commit discipline:
 // temp file in path's directory, write, fsync, close, rename over
 // path, fsync the directory. On any error the temp file is removed and
-// the previous content of path (if any) is untouched — the caller sees
-// either the old version or the new one, never a mix.
+// the caller sees either the old version or the new one, never a mix;
+// an error before the rename leaves the old one in place, and an error
+// after it wraps ErrUnsyncedRename.
 func WriteDurable(fsys FS, dir, path string, data []byte) error {
 	tmp, err := fsys.CreateTemp(dir, ".tmp-*")
 	if err != nil {
@@ -172,7 +179,10 @@ func WriteDurable(fsys FS, dir, path string, data []byte) error {
 	if err := fsys.Rename(name, path); err != nil {
 		return err
 	}
-	return fsys.SyncDir(dir)
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("%w: %w", ErrUnsyncedRename, err)
+	}
+	return nil
 }
 
 // FrameHeaderLen is the size of the header EncodeFrame puts in front of

@@ -155,6 +155,38 @@ func TestRenameAndDirSyncFaults(t *testing.T) {
 	}
 }
 
+// TestWriteDurableNamesTheRenameSide: a failure before the rename
+// leaves the old content and does not wrap ErrUnsyncedRename; a failed
+// directory sync after it leaves the new content and does.
+func TestWriteDurableNamesTheRenameSide(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	if err := WriteDurable(OS{}, dir, path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		trip    Trip
+		want    string
+		renamed bool
+	}{
+		{Trip{Op: OpRename, Class: ClassRenameFail, N: 1}, "old", false},
+		{Trip{Op: OpSyncDir, Class: ClassEIO, N: 1}, "new", true},
+	} {
+		ffs := NewFaultFS(OS{}, 5)
+		ffs.Arm(tc.trip)
+		err := WriteDurable(ffs, dir, path, []byte("new"))
+		if err == nil || errors.Is(err, ErrUnsyncedRename) != tc.renamed || Classify(err) != tc.trip.Class {
+			t.Fatalf("%s fault: %v, want class %s, renamed %v", tc.trip.Op, err, tc.trip.Class, tc.renamed)
+		}
+		if got, _ := os.ReadFile(path); string(got) != tc.want {
+			t.Fatalf("%s fault left %q, want %q", tc.trip.Op, got, tc.want)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmps) > 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+}
+
 func TestTripSubstrTargeting(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(OS{}, 5)

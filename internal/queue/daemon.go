@@ -65,7 +65,7 @@ func (b StoreBudget) level(usage int64, cur int) int {
 // BudgetConfig sets per-store disk budgets. The zero value disables
 // degraded mode entirely.
 type BudgetConfig struct {
-	// Journal bounds the queue WAL (active segment bytes).
+	// Journal bounds the queue WAL (journal file bytes).
 	Journal StoreBudget
 	// Store bounds the content-addressed artifact store.
 	Store StoreBudget
@@ -86,8 +86,8 @@ func DiscardLogger() *slog.Logger {
 
 // Config assembles a daemon.
 type Config struct {
-	// Dir is the data directory: journal segments journal-%08d.asapq
-	// plus the artifact store under objects/.
+	// Dir is the data directory: the journal file journal.asapq plus
+	// the artifact store under objects/.
 	Dir string
 	// Workers sizes the execution pool (default 2).
 	Workers int
@@ -124,9 +124,9 @@ type Config struct {
 	// FS is the filesystem seam under the journal and artifact store
 	// (default iofault.OS{}); the kill campaign passes a FaultFS.
 	FS iofault.FS
-	// JournalSegmentBytes is the journal rotation threshold (default
-	// DefaultSegmentBytes; negative disables compaction).
-	JournalSegmentBytes int64
+	// JournalCompactBytes is the journal compaction threshold (default
+	// DefaultCompactBytes; negative disables compaction).
+	JournalCompactBytes int64
 	// Budget configures disk-budget degraded mode (zero disables).
 	Budget BudgetConfig
 	// CacheUsage and CacheShed connect the resultcache — owned by the
@@ -235,8 +235,8 @@ func Open(cfg Config) (*Daemon, error) {
 		err  error
 	)
 	if !cfg.Volatile {
-		j, recs, rep, err = OpenDirJournal(cfg.FS, cfg.Dir,
-			JournalOptions{SegmentBytes: cfg.JournalSegmentBytes})
+		j, recs, rep, err = OpenJournal(cfg.FS, cfg.Dir,
+			JournalOptions{CompactBytes: cfg.JournalCompactBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -749,13 +749,12 @@ type Stats struct {
 	Degraded  int              `json:"degraded"`
 	Recovered RecoverResult    `json:"recovered"`
 	Journal   ReplayReport     `json:"journal"`
-	Segments  int              `json:"journal_segments,omitempty"`
 	UptimeSec float64          `json:"uptime_sec"`
 }
 
 // Stats snapshots the daemon.
 func (d *Daemon) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Depths:    d.Q.Depths(),
 		Counters:  d.Q.Counters(),
 		Workers:   d.cfg.Workers,
@@ -765,8 +764,4 @@ func (d *Daemon) Stats() Stats {
 		Journal:   d.JournalRep,
 		UptimeSec: d.cfg.Clock().Sub(d.start).Seconds(),
 	}
-	if j := d.Q.Journal(); j != nil {
-		st.Segments = j.Segments()
-	}
-	return st
 }

@@ -183,7 +183,7 @@ func TestIOErrorCounterPopulates(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	ffs.Arm(iofault.Trip{Op: iofault.OpWrite, Class: iofault.ClassENOSPC, N: 1, Substr: segName(1)})
+	ffs.Arm(iofault.Trip{Op: iofault.OpWrite, Class: iofault.ClassENOSPC, N: 1, Substr: journalName})
 	if _, err := d.Q.Enqueue(json.RawMessage(`{"k":1}`)); err == nil {
 		t.Fatal("enqueue under journal ENOSPC succeeded")
 	}

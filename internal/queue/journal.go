@@ -1,5 +1,5 @@
 // Package queue is the durable work queue behind cmd/asapd: a
-// CRC-checksummed segmented journal (the same header-magic +
+// CRC-checksummed single-file journal (the same header-magic +
 // checksum-with-field-zeroed discipline as internal/wal), an in-memory
 // job state machine rebuilt from the journal on every open, lease-based
 // ack/redeliver semantics with capped exponential backoff and a
@@ -8,11 +8,11 @@
 // (write-ahead), so a daemon killed at any instant — including mid-append
 // — restarts into a state the journal can prove: finished jobs stay
 // finished exactly once, leased jobs are redelivered, and a torn tail
-// record simply never happened. The journal is bounded: when the active
-// segment crosses a size threshold it rotates, seeding the next segment
-// with a checkpoint image of the live queue and deleting the fully
-// superseded history — a compaction that is crash-safe at every step
-// (journal.go, "Compaction protocol" below).
+// record simply never happened. The journal is bounded: when the file
+// outgrows its threshold it is compacted, replaced whole by a new file
+// holding a checkpoint image of the live queue through one atomic
+// rename — crash-safe at every step (journal.go, "Compaction protocol"
+// below).
 package queue
 
 import (
@@ -23,8 +23,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"asap/internal/iofault"
@@ -45,34 +43,32 @@ import (
 //	  bytes 6..5+n payload (JSON-encoded Record)
 //	  last 4       CRC-32 (IEEE) over bytes 0..5+n
 //
-// A journal is a directory of segment files journal-%08d.asapq replayed
-// in sequence order. Replay walks records until EOF or the first invalid
-// frame. Broken bytes at the very tail of the FINAL segment are the
-// expected signature of a crash mid-append (a torn record that never
-// committed): they are counted, truncated, and replay succeeds — but
-// only if no valid frame follows them. An invalid frame with valid
-// records after it, or any damage in a non-final segment, is mid-file
-// corruption: replay REFUSES rather than silently truncating history
-// (ErrCorruptJournal). The journal refuses to open only when a file
-// header is damaged or corruption is mid-file, since then the history
-// downstream of the damage cannot be trusted.
+// A journal is one file, <dir>/journal.asapq, that only ever comes into
+// existence through iofault.WriteDurable, so it is always whole: a
+// header, then frames. Replay walks records until EOF or the first
+// invalid frame. Broken bytes at the very tail are the expected
+// signature of a crash mid-append (a torn record that never committed):
+// they are counted, truncated, and replay succeeds — but only if no
+// valid frame follows them. An invalid frame with valid records after
+// it is mid-file corruption: replay REFUSES rather than silently
+// truncating history (ErrCorruptJournal), as it refuses a damaged file
+// header.
 //
 // Compaction protocol (crash-safe at every step):
 //
-//  1. The active segment N crosses the size threshold after an append.
-//  2. A new segment N+1 is created containing the file header plus one
-//     RecCheckpoint record — a full image of the live queue state — and
-//     is fsynced, then its directory is fsynced. Until both syncs land,
-//     segment N+1 does not exist as far as recovery is concerned: a
-//     crash leaves a partial file with zero complete records, which
-//     replay recognizes as a failed rotation (older segments still hold
-//     everything) and deletes.
-//  3. Appends switch to segment N+1.
-//  4. Segments ≤ N are deleted and the directory fsynced. A crash
-//     before or during this step leaves stale segments behind; replay
-//     handles them naturally — the checkpoint record at the head of
-//     N+1 resets state, making the stale history inert — and finishes
-//     the deletion on the next open.
+//  1. After a committed transition the file has reached
+//     max(threshold, 2 × its size right after the last compaction), so
+//     compaction costs no more bytes than the appends it follows.
+//  2. The file header plus one RecCheckpoint record — a full image of
+//     the live queue — is written to a temp file in the directory and
+//     fsynced. A failure or crash here leaves the journal file as it
+//     was; appends continue on it and the next open deletes the temp.
+//  3. The temp file is renamed over journal.asapq: a reader sees the
+//     old file or the new one, never a mix, and both prove the same
+//     state.
+//  4. The directory is fsynced and the new file reopened for append. If
+//     either fails, the journal is marked failed: it never appends to a
+//     file whose directory entry may not be durable.
 const (
 	fileMagic    = "ASAPQJ1\n"
 	fileVersion  = 1
@@ -84,15 +80,11 @@ const (
 	// replay attempt a multi-gigabyte read.
 	maxPayload = 16 << 20
 
-	// segPrefix/segSuffix frame segment file names: journal-%08d.asapq.
-	segPrefix = "journal-"
-	segSuffix = ".asapq"
-	// legacySegName is the PR-7 single-file journal, migrated to segment
-	// 1 on first open.
-	legacySegName = "journal.asapq"
+	// journalName is the journal file inside its directory.
+	journalName = "journal.asapq"
 
-	// DefaultSegmentBytes is the rotation threshold when none is set.
-	DefaultSegmentBytes = 8 << 20
+	// DefaultCompactBytes is the compaction threshold when none is set.
+	DefaultCompactBytes = 8 << 20
 )
 
 // RecType enumerates journal record kinds. The type byte lives in the
@@ -117,8 +109,8 @@ const (
 	// delivery: ID, Delivery are set. Drain checkpoints use it.
 	RecRelease RecType = 5
 	// RecCheckpoint is a full image of the queue state: Checkpoint is
-	// set. It is the first record of every compacted segment; replay
-	// resets to it, making any older history inert.
+	// set. It is the first record of every compacted journal file; replay
+	// resets to it.
 	RecCheckpoint RecType = 6
 )
 
@@ -165,7 +157,7 @@ type Record struct {
 }
 
 // CheckpointState is the full queue image a RecCheckpoint carries: the
-// first record of every compacted segment, sufficient on its own to
+// first record of every compacted journal file, sufficient on its own to
 // rebuild the job table. Times are Unix nanoseconds with zero values
 // stored as 0 (time.Time{}.UnixNano() is a large negative number that
 // must never reach the journal).
@@ -195,40 +187,36 @@ var (
 	ErrJournalClosed = errors.New("queue: journal closed")
 	ErrBadFileHeader = errors.New("queue: journal file header invalid")
 	// ErrCorruptJournal refuses a replay that found damage anywhere but
-	// the final segment's tail: truncating there would silently delete
-	// committed history.
+	// the file's tail: truncating there would silently delete committed
+	// history.
 	ErrCorruptJournal = errors.New("queue: journal corrupt mid-file, refusing replay")
 	// ErrJournalFailed marks a journal whose medium failed in a way that
 	// could not be rolled back; every later append is refused so the
 	// in-memory state can never run ahead of what disk can prove.
 	ErrJournalFailed = errors.New("queue: journal failed, appends disabled")
+	// ErrSegmentedJournal refuses a directory holding journal-*.asapq
+	// segments, the multi-file layout of older builds, which this journal
+	// would otherwise open as empty. Segments share the journal file's
+	// format, so a directory holding exactly one opens once that segment
+	// is renamed to journal.asapq.
+	ErrSegmentedJournal = errors.New("queue: directory holds a segmented journal from an older build")
 )
 
 // ReplayReport summarizes one journal open: how much history was
 // recovered and whether a torn tail was discarded.
 type ReplayReport struct {
 	Records int `json:"records"`
-	// GoodBytes is the offset of the last valid record's end in the
-	// active (final) segment.
+	// GoodBytes is the offset of the last valid record's end.
 	GoodBytes int64 `json:"good_bytes"`
-	// TornBytes counts trailing bytes dropped as a torn append,
-	// including a whole trailing segment dropped as a failed rotation.
+	// TornBytes counts trailing bytes dropped as a torn append.
 	TornBytes int64 `json:"torn_bytes"`
-	// Segments is the number of live segment files after open.
-	Segments int `json:"segments,omitempty"`
-	// DroppedSegments counts trailing segments discarded as failed
-	// rotations (crash between creating a new segment and its fsync).
-	DroppedSegments int `json:"dropped_segments,omitempty"`
-	// ResumedCompaction reports that superseded segments left behind by
-	// a crash mid-compaction were deleted on this open.
-	ResumedCompaction bool `json:"resumed_compaction,omitempty"`
 }
 
-// JournalOptions shape a directory journal.
+// JournalOptions shape a journal.
 type JournalOptions struct {
-	// SegmentBytes is the rotation threshold (default DefaultSegmentBytes).
-	// Negative disables rotation.
-	SegmentBytes int64
+	// CompactBytes is the compaction threshold (default
+	// DefaultCompactBytes). Negative disables compaction.
+	CompactBytes int64
 	// NoRollback disables the append-failure rollback truncate — the
 	// hostile-I/O campaign's negative control. A journal opened this way
 	// keeps appending after a partial write, planting mid-file garbage
@@ -236,20 +224,18 @@ type JournalOptions struct {
 	NoRollback bool
 }
 
-// Journal is an append-only segmented record log. Appends are serialized
-// and synced to the medium before they return, which is the write-ahead
-// guarantee every queue transition relies on.
+// Journal is an append-only record log in one file. Appends are
+// serialized and synced to the medium before they return, which is the
+// write-ahead guarantee every queue transition relies on.
 type Journal struct {
 	mu     sync.Mutex
 	fs     iofault.FS
-	dir    string // segment directory
+	dir    string
+	path   string // dir/journal.asapq
 	active iofault.File
-	path   string // active segment path
-	seq    uint64 // active segment sequence number
-	off    int64  // append offset in the active segment
+	off    int64 // append offset
+	base   int64 // file size right after the last compaction (or creation)
 	opts   JournalOptions
-
-	segments int // live segment files
 
 	closed bool
 	failed bool
@@ -322,8 +308,8 @@ func encodeRecord(rec Record) ([]byte, error) {
 	return buf, nil
 }
 
-// Replay decodes every valid record after the file header of one
-// segment's bytes. It stops at the first invalid frame; bytes from
+// Replay decodes every valid record after the file header of a
+// journal file's bytes. It stops at the first invalid frame; bytes from
 // there on count as the torn tail. A damaged file header is fatal.
 // Whether the torn tail is acceptable (a genuine torn append) or
 // mid-file corruption (valid records follow the damage) is the caller's
@@ -385,274 +371,94 @@ func decodeRecordAt(data []byte, off int64) (Record, int64, bool) {
 	return rec, off + recFrameSize + n + recCRCSize, true
 }
 
-// segName renders a segment file name.
-func segName(seq uint64) string {
-	return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix)
-}
-
-// parseSegName extracts a segment sequence number, if name is one.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
-	}
-	mid := name[len(segPrefix) : len(name)-len(segSuffix)]
-	if len(mid) == 0 {
-		return 0, false
-	}
-	var seq uint64
-	for _, c := range mid {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		seq = seq*10 + uint64(c-'0')
-	}
-	return seq, true
-}
-
-// listSegments returns the segment sequence numbers present in dir,
-// sorted ascending.
-func listSegments(fs iofault.FS, dir string) ([]uint64, error) {
-	ents, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if seq, ok := parseSegName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, k int) bool { return seqs[i] < seqs[k] })
-	return seqs, nil
-}
-
-// OpenDirJournal opens the segmented journal rooted at dir, migrating a
-// legacy single-file journal if one is present, replaying every live
-// segment in order, dropping trailing failed-rotation debris, resuming
-// any interrupted compaction, and positioning the newest segment for
-// append. fs is the filesystem seam (iofault.OS{} in production).
-func OpenDirJournal(fs iofault.FS, dir string, opts JournalOptions) (*Journal, []Record, ReplayReport, error) {
-	if opts.SegmentBytes == 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
+// OpenJournal opens the journal file in dir, creating it if absent. It
+// first refuses a directory of the retired segmented layout and sweeps
+// the temp files a crash mid-compaction leaves, then replays the file:
+// a torn tail is truncated, mid-file corruption is refused, and the
+// file is positioned for append. fs is the filesystem seam (iofault.OS{}
+// in production).
+func OpenJournal(fs iofault.FS, dir string, opts JournalOptions) (*Journal, []Record, ReplayReport, error) {
+	if opts.CompactBytes == 0 {
+		opts.CompactBytes = DefaultCompactBytes
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, ReplayReport{}, err
 	}
-
-	// Migrate the PR-7 single-file layout: journal.asapq becomes segment
-	// 1. The rename is atomic, so a crash leaves exactly one of the two
-	// names; nothing is copied, nothing can be half-moved.
-	legacy := filepath.Join(dir, legacySegName)
-	if _, err := fs.Stat(legacy); err == nil {
-		if err := fs.Rename(legacy, filepath.Join(dir, segName(1))); err != nil {
-			return nil, nil, ReplayReport{}, fmt.Errorf("queue: migrating legacy journal: %w", err)
-		}
-		if err := fs.SyncDir(dir); err != nil {
-			return nil, nil, ReplayReport{}, fmt.Errorf("queue: migrating legacy journal: %w", err)
-		}
-	}
-
-	seqs, err := listSegments(fs, dir)
+	ents, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, nil, ReplayReport{}, err
 	}
-	var rep ReplayReport
-
-	// Drop trailing failed rotations: a final segment with no complete
-	// record while older segments exist can only be a rotation that
-	// crashed before its checkpoint fsynced — the older segments still
-	// hold the complete history.
-	for len(seqs) >= 2 {
-		last := filepath.Join(dir, segName(seqs[len(seqs)-1]))
-		data, rerr := fs.ReadFile(last)
-		if rerr != nil {
-			return nil, nil, rep, rerr
+	for _, e := range ents {
+		if seg, _ := filepath.Match("journal-*.asapq", e.Name()); seg {
+			return nil, nil, ReplayReport{}, fmt.Errorf("%w: %s", ErrSegmentedJournal, filepath.Join(dir, e.Name()))
 		}
-		recs, _, rerr := Replay(data)
-		if (rerr != nil || len(recs) == 0) && wholeFileIsTornOrShort(data) {
-			if err := fs.Remove(last); err != nil {
-				return nil, nil, rep, err
+	}
+	// A temp file is a compaction that never reached its rename: the
+	// journal file still holds everything, so the debris goes.
+	for _, e := range ents {
+		if tmp, _ := filepath.Match(".tmp-*", e.Name()); tmp && !e.IsDir() {
+			if err := fs.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, nil, ReplayReport{}, err
 			}
-			if err := fs.SyncDir(dir); err != nil {
-				return nil, nil, rep, err
-			}
-			rep.TornBytes += int64(len(data))
-			rep.DroppedSegments++
-			seqs = seqs[:len(seqs)-1]
-			continue
 		}
-		break
 	}
 
-	if len(seqs) == 0 {
-		// Fresh journal: create segment 1.
-		j := &Journal{fs: fs, dir: dir, opts: opts, seq: 1, segments: 1,
-			path: filepath.Join(dir, segName(1))}
-		if err := j.createActive(nil); err != nil {
-			return nil, nil, rep, err
+	j := &Journal{fs: fs, dir: dir, path: filepath.Join(dir, journalName), opts: opts}
+	data, err := fs.ReadFile(j.path)
+	if errors.Is(err, os.ErrNotExist) {
+		if _, err := j.install(nil); err != nil {
+			return nil, nil, ReplayReport{}, err
 		}
-		rep.GoodBytes = fileHdrSize
-		rep.Segments = 1
-		return j, nil, rep, nil
+		return j, nil, ReplayReport{GoodBytes: fileHdrSize}, nil
 	}
-
-	// Replay non-final segments strictly: they were sealed by a
-	// successful rotation, so any damage is mid-file corruption.
-	var all []Record
-	for _, seq := range seqs[:len(seqs)-1] {
-		p := filepath.Join(dir, segName(seq))
-		data, err := fs.ReadFile(p)
-		if err != nil {
-			return nil, nil, rep, err
-		}
-		recs, r, err := Replay(data)
-		if err != nil {
-			return nil, nil, rep, fmt.Errorf("%w: segment %d: %v", ErrCorruptJournal, seq, err)
-		}
-		if r.TornBytes > 0 {
-			return nil, nil, rep, fmt.Errorf("%w: segment %d has %d bad bytes mid-journal",
-				ErrCorruptJournal, seq, r.TornBytes)
-		}
-		all = append(all, recs...)
-		rep.Records += r.Records
-	}
-
-	// The final segment is the active one: torn tails allowed (and
-	// truncated), mid-file corruption refused.
-	lastSeq := seqs[len(seqs)-1]
-	j := &Journal{fs: fs, dir: dir, opts: opts, seq: lastSeq, segments: len(seqs),
-		path: filepath.Join(dir, segName(lastSeq))}
-	recs, arep, err := j.openSegmentFile(all)
 	if err != nil {
-		return nil, nil, rep, err
-	}
-	rep.Records += arep.Records - len(all)
-	rep.GoodBytes = arep.GoodBytes
-	rep.TornBytes += arep.TornBytes
-	rep.Segments = len(seqs)
-
-	// Resume an interrupted compaction: if the active segment opens with
-	// a checkpoint, every older segment is superseded — the crash
-	// happened between the checkpoint fsync and the deletions.
-	if len(seqs) > 1 && arep.Records > len(all) {
-		firstOwn := recs[len(all)]
-		if firstOwn.Type == RecCheckpoint {
-			for _, seq := range seqs[:len(seqs)-1] {
-				if err := fs.Remove(filepath.Join(dir, segName(seq))); err != nil {
-					return nil, nil, rep, err
-				}
-			}
-			if err := fs.SyncDir(dir); err != nil {
-				return nil, nil, rep, err
-			}
-			j.segments = 1
-			rep.Segments = 1
-			rep.ResumedCompaction = true
-		}
-	}
-	return j, recs, rep, nil
-}
-
-// wholeFileIsTornOrShort reports whether data is explainable as a
-// crashed segment creation: empty, a partial header, or a valid header
-// followed only by a torn prefix of a first record (no complete frame).
-func wholeFileIsTornOrShort(data []byte) bool {
-	if len(data) < fileHdrSize {
-		return true
-	}
-	if err := checkFileHeader(data); err != nil {
-		// A full-size header with wrong magic/CRC is not a torn write of
-		// OUR header unless the damage is a pure truncation; be
-		// conservative and treat garbage as corruption, not a torn file.
-		return false
-	}
-	return TailIsTorn(data, fileHdrSize)
-}
-
-// openSegmentFile replays j.path (creating it fresh if absent or
-// zero-length), truncates a genuinely torn tail, refuses mid-file
-// corruption, and opens the file for append. prior is the record history
-// of earlier segments; returned records and report cover prior+own.
-func (j *Journal) openSegmentFile(prior []Record) ([]Record, ReplayReport, error) {
-	data, err := j.fs.ReadFile(j.path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, ReplayReport{}, err
-	}
-	if len(data) == 0 {
-		if err := j.createActive(nil); err != nil {
-			return nil, ReplayReport{}, err
-		}
-		return prior, ReplayReport{Records: len(prior), GoodBytes: fileHdrSize, Segments: j.segments}, nil
-	}
-	// A partial header can only be a crash during segment creation: no
-	// record ever followed it. Recreate in place.
-	if len(data) < fileHdrSize {
-		torn := int64(len(data))
-		if err := j.fs.Truncate(j.path, 0); err != nil {
-			return nil, ReplayReport{}, err
-		}
-		if err := j.createActive(nil); err != nil {
-			return nil, ReplayReport{}, err
-		}
-		return prior, ReplayReport{Records: len(prior), GoodBytes: fileHdrSize, TornBytes: torn, Segments: j.segments}, nil
+		return nil, nil, ReplayReport{}, err
 	}
 	recs, rep, err := Replay(data)
 	if err != nil {
-		return nil, rep, err
+		return nil, nil, rep, err
 	}
 	if rep.TornBytes > 0 {
 		if !TailIsTorn(data, rep.GoodBytes) {
-			return nil, rep, fmt.Errorf("%w: %d bad bytes at offset %d with valid records beyond",
+			return nil, nil, rep, fmt.Errorf("%w: %d bad bytes at offset %d with valid records beyond",
 				ErrCorruptJournal, rep.TornBytes, rep.GoodBytes)
 		}
-		if err := j.fs.Truncate(j.path, rep.GoodBytes); err != nil {
-			return nil, rep, err
+		if err := fs.Truncate(j.path, rep.GoodBytes); err != nil {
+			return nil, nil, rep, err
 		}
 	}
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, rep, err
+		return nil, nil, rep, err
 	}
 	if rep.TornBytes > 0 {
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, rep, err
+			return nil, nil, rep, err
 		}
 	}
-	j.active = f
-	j.off = rep.GoodBytes
-	all := append(append([]Record(nil), prior...), recs...)
-	rep.Records = len(all)
-	rep.Segments = j.segments
-	return all, rep, nil
+	j.active, j.off, j.base = f, rep.GoodBytes, fileHdrSize
+	if len(recs) > 0 && recs[0].Type == RecCheckpoint {
+		_, j.base, _ = decodeRecordAt(data, fileHdrSize)
+	}
+	return j, recs, rep, nil
 }
 
-// createActive creates the active segment file at j.path with a fresh
-// header plus optional initial frames, fully fsynced (file then dir).
-func (j *Journal) createActive(initial []byte) error {
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
+// install makes the journal file a new one holding the file header plus
+// initial, written through iofault.WriteDurable, and opens it for
+// append. renamed reports whether the rename may have run: from then on
+// the previous file's handle must never take another append.
+func (j *Journal) install(initial []byte) (renamed bool, err error) {
 	buf := append(encodeFileHeader(), initial...)
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
+	if err := iofault.WriteDurable(j.fs, j.dir, j.path, buf); err != nil {
+		return errors.Is(err, iofault.ErrUnsyncedRename), err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	f, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return true, err
 	}
-	if err := j.fs.SyncDir(j.dir); err != nil {
-		f.Close()
-		return err
-	}
-	j.active = f
-	j.off = int64(len(buf))
-	return nil
+	j.active, j.off, j.base = f, int64(len(buf)), int64(len(buf))
+	return true, nil
 }
 
 // Append journals one record: frame, write, sync. It returns only after
@@ -694,7 +500,7 @@ func (j *Journal) Append(rec Record) error {
 	return nil
 }
 
-// rollback restores the active segment to the last record boundary
+// rollback restores the journal file to the last record boundary
 // after a failed append. Callers hold j.mu. With NoRollback set (the
 // campaign's negative control) the partial frame is left in place —
 // exactly the corruption the protection exists to prevent.
@@ -715,23 +521,24 @@ func (j *Journal) rollback() {
 	}
 }
 
-// ShouldRotate reports whether the active segment has crossed the
-// rotation threshold. The queue checks it after each committed
-// transition and drives Rotate with a checkpoint of its live state.
-func (j *Journal) ShouldRotate() bool {
+// ShouldCompact reports whether the journal file has reached its
+// compaction point: the threshold, or twice its size right after the
+// last compaction if that is larger, so checkpoint bytes written stay
+// proportional to transition bytes appended however large the live
+// table grows. The queue checks it after each committed transition and
+// drives Compact with a checkpoint of its live state.
+func (j *Journal) ShouldCompact() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return !j.closed && !j.failed && j.opts.SegmentBytes > 0 && j.off >= j.opts.SegmentBytes
+	return !j.closed && !j.failed && j.opts.CompactBytes > 0 && j.off >= max(j.opts.CompactBytes, 2*j.base)
 }
 
-// Rotate runs one compaction: create segment seq+1 seeded with the
-// given checkpoint record (fsynced file-then-dir), switch appends to
-// it, and delete every older segment. A failure before the switch
-// aborts cleanly — the old segment keeps appending and the next
-// threshold crossing retries; a failure during the deletions leaves
-// stale segments the next open reaps. See the compaction protocol
-// comment at the top of the file.
-func (j *Journal) Rotate(checkpoint Record) error {
+// Compact replaces the journal file with one holding only the given
+// checkpoint record (see the compaction protocol at the top of the
+// file). A failure before the rename aborts cleanly: the old file keeps
+// appending and the next compaction point retries. A failure after it
+// marks the journal failed.
+func (j *Journal) Compact(checkpoint Record) error {
 	frame, err := encodeRecord(checkpoint)
 	if err != nil {
 		return err
@@ -744,74 +551,30 @@ func (j *Journal) Rotate(checkpoint Record) error {
 	if j.failed {
 		return ErrJournalFailed
 	}
-	newSeq := j.seq + 1
-	newPath := filepath.Join(j.dir, segName(newSeq))
-	nf, err := j.fs.OpenFile(newPath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	old := j.active
+	renamed, err := j.install(frame)
 	if err != nil {
 		j.countIOErr(err)
-		return fmt.Errorf("queue: compaction: creating segment: %w", err)
+		if renamed {
+			j.failed = true
+			return fmt.Errorf("%w: compaction: %v", ErrJournalFailed, err)
+		}
+		return fmt.Errorf("queue: compaction: %w", err)
 	}
-	abort := func(cause error) error {
-		nf.Close()
-		j.fs.Remove(newPath) // best-effort; open-time debris handling reaps it too
-		j.countIOErr(cause)
-		return fmt.Errorf("queue: compaction: %w", cause)
-	}
-	buf := append(encodeFileHeader(), frame...)
-	if _, err := nf.Write(buf); err != nil {
-		return abort(err)
-	}
-	if err := nf.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := j.fs.SyncDir(j.dir); err != nil {
-		return abort(err)
-	}
-
-	// The checkpoint is durable: the new segment is now the journal.
-	j.active.Close()
-	oldSeq := j.seq
-	j.active, j.path, j.seq, j.off = nf, newPath, newSeq, int64(len(buf))
+	old.Close()
 	j.metCompactions.Inc()
 	j.metAppends.Inc()
 	j.metBytes.Add(float64(len(frame)))
 	j.metSyncs.Inc()
-
-	// Delete the superseded history. Failures here are deliberately
-	// swallowed: stale segments are inert (the checkpoint resets replay)
-	// and the next open finishes the job.
-	removed := 0
-	for seq := oldSeq; seq >= 1; seq-- {
-		p := filepath.Join(j.dir, segName(seq))
-		if _, err := j.fs.Stat(p); err != nil {
-			continue
-		}
-		if err := j.fs.Remove(p); err != nil {
-			j.countIOErr(err)
-			continue
-		}
-		removed++
-	}
-	if err := j.fs.SyncDir(j.dir); err != nil {
-		j.countIOErr(err)
-	}
-	j.segments = j.segments + 1 - removed
 	return nil
 }
 
-// Size returns the append offset in the active segment (header + all
-// good records since the last compaction).
+// Size returns the append offset: header plus every good record since
+// the last compaction.
 func (j *Journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.off
-}
-
-// Segments returns the number of live segment files.
-func (j *Journal) Segments() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.segments
 }
 
 // Close syncs and closes the journal. Further appends fail.
@@ -822,9 +585,6 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.active == nil {
-		return nil
-	}
 	err := j.active.Sync()
 	if j.failed {
 		err = nil // the medium already failed; nothing left to prove

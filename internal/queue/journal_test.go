@@ -22,7 +22,7 @@ func testRecords() []Record {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, recs, rep, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	j, recs, rep, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	_, got, rep, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	_, got, rep, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -59,8 +59,8 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, segName(1))
-	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	path := filepath.Join(dir, journalName)
+	j, _, _, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, recs, rep, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	_, recs, rep, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 
 func TestJournalMidFileCorruptionStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	j, _, _, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestJournalMidFileCorruptionStopsReplay(t *testing.T) {
 	}
 	j.Close()
 
-	data, _ := os.ReadFile(filepath.Join(dir, segName(1)))
+	data, _ := os.ReadFile(filepath.Join(dir, journalName))
 	data[fileHdrSize+8] ^= 0xFF // flip a byte inside the first record
 	recs, rep, err := Replay(data)
 	if err != nil {
@@ -139,7 +139,7 @@ func TestJournalBadHeaderFatal(t *testing.T) {
 }
 
 func TestJournalAppendAfterCloseFails(t *testing.T) {
-	j, _, _, err := OpenDirJournal(iofault.OS{}, t.TempDir(), JournalOptions{})
+	j, _, _, err := OpenJournal(iofault.OS{}, t.TempDir(), JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestOnDiskGolden(t *testing.T) {
 		objectHash = "sha256-51bc0fc1f19104fa6e89ce50be9aa1f57c3346c1ca51ab49f5f00e14ce8f8076"
 	)
 	dir := t.TempDir()
-	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	j, _, _, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestOnDiskGolden(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := os.ReadFile(filepath.Join(dir, "journal-00000001.asapq"))
+	seg, err := os.ReadFile(filepath.Join(dir, journalName))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func newSvcMetrics(reg *metrics.Registry) *svcMetrics {
 		journalSyncs: reg.Counter("asapd_journal_syncs_total",
 			"Journal medium syncs (one per append: write-ahead discipline)."),
 		journalCompactions: reg.Counter("asapd_journal_compactions_total",
-			"Journal rotations: checkpoint written into a fresh segment, old segments deleted."),
+			"Journal compactions: a checkpoint file renamed over the journal."),
 
 		ioErrors: reg.CounterVec("asapd_io_errors_total",
 			"I/O failures on durable paths, by path (journal/store/resultcache) and fault class.",
@@ -112,9 +112,6 @@ func (m *svcMetrics) wire(d *Daemon) {
 		reg.GaugeFunc("asapd_journal_size_bytes",
 			"Current journal size (header + all good records).",
 			func() float64 { return float64(j.Size()) })
-		reg.GaugeFunc("asapd_journal_segments",
-			"Live journal segment files (1 after a completed compaction).",
-			func() float64 { return float64(j.Segments()) })
 	}
 	reg.Gauge("asapd_journal_replay_records",
 		"Records recovered by the last journal replay.").Set(float64(d.JournalRep.Records))
@@ -137,7 +134,7 @@ func (m *svcMetrics) wire(d *Daemon) {
 	depth.WithFunc(func() float64 { return float64(d.Q.Depths().Dead) }, "dead")
 
 	storeBytes := reg.GaugeVec("asapd_store_bytes",
-		"On-disk footprint by store (journal = active segment; artifacts/resultcache = committed files).",
+		"On-disk footprint by store (journal = journal file; artifacts/resultcache = committed files).",
 		"store")
 	if j := d.Q.Journal(); j != nil {
 		storeBytes.WithFunc(func() float64 { return float64(j.Size()) }, "journal")

@@ -399,18 +399,19 @@ func (q *Queue) commit(rec Record) error {
 	return nil
 }
 
-// maybeCompact rotates the journal when the active segment has crossed
-// its size threshold, seeding the new segment with a checkpoint of the
-// live state. Rotation failures are absorbed: the old segment keeps
-// accepting appends (nothing is lost, the journal is just longer than
-// intended) and the next threshold crossing retries. Callers hold q.mu
-// — the journal's own lock nests inside it, never the other way.
+// maybeCompact compacts the journal at its compaction point, replacing
+// the file with a checkpoint of the live state. Failures are absorbed
+// here: one before the rename leaves the old file accepting appends
+// (nothing is lost, the journal is just longer than intended) and the
+// next transition retries; one after it fails the journal, so the next
+// transition is refused. Callers hold q.mu — the journal's own lock
+// nests inside it, never the other way.
 func (q *Queue) maybeCompact() {
-	if q.j == nil || !q.j.ShouldRotate() {
+	if q.j == nil || !q.j.ShouldCompact() {
 		return
 	}
 	cp := q.checkpointRecord()
-	if err := q.j.Rotate(cp); err != nil {
+	if err := q.j.Compact(cp); err != nil {
 		return
 	}
 	if err := q.apply(cp); err != nil {

@@ -246,7 +246,7 @@ func TestQueueTryLeaseOldestFirst(t *testing.T) {
 func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
-	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	j, _, _, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	q.Close()
 
 	// Restart: replay the journal into a fresh queue.
-	j2, recs, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	j2, recs, _, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	}
 	q2.Close()
 	// The orphan expiry was itself journaled: a second restore agrees.
-	j3, recs2, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	j3, recs2, _, err := OpenJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
